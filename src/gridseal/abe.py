@@ -163,6 +163,19 @@ class CiphertextRow:
 
 @dataclass(frozen=True)
 class AbeCiphertext:
+    """A record under a compiled policy.
+
+    Wire layout (to_bytes), every integer big-endian:
+
+    * the policy program in LsssProgram's sparse layout;
+    * a mode byte: 0 direct, 1 kem;
+    * C0 as a framed G_T element (backend wire id, 4-byte length, body);
+    * per row: a flag byte (1 if C1 follows, 0 once revocation stripped it),
+      then C1 if present, C2 and C3 as framed elements;
+    * kem mode only: the nonce, the AES-GCM body and its 16-byte tag, each
+      with a 4-byte length prefix.
+    """
+
     program: LsssProgram
     c0: GroupElementGT
     rows: tuple[CiphertextRow, ...]
@@ -179,34 +192,37 @@ class AbeCiphertext:
             raise ValueError("kem mode needs nonce and body")
 
     def to_bytes(self, ctx: PairingContext) -> bytes:
-        out = self.program.to_bytes(ctx.q)
-        out += b"\x00" if self.mode == MODE_DIRECT else b"\x01"
-        out += ctx.element_to_bytes(self.c0)
+        parts = [self.program.to_bytes(), b"\x00" if self.mode == MODE_DIRECT else b"\x01",
+                 ctx.element_to_bytes(self.c0)]
         for row in self.rows:
             if row.c1 is None:
-                out += b"\x00"
+                parts.append(b"\x00")
             else:
-                out += b"\x01" + ctx.element_to_bytes(row.c1)
-            out += ctx.element_to_bytes(row.c2)
-            out += ctx.element_to_bytes(row.c3)
+                parts += (b"\x01", ctx.element_to_bytes(row.c1))
+            parts += (ctx.element_to_bytes(row.c2), ctx.element_to_bytes(row.c3))
         if self.mode == MODE_KEM:
             # nonce, ciphertext body and authentication tag, each length-prefixed
             body, tag = self.kem_body[:-_KEM_TAG_BYTES], self.kem_body[-_KEM_TAG_BYTES:]
-            out += encode_blob(self.kem_nonce) + encode_blob(body) + encode_blob(tag)
-        return out
+            parts += (encode_blob(self.kem_nonce), encode_blob(body), encode_blob(tag))
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes, ctx: PairingContext) -> "AbeCiphertext":
-        program, offset = LsssProgram.from_bytes(data, ctx.q)
+        """Strict inverse of to_bytes: anything it would not emit raises ValueError."""
+        program, offset = LsssProgram.from_bytes(data)
         if offset >= len(data):
             raise ValueError("truncated ciphertext")
-        mode = MODE_DIRECT if data[offset] == 0 else MODE_KEM
+        if data[offset] > 1:
+            raise ValueError("unknown payload mode byte")
+        mode = MODE_KEM if data[offset] else MODE_DIRECT
         offset += 1
         c0, offset = ctx.element_gt_from_bytes(data, offset)
         rows = []
         for _ in range(program.n):
             if offset >= len(data):
                 raise ValueError("truncated ciphertext row")
+            if data[offset] > 1:
+                raise ValueError("unknown row flag")
             has_c1 = data[offset] == 1
             offset += 1
             c1 = None
@@ -280,8 +296,6 @@ def abe_encrypt(
     for attribute in program.attributes:
         if attribute not in shares:
             raise ValueError(f"no published share for attribute {attribute!r}")
-    if program.n == 0:
-        raise ValueError("empty policy matrix")
     h = program.h
     v = tuple(rng.randrange(ctx.q) for _ in range(h))
     w = (0,) + tuple(rng.randrange(ctx.q) for _ in range(h - 1))
@@ -311,9 +325,8 @@ def abe_encrypt(
 
     rows = []
     for x in range(program.n):
-        row = program.rows[x]
-        lam = sum(row[c] * v[c] for c in range(h)) % ctx.q
-        omega = sum(row[c] * w[c] for c in range(h)) % ctx.q
+        lam = program.share(v, x, ctx.q)
+        omega = program.share(w, x, ctx.q)
         share = shares[program.attributes[x]]
         c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho[x]))
         c2 = ctx.g_exp(ctx.g, rho[x])
@@ -462,10 +475,8 @@ def revoke(
 
     updates: dict[int, GroupElementGT] = {}
     stored_rows = list(ciphertext.rows)
-    h = program.h
     for x in affected:
-        row = program.rows[x]
-        lam = sum(row[c] * v_new[c] for c in range(h)) % ctx.q
+        lam = program.share(v_new, x, ctx.q)
         share = shares[program.attributes[x]]
         c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, state.rho[x]))
         updates[x] = c1

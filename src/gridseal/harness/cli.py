@@ -33,6 +33,12 @@ from .scenario import (
 )
 
 
+# Kinds of the files that embed policy-program bytes; the suffix names the
+# program layout, so a file in an older layout is refused by kind.
+CIPHERTEXT_KIND = "gridseal-ciphertext-v2"
+RTU_STATE_KIND = "gridseal-rtu-state-v2"
+
+
 def _make_rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
@@ -69,7 +75,8 @@ def _write_json(path: str | Path, payload: dict[str, Any]) -> None:
 def _read_json(path: str | Path, kind: str) -> dict[str, Any]:
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     if document.get("kind") != kind:
-        raise ValueError(f"{path}: expected a {kind} file")
+        raise ValueError(f"{path}: expected a {kind} file, found kind "
+                         f"{document.get('kind')!r}")
     return document
 
 
@@ -159,9 +166,11 @@ def _cmd_kdc_setup(args) -> int:
     return 0
 
 
-def _load_kdc(path: str) -> tuple[PairingContext, abe.KdcKeyring]:
+def _load_kdc(path: str) -> tuple[PairingContext, dict[str, str], abe.KdcKeyring]:
+    """The authority's context, its group header (backend, q, hash) and keyring."""
     document = _read_json(path, "gridseal-kdc")
     ctx = _ctx_from_header(document)
+    header = {k: document[k] for k in ("backend", "q", "hash")}
     secrets = {a: abe.AttributeSecret(int(s["alpha"]), int(s["y"]))
                for a, s in document["secrets"].items()}
     shares = {}
@@ -169,19 +178,20 @@ def _load_kdc(path: str) -> tuple[PairingContext, abe.KdcKeyring]:
         e_alpha, _ = ctx.element_gt_from_bytes(bytes.fromhex(p["e_alpha"]))
         g_y, _ = ctx.element_g_from_bytes(bytes.fromhex(p["g_y"]))
         shares[a] = abe.PublicShare(e_alpha, g_y)
-    return ctx, abe.KdcKeyring(document["kdc_id"], secrets, shares)
+    return ctx, header, abe.KdcKeyring(document["kdc_id"], secrets, shares)
 
 
 def _cmd_issue_key(args) -> int:
-    ctx, kdc = _load_kdc(args.kdc)
+    ctx, header, kdc = _load_kdc(args.kdc)
     keyring_path = Path(args.keyring)
     if keyring_path.exists():
         document = _read_json(keyring_path, "gridseal-keyring")
         if document["user"] != args.user:
             raise ValueError(f"{args.keyring} belongs to {document['user']!r}")
+        if {k: document[k] for k in header} != header:
+            raise ValueError(f"{args.keyring} and {args.kdc} use different groups")
     else:
-        document = {"kind": "gridseal-keyring", **_ctx_header(args.backend, ctx),
-                    "user": args.user, "keys": {}}
+        document = {"kind": "gridseal-keyring", **header, "user": args.user, "keys": {}}
     issued = []
     for attribute in [a.strip() for a in args.attrs.split(",") if a.strip()]:
         element = abe.issue_key(kdc, ctx, args.user, attribute)
@@ -204,9 +214,9 @@ def _load_keyring(path: str) -> tuple[PairingContext, abe.UserKeyring]:
 
 def _state_to_json(ctx: PairingContext, state: abe.EncryptionState) -> dict[str, Any]:
     return {
-        "kind": "gridseal-rtu-state",
+        "kind": RTU_STATE_KIND,
         **{"q": str(ctx.q), "hash": ctx.hash_name},
-        "program": state.program.to_bytes(ctx.q).hex(),
+        "program": state.program.to_bytes().hex(),
         "v": [str(x) for x in state.v],
         "w": [str(x) for x in state.w],
         "rho": [str(x) for x in state.rho],
@@ -219,7 +229,7 @@ def _state_to_json(ctx: PairingContext, state: abe.EncryptionState) -> dict[str,
 
 def _state_from_json(ctx: PairingContext, document: dict[str, Any]) -> abe.EncryptionState:
     from ..lsss import LsssProgram
-    program, _ = LsssProgram.from_bytes(bytes.fromhex(document["program"]), ctx.q)
+    program, _ = LsssProgram.from_bytes(bytes.fromhex(document["program"]))
     seed = message = None
     if document["seed"]:
         seed, _ = ctx.element_gt_from_bytes(bytes.fromhex(document["seed"]))
@@ -243,12 +253,10 @@ def _cmd_encrypt(args) -> int:
     ctx = None
     header = None
     for kdc_path in args.kdc:
-        kdc_ctx, kdc = _load_kdc(kdc_path)
-        kdc_document = _read_json(kdc_path, "gridseal-kdc")
+        kdc_ctx, kdc_header, kdc = _load_kdc(kdc_path)
         if ctx is None:
-            ctx = kdc_ctx
-            header = {k: kdc_document[k] for k in ("backend", "q", "hash")}
-        elif kdc_document["q"] != header["q"]:
+            ctx, header = kdc_ctx, kdc_header
+        elif kdc_header["q"] != header["q"]:
             raise ValueError("authority files disagree on the group order")
         shares.update(kdc.shares)
     if ctx is None:
@@ -256,7 +264,7 @@ def _cmd_encrypt(args) -> int:
     program = compile_lsss(parse_policy(args.policy), columns=args.columns)
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
-    _write_json(args.out, {"kind": "gridseal-ciphertext", **header,
+    _write_json(args.out, {"kind": CIPHERTEXT_KIND, **header,
                            "data": ciphertext.to_bytes(ctx).hex()})
     _write_json(args.state, _state_to_json(ctx, state))
     _emit({"rows": program.n, "columns": program.h, "out": args.out,
@@ -265,7 +273,7 @@ def _cmd_encrypt(args) -> int:
 
 
 def _load_ciphertext(path: str) -> tuple[PairingContext, dict[str, Any], abe.AbeCiphertext]:
-    document = _read_json(path, "gridseal-ciphertext")
+    document = _read_json(path, CIPHERTEXT_KIND)
     ctx = _ctx_from_header(document)
     return ctx, document, abe.AbeCiphertext.from_bytes(bytes.fromhex(document["data"]), ctx)
 
@@ -291,17 +299,17 @@ def _cmd_decrypt(args) -> int:
 def _cmd_revoke(args) -> int:
     rng = _make_rng(args.seed)
     ctx, header, ciphertext = _load_ciphertext(args.ciphertext)
-    state = _state_from_json(ctx, _read_json(args.state, "gridseal-rtu-state"))
+    state = _state_from_json(ctx, _read_json(args.state, RTU_STATE_KIND))
     revoked = []
     shares: dict[str, abe.PublicShare] = {}
     for kdc_path in args.kdc:
-        _, kdc = _load_kdc(kdc_path)
+        _, _, kdc = _load_kdc(kdc_path)
         shares.update(kdc.shares)
     for keyring_path in args.revoked:
         _, keyring = _load_keyring(keyring_path)
         revoked.append(keyring)
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
-    _write_json(args.ciphertext, {"kind": "gridseal-ciphertext",
+    _write_json(args.ciphertext, {"kind": CIPHERTEXT_KIND,
                                   **{k: header[k] for k in ("backend", "q", "hash")},
                                   "data": new_ct.to_bytes(ctx).hex()})
     _write_json(args.state, _state_to_json(ctx, new_state))
@@ -343,6 +351,7 @@ def _cmd_bench(args) -> int:
         "encrypt": {"pairings": enc_window.pairings, "scalar_muls": enc_window.scalar_muls},
         "decrypt": {"pairings": dec_window.pairings, "scalar_muls": dec_window.scalar_muls},
         "comm_bits": estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2), 1024),
+        "wire_bytes": len(ciphertext.to_bytes(ctx)),
     }
     _emit(result)
     sys.stderr.write(
@@ -387,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--user", required=True)
     issue.add_argument("--attrs", required=True)
     issue.add_argument("--keyring", required=True)
-    issue.add_argument("--backend", default="reference")
     issue.set_defaults(func=_cmd_issue_key)
 
     encrypt = commands.add_parser("encrypt", help="encrypt a payload under a policy")

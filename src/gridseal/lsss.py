@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .wire import decode_short_str, decode_uint, encode_short_str, encode_uint
+from .wire import decode_short_str, encode_short_str
 
 
 class PolicySyntaxError(ValueError):
@@ -206,19 +207,35 @@ class LsssProgram:
     """Share-generating matrix plus the row-to-attribute map pi.
 
     rows[x] is the x-th matrix row with entries in {-1, 0, 1};
-    attributes[x] is pi(x+1) in 1-based terms.
+    attributes[x] is pi(x+1) in 1-based terms. support[x] lists, in
+    increasing order, the columns where rows[x] is nonzero; the matrices
+    compile_lsss emits have about two per row, so share computation and the
+    wire codec work over the support instead of all n * h cells.
+
+    The matrix is never empty and every column carries a nonzero entry in
+    some row (compile_lsss always emits such matrices; an unused column adds
+    nothing to the span and would let a short encoding claim a huge matrix).
     """
 
     rows: tuple[tuple[int, ...], ...]
     attributes: tuple[str, ...]
+    support: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != len(self.attributes):
             raise ValueError("row/attribute count mismatch")
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged matrix")
+        if not self.rows or not self.rows[0]:
+            raise ValueError("empty matrix")
+        width = len(self.rows[0])
+        if any(len(r) != width for r in self.rows):
+            raise ValueError("ragged matrix")
+        if not set().union(*self.rows) <= {-1, 0, 1}:
+            raise ValueError("matrix entries must lie in {-1, 0, 1}")
+        columns = range(width)
+        support = tuple(tuple(compress(columns, row)) for row in self.rows)
+        if len(set().union(*support)) != width:
+            raise ValueError("every matrix column needs a nonzero entry")
+        object.__setattr__(self, "support", support)
 
     @property
     def n(self) -> int:
@@ -226,36 +243,73 @@ class LsssProgram:
 
     @property
     def h(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.rows[0])
 
     def rows_for(self, attributes: Iterable[str]) -> list[int]:
         held = set(attributes)
         return [i for i, attr in enumerate(self.attributes) if attr in held]
 
-    def to_bytes(self, q: int) -> bytes:
-        """Fixed 4-byte dimensions, length-prefixed row-major entries (in Z_q),
-        then the row map as short strings."""
-        out = struct.pack(">II", self.n, self.h)
-        for row in self.rows:
-            for entry in row:
-                out += encode_uint(entry % q)
-        for attr in self.attributes:
-            out += encode_short_str(attr)
-        return out
+    def share(self, vector: Sequence[int], x: int, q: int) -> int:
+        """Row x's share of a sharing vector: the dot product R_x . vector in Z_q."""
+        row = self.rows[x]
+        return sum(row[c] * vector[c] for c in self.support[x]) % q
+
+    def to_bytes(self) -> bytes:
+        """Sparse layout, O(nnz) bytes for the matrix.
+
+        * n and h, 4-byte big-endian unsigned each;
+        * n per-row nonzero counts, 4-byte big-endian unsigned each;
+        * the nonzero entries, row by row in increasing column order, each a
+          4-byte big-endian signed +-(column + 1), the sign that of the entry;
+        * the n row attributes as short strings (2-byte length, UTF-8).
+        """
+        entries = [row[c] * (c + 1) for row, cols in zip(self.rows, self.support) for c in cols]
+        return b"".join([
+            struct.pack(f">II{self.n}I", self.n, self.h, *map(len, self.support)),
+            struct.pack(f">{len(entries)}i", *entries),
+            *map(encode_short_str, self.attributes),
+        ])
 
     @classmethod
-    def from_bytes(cls, data: bytes, q: int, offset: int = 0) -> tuple["LsssProgram", int]:
+    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["LsssProgram", int]:
+        """Strict inverse of to_bytes; returns (program, next offset).
+
+        Rejects with ValueError: n or h of zero, truncation, a row whose
+        columns are not strictly increasing, a column outside 1..h, and a
+        column no row uses.
+        """
         if offset + 8 > len(data):
             raise ValueError("truncated program dimensions")
         n, h = struct.unpack_from(">II", data, offset)
         offset += 8
+        if n == 0 or h == 0:
+            raise ValueError("empty matrix")
+        if offset + 4 * n > len(data):
+            raise ValueError("truncated row counts")
+        counts = struct.unpack_from(f">{n}I", data, offset)
+        offset += 4 * n
+        total = sum(counts)
+        if offset + 4 * total > len(data):
+            raise ValueError("truncated matrix entries")
+        entries = struct.unpack_from(f">{total}i", data, offset)
+        offset += 4 * total
+        # Checked before the dense rows are built, so their size is bounded
+        # by the input's: every column in 1..h, and each one used.
+        if h > total or set(map(abs, entries)) != set(range(1, h + 1)):
+            raise ValueError("matrix columns must cover exactly 1..h")
         rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(h):
-                value, offset = decode_uint(data, offset)
-                row.append(-1 if value == q - 1 else value)
+        start = 0
+        for count in counts:
+            row = [0] * h
+            previous = 0
+            for entry in entries[start:start + count]:
+                column = abs(entry)
+                if column <= previous:
+                    raise ValueError("matrix row columns must be strictly increasing")
+                row[column - 1] = 1 if entry > 0 else -1
+                previous = column
             rows.append(tuple(row))
+            start += count
         attrs = []
         for _ in range(n):
             attr, offset = decode_short_str(data, offset)

@@ -160,6 +160,7 @@ class ReferenceBackend(PairingBackend):
     def __init__(self, q: int):
         self.q = q
         self.ident = f"reference:{q}"
+        self._body_bytes = (q.bit_length() + 7) // 8
 
     def _check_g(self, *elements: GroupElementG) -> None:
         for e in elements:
@@ -218,13 +219,22 @@ class ReferenceBackend(PairingBackend):
         else:
             self._check_gt(element)
         value: int = element.data
-        return value.to_bytes((self.q.bit_length() + 7) // 8, "big")
+        return value.to_bytes(self._body_bytes, "big")
+
+    def _exponent(self, body: bytes) -> int:
+        """The one accepted encoding: exactly ceil(q_bits / 8) bytes, value below q."""
+        if len(body) != self._body_bytes:
+            raise ValueError("element body has the wrong length")
+        value = int.from_bytes(body, "big")
+        if value >= self.q:
+            raise ValueError("element value out of range")
+        return value
 
     def element_g_from_bytes(self, body: bytes) -> GroupElementG:
-        return GroupElementG(self.ident, int.from_bytes(body, "big") % self.q)
+        return GroupElementG(self.ident, self._exponent(body))
 
     def element_gt_from_bytes(self, body: bytes) -> GroupElementGT:
-        return GroupElementGT(self.ident, int.from_bytes(body, "big") % self.q)
+        return GroupElementGT(self.ident, self._exponent(body))
 
 
 _BACKENDS: dict[str, tuple[int, Callable[[int], PairingBackend]]] = {

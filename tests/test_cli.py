@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gridseal import pairing
 from gridseal.harness.cli import bundled_scenarios, main
+from gridseal.pairing import ReferenceBackend
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +99,7 @@ def test_bench_reports_default_prediction(capsys):
     assert result["predicted_ms"] == 124.5
     assert result["encrypt"] == {"pairings": 1, "scalar_muls": 40}
     assert result["decrypt"]["pairings"] == 20
+    assert result["wire_bytes"] > 0
     assert "wall clock" in err
 
 
@@ -173,3 +176,59 @@ def test_issue_key_guards_foreign_keyring(keyfiles, tmp_path, capsys):
                            "--keyring", str(user_full))
     assert code == 2
     assert "belongs" in err
+
+
+class _AltBackend(ReferenceBackend):
+    wire_id = 0x5A
+
+    def __init__(self, q):
+        super().__init__(q)
+        self.ident = f"alt:{q}"
+
+
+def test_issue_key_takes_group_header_from_authority(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(pairing._BACKENDS, "alt", (_AltBackend.wire_id, _AltBackend))
+    kdc = tmp_path / "kdc.json"
+    keyring = tmp_path / "keyring.json"
+    assert main(["kdc-setup", "--kdc-id", "A", "--attrs", "alpha", "--backend", "alt",
+                 "--q-bits", "64", "--out", str(kdc), "--seed", "1"]) == 0
+    assert main(["issue-key", "--kdc", str(kdc), "--user", "u",
+                 "--attrs", "alpha", "--keyring", str(keyring)]) == 0
+    authority = json.loads(kdc.read_text())
+    issued = json.loads(keyring.read_text())
+    for field in ("backend", "q", "hash"):
+        assert issued[field] == authority[field]
+
+    other = tmp_path / "other.json"
+    assert main(["kdc-setup", "--kdc-id", "B", "--attrs", "beta",
+                 "--out", str(other), "--seed", "2"]) == 0
+    capsys.readouterr()
+    code, _, err = run_cli(capsys, "issue-key", "--kdc", str(other), "--user", "u",
+                           "--attrs", "beta", "--keyring", str(keyring))
+    assert code == 2
+    assert "different groups" in err
+
+
+def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_path, capsys):
+    kdc_a, _, user_full, _ = keyfiles
+    ct = tmp_path / "record.json"
+    state = tmp_path / "state.json"
+    assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x",
+                 "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
+                 "--seed", "3"]) == 0
+    for path, old_kind in ((ct, "gridseal-ciphertext"), (state, "gridseal-rtu-state")):
+        document = json.loads(path.read_text())
+        assert document["kind"] == old_kind + "-v2"
+        document["kind"] = old_kind
+        path.write_text(json.dumps(document))
+    capsys.readouterr()
+    code, _, err = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
+                           "--keyring", str(user_full))
+    assert code == 2
+    assert "expected a gridseal-ciphertext-v2 file" in err
+    ct.write_text(json.dumps({**json.loads(ct.read_text()), "kind": "gridseal-ciphertext-v2"}))
+    code, _, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
+                           "--kdc", str(kdc_a), "--revoked", str(user_full),
+                           "--out-updates", str(tmp_path / "updates.json"))
+    assert code == 2
+    assert "expected a gridseal-rtu-state-v2 file" in err

@@ -1,0 +1,205 @@
+"""Wire codecs of LsssProgram and AbeCiphertext.
+
+Properties, over random policies in both column layouts, both payload modes
+and records with rows stripped by a revocation: decode(encode(x)) == x;
+decoding is canonical (whatever decodes re-encodes to exactly its input);
+truncated or single-byte-mutated input raises only ValueError. A size gate
+holds AND- and OR-chains within the paper's size estimate plus a stated
+per-row framing constant.
+"""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridseal.abe import (
+    MODE_DIRECT,
+    MODE_KEM,
+    AbeCiphertext,
+    UserKeyring,
+    abe_decrypt,
+    abe_encrypt,
+    issue_key,
+    kdc_setup,
+    revoke,
+)
+from gridseal.harness.cost import estimate_comm_overhead
+from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
+from gridseal.pairing import ctx_new
+from treegen import policy_trees
+
+Q = 2**61 - 1
+ATTRS = [f"a{i}" for i in range(5)]
+CTX = ctx_new(q=Q)
+AUTHORITY = kdc_setup(CTX, "A", ATTRS, random.Random(1))
+LAYOUTS = st.sampled_from(("fresh", "shared"))
+
+
+@st.composite
+def records(draw):
+    """An encrypted record, after a revocation when the drawn revoked set is nonempty."""
+    program = compile_lsss(draw(policy_trees()), columns=draw(LAYOUTS))
+    mode = draw(st.sampled_from((MODE_KEM, MODE_DIRECT)))
+    revoked = draw(st.sets(st.sampled_from(ATTRS)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if mode == MODE_KEM:
+        payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
+    else:
+        payload = CTX.backend.gt_exp(CTX.pair(CTX.g, CTX.g), rng.randrange(Q))
+    ciphertext, state = abe_encrypt(CTX, AUTHORITY.shares, program, payload, rng, mode)
+    if revoked:
+        gone = UserKeyring("gone", {a: issue_key(AUTHORITY, CTX, "gone", a) for a in revoked})
+        ciphertext, _, _ = revoke(CTX, AUTHORITY.shares, ciphertext, state, [gone], rng)
+    return ciphertext
+
+
+def _decodes_canonically_or_fails(decode, encode, blob: bytes) -> None:
+    try:
+        value = decode(blob)
+    except ValueError:
+        return
+    assert encode(value) == blob
+
+
+def _damaged(data, blob: bytes) -> bytes:
+    """A strict prefix of blob, or blob with one byte changed."""
+    if data.draw(st.booleans()):
+        return blob[:data.draw(st.integers(min_value=0, max_value=len(blob) - 1))]
+    position = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+    value = data.draw(st.integers(min_value=0, max_value=255).filter(lambda b: b != blob[position]))
+    return blob[:position] + bytes([value]) + blob[position + 1:]
+
+
+def _program_from_bytes(blob: bytes) -> LsssProgram:
+    program, offset = LsssProgram.from_bytes(blob)
+    if offset != len(blob):
+        raise ValueError("trailing bytes")
+    return program
+
+
+# --- LsssProgram ---------------------------------------------------------------------
+
+@given(tree=policy_trees(), layout=LAYOUTS)
+@settings(deadline=None, max_examples=80)
+def test_program_round_trip(tree, layout):
+    program = compile_lsss(tree, columns=layout)
+    blob = program.to_bytes()
+    assert LsssProgram.from_bytes(blob) == (program, len(blob))
+    assert LsssProgram.from_bytes(b"xy" + blob + b"z", 2) == (program, len(blob) + 2)
+
+
+@given(tree=policy_trees(), layout=LAYOUTS, seed=st.integers(min_value=0))
+@settings(deadline=None, max_examples=80)
+def test_support_and_share_match_the_dense_rows(tree, layout, seed):
+    program = compile_lsss(tree, columns=layout)
+    rng = random.Random(seed)
+    vector = [rng.randrange(Q) for _ in range(program.h)]
+    for x, row in enumerate(program.rows):
+        assert program.support[x] == tuple(c for c in range(program.h) if row[c])
+        assert program.share(vector, x, Q) == sum(row[c] * vector[c]
+                                                  for c in range(program.h)) % Q
+
+
+@given(tree=policy_trees(), layout=LAYOUTS, data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_damaged_program_bytes_fail_or_decode_canonically(tree, layout, data):
+    blob = compile_lsss(tree, columns=layout).to_bytes()
+    _decodes_canonically_or_fails(_program_from_bytes, LsssProgram.to_bytes,
+                                  _damaged(data, blob))
+
+
+def _program_bytes(n, h, counts, entries, attrs=None):
+    attrs = attrs if attrs is not None else [f"a{i}" for i in range(n)]
+    return (struct.pack(f">II{len(counts)}I{len(entries)}i", n, h, *counts, *entries)
+            + b"".join(struct.pack(">H", len(a)) + a.encode() for a in attrs))
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(_program_bytes(0, 1, [], []), "empty", id="no-rows"),
+    pytest.param(_program_bytes(1, 0, [0], []), "empty", id="no-columns"),
+    pytest.param(_program_bytes(1, 2, [2], [2, 1]), "increasing", id="descending"),
+    pytest.param(_program_bytes(1, 1, [2], [1, -1]), "increasing", id="repeated"),
+    pytest.param(_program_bytes(1, 2, [2], [1, 3]), "cover", id="column-above-h"),
+    pytest.param(_program_bytes(2, 2, [1, 1], [1, 0]), "cover", id="column-zero"),
+    pytest.param(_program_bytes(2, 3, [1, 1], [1, 2]), "cover", id="unused-column"),
+    pytest.param(_program_bytes(1, 1, [2], [1], []), "truncated", id="short-entries"),
+    pytest.param(_program_bytes(1, 1, [1], [1])[:-1], "truncated", id="short-attribute"),
+    pytest.param(struct.pack(">III", 2**30, 1, 1), "truncated", id="huge-n"),
+])
+def test_program_decoder_rejects(blob, message):
+    with pytest.raises(ValueError, match=message):
+        LsssProgram.from_bytes(blob)
+
+
+def test_program_decoder_accepts_hand_built_layout():
+    blob = _program_bytes(2, 2, [2, 1], [1, -2, -2], ["x", "y"])
+    assert LsssProgram.from_bytes(blob) == (LsssProgram(((1, -1), (0, -1)), ("x", "y")),
+                                            len(blob))
+
+
+# --- AbeCiphertext -------------------------------------------------------------------
+
+@given(record=records())
+@settings(deadline=None, max_examples=80)
+def test_ciphertext_round_trip(record):
+    assert AbeCiphertext.from_bytes(record.to_bytes(CTX), CTX) == record
+
+
+@given(record=records(), data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_damaged_ciphertext_bytes_fail_or_decode_canonically(record, data):
+    _decodes_canonically_or_fails(lambda b: AbeCiphertext.from_bytes(b, CTX),
+                                  lambda c: c.to_bytes(CTX),
+                                  _damaged(data, record.to_bytes(CTX)))
+
+
+def _flag_offsets(ciphertext):
+    """Offsets of the mode byte and of the first row's C1 flag."""
+    mode_at = len(ciphertext.program.to_bytes())
+    return mode_at, mode_at + 1 + len(CTX.element_to_bytes(ciphertext.c0))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("value", [2, 0x80, 0xFF])
+def test_ciphertext_decoder_rejects_unknown_flags(which, value):
+    ciphertext, _ = abe_encrypt(CTX, AUTHORITY.shares, compile_lsss(parse_policy("a0 & a1")),
+                                b"flags", random.Random(2))
+    blob = bytearray(ciphertext.to_bytes(CTX))
+    blob[_flag_offsets(ciphertext)[which]] = value
+    with pytest.raises(ValueError, match="mode|flag"):
+        AbeCiphertext.from_bytes(bytes(blob), CTX)
+
+
+# --- size gate -----------------------------------------------------------------------
+
+# Per-row bytes the wire carries beyond estimate_comm_overhead's per-row term:
+# three element frames of a backend byte and a 4-byte length (15), the C1 flag
+# (1), the 4-byte nonzero count (4), two 4-byte matrix entries (8, the average
+# in an AND-chain) and the attribute's 2-byte length (2) make 30 bytes; the
+# attribute names here fit in the rest. The 128 bytes cover the program header,
+# the mode byte, C0's frame and the KEM nonce, body and tag framing.
+ROW_FRAMING_BYTES = 32
+RECORD_FRAMING_BYTES = 128
+
+
+@pytest.mark.parametrize("m", [1, 50, 400])
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_record_size_stays_within_the_estimate(op, m):
+    ctx = ctx_new()
+    rng = random.Random(m)
+    attrs = [f"a{i}" for i in range(m)]
+    authority = kdc_setup(ctx, "A", attrs, rng)
+    program = compile_lsss(parse_policy(f" {op} ".join(attrs)))
+    payload = b"metered load profile"
+    ciphertext, _ = abe_encrypt(ctx, authority.shares, program, payload, rng)
+    blob = ciphertext.to_bytes(ctx)
+    estimate_bytes = estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2),
+                                            8 * len(payload)) / 8
+    assert len(blob) <= estimate_bytes + ROW_FRAMING_BYTES * m + RECORD_FRAMING_BYTES
+    restored = AbeCiphertext.from_bytes(blob, ctx)
+    assert restored == ciphertext
+    reader = UserKeyring("reader", {a: issue_key(authority, ctx, "reader", a) for a in attrs})
+    assert abe_decrypt(ctx, reader, restored) == payload

@@ -1,8 +1,8 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridseal.lsss import (
     Gate,
@@ -18,7 +18,7 @@ from gridseal.lsss import (
     tree_attributes,
     verify_reconstruction,
 )
-from treegen import random_tree
+from treegen import policy_trees, random_tree
 
 Q = 2**61 - 1
 
@@ -210,14 +210,6 @@ def test_span_satisfaction_equivalence_sampled():
 
 # --- rendering / serialization -------------------------------------------------
 
-@st.composite
-def policy_trees(draw):
-    attrs = [f"a{i}" for i in range(5)]
-    leaves = draw(st.integers(min_value=1, max_value=7))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_tree(random.Random(seed), attrs, leaves)
-
-
 @given(tree=policy_trees())
 @settings(deadline=None, max_examples=80)
 def test_pretty_print_round_trip(tree):
@@ -226,9 +218,12 @@ def test_pretty_print_round_trip(tree):
 
 def test_program_serialization_round_trip():
     program = conformance_program()
-    blob = program.to_bytes(Q)
+    blob = program.to_bytes()
     assert blob[:8] == (6).to_bytes(4, "big") + (2).to_bytes(4, "big")
-    restored, consumed = LsssProgram.from_bytes(blob, Q)
+    # one count per row, then each nonzero entry as a signed +-(column + 1)
+    assert blob[8:32] == struct.pack(">6I", 2, 1, 2, 1, 1, 1)
+    assert blob[32:64] == struct.pack(">8i", 1, 2, -2, 1, 2, -2, 1, 1)
+    restored, consumed = LsssProgram.from_bytes(blob)
     assert restored == program
     assert consumed == len(blob)
 
@@ -238,3 +233,11 @@ def test_program_shape_validation():
         LsssProgram(((1,),), ("a", "b"))
     with pytest.raises(ValueError):
         LsssProgram(((1, 0), (1,)), ("a", "b"))
+    with pytest.raises(ValueError, match="entries"):
+        LsssProgram(((1, 2),), ("a",))
+    with pytest.raises(ValueError, match="empty"):
+        LsssProgram((), ())
+    with pytest.raises(ValueError, match="empty"):
+        LsssProgram(((),), ("a",))
+    with pytest.raises(ValueError, match="column"):
+        LsssProgram(((1, 0), (1, 0)), ("a", "b"))

@@ -157,6 +157,22 @@ def test_unknown_wire_id_rejected(ctx):
         ctx.element_g_from_bytes(bytes(blob))
 
 
+def test_element_decoding_is_canonical(ctx):
+    blob = ctx.element_to_bytes(ctx.g_exp(ctx.g, 5))
+    body = blob[5:]
+    assert len(body) == (MERSENNE_61.bit_length() + 7) // 8
+    framed = [
+        bytes([ReferenceBackend.wire_id]) + len(b).to_bytes(4, "big") + b
+        for b in (b"\x00" + body, body[1:], MERSENNE_61.to_bytes(len(body), "big"),
+                  (MERSENNE_61 + 5).to_bytes(len(body), "big"))
+    ]
+    for bad in framed:
+        with pytest.raises(ValueError):
+            ctx.element_g_from_bytes(bad)
+        with pytest.raises(ValueError):
+            ctx.element_gt_from_bytes(bad)
+
+
 def test_register_backend_guards():
     with pytest.raises(ValueError):
         register_backend("reference", 0x55, ReferenceBackend)
