@@ -16,7 +16,6 @@ from .abe import (
     UserKeyring,
     abe_decrypt,
     abe_encrypt,
-    combine_keyrings_attack,
     issue_key,
     kdc_setup,
     revoke,
@@ -67,7 +66,6 @@ from .pairing import (
     PairingBackend,
     PairingContext,
     ReferenceBackend,
-    Scalar,
     ctx_new,
     register_backend,
 )

@@ -385,29 +385,6 @@ def abe_decrypt(
     return _open_with_blind(ctx, ciphertext, blind)
 
 
-def combine_keyrings_attack(
-    ctx: PairingContext,
-    first: UserKeyring,
-    second: UserKeyring,
-    ciphertext: AbeCiphertext,
-) -> bytes | GroupElementGT | None:
-    """Test-only: naive key pooling between two identities.
-
-    Merges both key maps and tries decryption under each identity. Returns
-    the payload if anything opened (it should not: the H(u) terms only cancel
-    within one identity) and None for the expected denial.
-    """
-    if first.user_id == second.user_id:
-        raise ValueError("pooling needs two distinct identities")
-    merged = {**second.keys, **first.keys}
-    for identity in (first.user_id, second.user_id):
-        try:
-            return abe_decrypt(ctx, UserKeyring(identity, merged), ciphertext)
-        except AccessDenied:
-            continue
-    return None
-
-
 def revoke(
     ctx: PairingContext,
     shares: Mapping[str, PublicShare],

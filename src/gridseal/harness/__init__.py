@@ -1,24 +1,23 @@
-"""Scenario orchestration: registry, repository, cost model, runner, CLI."""
+"""Scenario orchestration: repository, cost model, scenario plans and runner, CLI."""
 
 from .cost import CostModel, counters_cost, estimate_comm_overhead, measure_counters, predict_cost
-from .registry import DEFAULT_UNIVERSE, AttributeRegistry, Repository
+from .registry import Repository
 from .scenario import (
     SCHEMA_ID,
+    Scenario,
     ScenarioError,
     load_scenario,
     render_report,
     report_has_denial,
     run_scenario,
     summarize_report,
-    validate_scenario,
 )
 
 __all__ = [
-    "AttributeRegistry",
     "CostModel",
-    "DEFAULT_UNIVERSE",
     "Repository",
     "SCHEMA_ID",
+    "Scenario",
     "ScenarioError",
     "counters_cost",
     "estimate_comm_overhead",
@@ -29,5 +28,4 @@ __all__ = [
     "report_has_denial",
     "run_scenario",
     "summarize_report",
-    "validate_scenario",
 ]

@@ -23,7 +23,7 @@ from ..paillier import paillier_keygen
 from ..pairing import PairingContext, ctx_new
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
-    SCHEMA_ID,
+    Scenario,
     ScenarioError,
     load_scenario,
     render_report,
@@ -84,7 +84,7 @@ def _emit(document: dict[str, Any]) -> None:
     print(json.dumps(document, sort_keys=True, separators=(",", ":")))
 
 
-def _resolve_scenario(name_or_path: str) -> dict[str, Any]:
+def _resolve_scenario(name_or_path: str) -> Scenario:
     path = Path(name_or_path)
     if path.exists():
         return load_scenario(path)
@@ -116,13 +116,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    document = _resolve_scenario(args.scenario)
-    stripped = {"schema": SCHEMA_ID}
-    if "paillier" in document:
-        stripped["paillier"] = document["paillier"]
-    if "topology" in document:
-        stripped["topology"] = document["topology"]
-    report = run_scenario(stripped, seed=args.seed)
+    scenario = _resolve_scenario(args.scenario)
+    report = run_scenario(Scenario(scenario.paillier, scenario.topology, scenario.readings),
+                          seed=args.seed)
     rendered = render_report(report)
     sys.stdout.write(rendered)
     sys.stderr.write(summarize_report(report))
@@ -332,10 +328,11 @@ def _cmd_bench(args) -> int:
         keyring.add(attribute, abe.issue_key(kdc, ctx, "bench-user", attribute))
     program = compile_lsss(parse_policy(" & ".join(attributes)))
     model = CostModel(args.tp, args.tm)
+    payload = b"bench payload"
 
     started = time.perf_counter()
     with ctx.measure() as enc_window:
-        ciphertext, _ = abe.abe_encrypt(ctx, kdc.shares, program, b"bench payload", rng)
+        ciphertext, _ = abe.abe_encrypt(ctx, kdc.shares, program, payload, rng)
     encrypt_wall_ms = (time.perf_counter() - started) * 1000
 
     started = time.perf_counter()
@@ -350,7 +347,8 @@ def _cmd_bench(args) -> int:
         "counter_ms": counters_cost(model, measured),
         "encrypt": {"pairings": enc_window.pairings, "scalar_muls": enc_window.scalar_muls},
         "decrypt": {"pairings": dec_window.pairings, "scalar_muls": dec_window.scalar_muls},
-        "comm_bits": estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2), 1024),
+        "comm_bits": estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2),
+                                             8 * len(payload)),
         "wire_bytes": len(ciphertext.to_bytes(ctx)),
     }
     _emit(result)

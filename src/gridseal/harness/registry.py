@@ -1,63 +1,10 @@
-"""Attribute universe bookkeeping and the untrusted record store."""
+"""The untrusted record store."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..abe import AbeCiphertext, GroupElementGT
-
-# Seeded attribute universe: six categories covering energy source, consumer
-# type, location, appliance priority, load class and user profession.
-DEFAULT_UNIVERSE: dict[str, tuple[str, ...]] = {
-    "source": ("source:fossil", "source:solar", "source:hydro", "source:wind"),
-    "consumer": ("consumer:individual", "consumer:corporate", "consumer:phev"),
-    "location": ("location:city", "location:region"),
-    "appliance": ("appliance:essential", "appliance:deferrable"),
-    "load": ("load:high", "load:low"),
-    "user": ("user:electrical_engineer", "user:power_engineer",
-             "user:environmentalist", "user:policy_maker"),
-}
-
-
-class AttributeRegistry:
-    """The universe W plus the attribute-to-authority ownership partition."""
-
-    def __init__(self, universe: Iterable[str] | None = None):
-        if universe is None:
-            universe = [a for group in DEFAULT_UNIVERSE.values() for a in group]
-        self._universe: dict[str, str | None] = {a: None for a in universe}
-
-    @property
-    def universe(self) -> list[str]:
-        return list(self._universe)
-
-    @property
-    def w(self) -> int:
-        return len(self._universe)
-
-    def add_attributes(self, attributes: Iterable[str]) -> None:
-        for attribute in attributes:
-            self._universe.setdefault(attribute, None)
-
-    def assign(self, kdc_id: str, attributes: Iterable[str]) -> None:
-        """Claim attributes for one authority; ownership must stay a partition."""
-        attributes = list(attributes)
-        for attribute in attributes:
-            owner = self._universe.get(attribute)
-            if owner is not None and owner != kdc_id:
-                raise ValueError(
-                    f"attribute {attribute!r} already owned by {owner!r}")
-        for attribute in attributes:
-            self._universe[attribute] = kdc_id
-
-    def owner(self, attribute: str) -> str | None:
-        return self._universe.get(attribute)
-
-    def attributes_of(self, kdc_id: str) -> list[str]:
-        return [a for a, owner in self._universe.items() if owner == kdc_id]
-
-    def __contains__(self, attribute: str) -> bool:
-        return attribute in self._universe
 
 
 class Repository:

@@ -1,8 +1,9 @@
-"""Scenario files: validation, phase-ordered execution, canonical reports.
+"""Scenario files: one validation pass, phase-ordered execution, canonical reports.
 
 A scenario is a JSON document with a schema id and the fixed top-level keys
 (paillier, topology, kdcs, users, records, attempts, revocations), all
-optional. Execution runs aggregate -> authority setup -> key issuance ->
+optional. `load_scenario` validates a document and compiles it into a
+`Scenario` plan; execution runs aggregate -> authority setup -> key issuance ->
 encrypt -> attempts -> revocations -> re-attempts and produces one report
 dictionary whose canonical rendering is byte-stable for a fixed seed: sorted
 keys, fixed separators, no wall-clock fields.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -26,10 +28,10 @@ from ..aggregation import (
     rtu_open,
     run_pipeline,
 )
-from ..lsss import compile_lsss, parse_policy, tree_attributes
+from ..lsss import LsssProgram, compile_lsss, parse_policy, tree_attributes
 from ..paillier import paillier_keygen
 from ..pairing import PairingContext, ctx_new
-from .registry import AttributeRegistry, Repository
+from .registry import Repository
 
 SCHEMA_ID = "gridseal-scenario/1"
 REPORT_SCHEMA_ID = "gridseal-report/1"
@@ -58,18 +60,36 @@ def _check_keys(obj: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> 
         _require(key in allowed, f"{path}.{key}" if path else key, "unknown field")
 
 
-def load_scenario(source: str | Path | Mapping[str, Any]) -> dict[str, Any]:
-    """Read and validate a scenario from a path or an already-parsed mapping."""
+@dataclass(frozen=True)
+class Scenario:
+    """A validated scenario, compiled once into what execution consumes.
+
+    Built by `load_scenario`; `run_scenario` runs it any number of times
+    without validating again. Every field is optional, like the document's
+    top-level keys: `paillier` None skips aggregation, and `topology` None
+    keeps the aggregation section to key generation alone.
+    """
+
+    paillier: Mapping[str, int] | None = None
+    topology: AggregationTopology | None = None
+    readings: Mapping[str, tuple[AttributeTag, int]] = field(default_factory=dict)
+    kdcs: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    owners: Mapping[str, str] = field(default_factory=dict)
+    users: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    records: tuple[tuple[str, LsssProgram, bytes], ...] = ()
+    attempts: tuple[tuple[str, str], ...] = ()
+    revocations: tuple[tuple[str, ...], ...] = ()
+
+
+def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
+    """Read a scenario from a path or an already-parsed mapping, validate it
+    and compile it into a `Scenario`; raises `ScenarioError` at the first bad
+    field."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     else:
-        document = dict(source)
-    validate_scenario(document)
-    return document
-
-
-def validate_scenario(document: Mapping[str, Any]) -> None:
+        document = source
     _require(isinstance(document, Mapping), "", "scenario must be an object")
     _check_keys(document, ("schema",) + _TOP_KEYS, "")
     _require(document.get("schema") == SCHEMA_ID, "schema",
@@ -86,8 +106,11 @@ def validate_scenario(document: Mapping[str, Any]) -> None:
         else:
             _require("q1" in paillier and "q2" in paillier,
                      "paillier", "need bits or both q1 and q2")
+        paillier = dict(paillier)
 
     topology = document.get("topology")
+    built = None
+    readings: dict[str, tuple[AttributeTag, int]] = {}
     if topology is not None:
         _require(paillier is not None, "topology", "aggregation needs paillier parameters")
         _check_keys(topology, ("nodes", "readings"), "topology")
@@ -103,61 +126,66 @@ def validate_scenario(document: Mapping[str, Any]) -> None:
                 TopologyNode(n["id"], n["role"], n.get("parent")) for n in nodes])
         except ValueError as exc:
             raise ScenarioError("topology.nodes", str(exc)) from None
-        readings = topology.get("readings", [])
         leaf_ids = set(built.leaves())
-        seen_nodes = set()
-        for i, reading in enumerate(readings):
+        for i, reading in enumerate(topology.get("readings", [])):
             _check_keys(reading, ("node", "tag", "value"), f"topology.readings[{i}]")
             node_id = reading.get("node")
             _require(node_id in built.nodes, f"topology.readings[{i}].node",
                      f"unknown node {node_id!r}")
             _require(node_id in leaf_ids, f"topology.readings[{i}].node",
                      "readings attach to HAN leaves")
-            _require(node_id not in seen_nodes, f"topology.readings[{i}].node",
+            _require(node_id not in readings, f"topology.readings[{i}].node",
                      "one reading per meter")
-            seen_nodes.add(node_id)
             tag = reading.get("tag")
             _require(isinstance(tag, list) and tag and all(isinstance(t, str) for t in tag),
                      f"topology.readings[{i}].tag", "tag must be a non-empty string list")
-            _require(isinstance(reading.get("value"), int) and reading["value"] >= 0,
+            try:
+                tag = AttributeTag(tag)
+            except ValueError as exc:
+                raise ScenarioError(f"topology.readings[{i}].tag", str(exc)) from None
+            value = reading.get("value")
+            _require(isinstance(value, int) and value >= 0,
                      f"topology.readings[{i}].value", "value must be a non-negative integer")
+            readings[node_id] = (tag, value)
 
-    registry = AttributeRegistry(universe=[])
-    kdc_ids = set()
+    kdcs: dict[str, tuple[str, ...]] = {}
+    owners: dict[str, str] = {}
     for i, kdc in enumerate(document.get("kdcs", []) or []):
         _check_keys(kdc, ("id", "attributes"), f"kdcs[{i}]")
         kdc_id = kdc.get("id")
         _require(isinstance(kdc_id, str) and kdc_id, f"kdcs[{i}].id", "need a string id")
-        _require(kdc_id not in kdc_ids, f"kdcs[{i}].id", "duplicate authority id")
-        kdc_ids.add(kdc_id)
+        _require(kdc_id not in kdcs, f"kdcs[{i}].id", "duplicate authority id")
         attrs = kdc.get("attributes")
-        _require(isinstance(attrs, list) and attrs, f"kdcs[{i}].attributes",
-                 "need a non-empty attribute list")
-        try:
-            registry.add_attributes(attrs)
-            registry.assign(kdc_id, attrs)
-        except ValueError as exc:
-            raise ScenarioError(f"kdcs[{i}].attributes", str(exc)) from None
+        _require(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
+                 f"kdcs[{i}].attributes", "need a non-empty attribute list")
+        for attribute in attrs:
+            owner = owners.get(attribute)
+            _require(owner != kdc_id, f"kdcs[{i}].attributes",
+                     f"attribute {attribute!r} listed twice")
+            _require(owner is None, f"kdcs[{i}].attributes",
+                     f"attribute {attribute!r} already owned by {owner!r}")
+            owners[attribute] = kdc_id
+        kdcs[kdc_id] = tuple(attrs)
 
-    user_ids = set()
+    users: dict[str, tuple[str, ...]] = {}
     for i, user in enumerate(document.get("users", []) or []):
         _check_keys(user, ("id", "attributes"), f"users[{i}]")
         user_id = user.get("id")
         _require(isinstance(user_id, str) and user_id, f"users[{i}].id", "need a string id")
-        _require(user_id not in user_ids, f"users[{i}].id", "duplicate user id")
-        user_ids.add(user_id)
-        for j, attribute in enumerate(user.get("attributes", [])):
-            _require(registry.owner(attribute) is not None,
+        _require(user_id not in users, f"users[{i}].id", "duplicate user id")
+        attrs = tuple(user.get("attributes", []))
+        for j, attribute in enumerate(attrs):
+            _require(isinstance(attribute, str) and attribute in owners,
                      f"users[{i}].attributes[{j}]",
                      f"attribute {attribute!r} is not owned by any authority")
+        users[user_id] = attrs
 
-    record_ids = set()
+    records: dict[str, tuple[str, LsssProgram, bytes]] = {}
     for i, record in enumerate(document.get("records", []) or []):
         _check_keys(record, ("id", "policy", "payload"), f"records[{i}]")
         record_id = record.get("id")
         _require(isinstance(record_id, str) and record_id, f"records[{i}].id", "need a string id")
-        _require(record_id not in record_ids, f"records[{i}].id", "duplicate record id")
-        record_ids.add(record_id)
+        _require(record_id not in records, f"records[{i}].id", "duplicate record id")
         policy = record.get("policy")
         _require(isinstance(policy, str), f"records[{i}].policy", "need a policy string")
         try:
@@ -165,53 +193,58 @@ def validate_scenario(document: Mapping[str, Any]) -> None:
         except ValueError as exc:
             raise ScenarioError(f"records[{i}].policy", str(exc)) from None
         for attribute in tree_attributes(tree):
-            _require(registry.owner(attribute) is not None, f"records[{i}].policy",
+            _require(attribute in owners, f"records[{i}].policy",
                      f"attribute {attribute!r} is not owned by any authority")
-        _require(isinstance(record.get("payload"), str), f"records[{i}].payload",
-                 "need a string payload")
+        payload = record.get("payload")
+        _require(isinstance(payload, str), f"records[{i}].payload", "need a string payload")
+        try:
+            payload = payload.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ScenarioError(f"records[{i}].payload", str(exc)) from None
+        records[record_id] = (record_id, compile_lsss(tree), payload)
 
+    attempts = []
     for i, attempt in enumerate(document.get("attempts", []) or []):
         _check_keys(attempt, ("user", "record"), f"attempts[{i}]")
-        _require(attempt.get("user") in user_ids, f"attempts[{i}].user",
+        _require(attempt.get("user") in users, f"attempts[{i}].user",
                  f"unknown user {attempt.get('user')!r}")
-        _require(attempt.get("record") in record_ids, f"attempts[{i}].record",
+        _require(attempt.get("record") in records, f"attempts[{i}].record",
                  f"unknown record {attempt.get('record')!r}")
+        attempts.append((attempt["user"], attempt["record"]))
 
+    revocations = []
     for i, revocation in enumerate(document.get("revocations", []) or []):
         _check_keys(revocation, ("revoke",), f"revocations[{i}]")
         revoked = revocation.get("revoke")
         _require(isinstance(revoked, list) and revoked, f"revocations[{i}].revoke",
                  "need a non-empty user list")
         for j, user_id in enumerate(revoked):
-            _require(user_id in user_ids, f"revocations[{i}].revoke[{j}]",
+            _require(user_id in users, f"revocations[{i}].revoke[{j}]",
                      f"unknown user {user_id!r}")
+        revocations.append(tuple(revoked))
+
+    return Scenario(paillier, built, readings, tuple(kdcs.items()), owners, tuple(users.items()),
+                    tuple(records.values()), tuple(attempts), tuple(revocations))
 
 
-def _aggregation_phase(document, rng) -> dict[str, Any]:
-    config = document["paillier"]
+def _aggregation_phase(scenario: Scenario, rng) -> dict[str, Any]:
+    config = scenario.paillier
     if "bits" in config:
         pk, sk = paillier_keygen(config["bits"], rng=rng)
     else:
         pk, sk = paillier_keygen(rng=rng, q1=config["q1"], q2=config["q2"])
     section: dict[str, Any] = {"modulus_bits": pk.bit_length, "tags": [], "meters": 0,
                                "warnings": []}
-    topology_doc = document.get("topology")
-    if topology_doc is None:
+    if scenario.topology is None:
         return section
-    topology = AggregationTopology([
-        TopologyNode(n["id"], n["role"], n.get("parent"))
-        for n in topology_doc["nodes"]])
-    readings = {
-        r["node"]: (AttributeTag(r["tag"]), r["value"])
-        for r in topology_doc.get("readings", [])
-    }
+    readings = scenario.readings
     section["meters"] = len(readings)
     if readings:
         worst = max(v for _, v in readings.values()) * len(readings)
         if worst.bit_length() >= max(pk.bit_length - _HEADROOM_SHIFT, 1):
             section["warnings"].append(
                 "aggregate headroom: max reading times meter count approaches the modulus")
-    packets = run_pipeline(topology, readings, pk, rng)
+    packets = run_pipeline(scenario.topology, readings, pk, rng)
     for packet in packets:
         tag, total = rtu_open(sk, pk, packet)
         section["tags"].append({"tag": list(tag.attributes), "sum": total})
@@ -219,15 +252,14 @@ def _aggregation_phase(document, rng) -> dict[str, Any]:
 
 
 def run_scenario(
-    document: Mapping[str, Any],
+    scenario: Scenario,
     seed: int | None = None,
     backend: str = "reference",
     q: int | None = None,
     q_bits: int | None = None,
     hash_name: str = "sha256",
 ) -> dict[str, Any]:
-    """Execute a validated scenario and return the report dictionary."""
-    validate_scenario(document)
+    """Execute a scenario from `load_scenario` and return the report dictionary."""
     rng: random.Random = random.Random(seed) if seed is not None else random.SystemRandom()
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA_ID,
@@ -245,51 +277,43 @@ def run_scenario(
 
     phase = "aggregate"
     try:
-        if document.get("paillier") is not None:
-            report["aggregation"] = _aggregation_phase(document, rng)
+        if scenario.paillier is not None:
+            report["aggregation"] = _aggregation_phase(scenario, rng)
 
-        needs_ctx = bool(document.get("kdcs") or document.get("records"))
         ctx: PairingContext | None = None
-        if needs_ctx:
+        if scenario.kdcs or scenario.records:
             ctx = ctx_new(backend=backend, q=q, q_bits=q_bits, rng=rng, hash_name=hash_name)
 
         phase = "kdc-setup"
-        registry = AttributeRegistry(universe=[])
         authorities: dict[str, abe.KdcKeyring] = {}
         shares: dict[str, abe.PublicShare] = {}
-        for entry in document.get("kdcs", []) or []:
-            registry.add_attributes(entry["attributes"])
-            registry.assign(entry["id"], entry["attributes"])
-            keyring = abe.kdc_setup(ctx, entry["id"], entry["attributes"], rng)
-            authorities[entry["id"]] = keyring
+        for kdc_id, attributes in scenario.kdcs:
+            keyring = abe.kdc_setup(ctx, kdc_id, attributes, rng)
+            authorities[kdc_id] = keyring
             shares.update(keyring.shares)
-            report["kdcs"].append({"id": entry["id"],
-                                   "attributes": list(entry["attributes"])})
+            report["kdcs"].append({"id": kdc_id, "attributes": list(attributes)})
 
         phase = "issue-keys"
         users: dict[str, abe.UserKeyring] = {}
-        for entry in document.get("users", []) or []:
-            keyring = abe.UserKeyring(entry["id"])
-            for attribute in entry.get("attributes", []):
-                authority = authorities[registry.owner(attribute)]
-                element = abe.issue_key(authority, ctx, entry["id"], attribute)
+        for user_id, attributes in scenario.users:
+            keyring = abe.UserKeyring(user_id)
+            for attribute in attributes:
+                authority = authorities[scenario.owners[attribute]]
+                element = abe.issue_key(authority, ctx, user_id, attribute)
                 keyring.add(attribute, element, ctx, shares[attribute])
-            users[entry["id"]] = keyring
-            report["users"].append({"id": entry["id"],
-                                    "attributes": sorted(keyring.attributes)})
+            users[user_id] = keyring
+            report["users"].append({"id": user_id, "attributes": sorted(keyring.attributes)})
 
         phase = "encrypt"
         repository = Repository()
         states: dict[str, abe.EncryptionState] = {}
-        for entry in document.get("records", []) or []:
-            program = compile_lsss(parse_policy(entry["policy"]))
+        for record_id, program, payload in scenario.records:
             with ctx.measure() as window:
-                ciphertext, state = abe.abe_encrypt(
-                    ctx, shares, program, entry["payload"].encode("utf-8"), rng)
-            repository.store(entry["id"], ciphertext)
-            states[entry["id"]] = state
+                ciphertext, state = abe.abe_encrypt(ctx, shares, program, payload, rng)
+            repository.store(record_id, ciphertext)
+            states[record_id] = state
             report["records"].append({
-                "id": entry["id"],
+                "id": record_id,
                 "rows": program.n,
                 "columns": program.h,
                 "pairings": window.pairings,
@@ -297,15 +321,15 @@ def run_scenario(
             })
 
         def evaluate_attempts(into: list) -> None:
-            for entry in document.get("attempts", []) or []:
-                user = users[entry["user"]]
-                updates = repository.updates_for(entry["record"], entry["user"])
-                outcome: dict[str, Any] = {"user": entry["user"], "record": entry["record"],
+            for user_id, record_id in scenario.attempts:
+                user = users[user_id]
+                updates = repository.updates_for(record_id, user_id)
+                outcome: dict[str, Any] = {"user": user_id, "record": record_id,
                                            "payload": None}
                 with ctx.measure() as window:
                     try:
                         payload = abe.abe_decrypt(
-                            ctx, user, repository.get(entry["record"]), updates)
+                            ctx, user, repository.get(record_id), updates)
                         outcome["outcome"] = "ok"
                         outcome["payload"] = payload.decode("utf-8")
                     except abe.AccessDenied:
@@ -322,11 +346,11 @@ def run_scenario(
 
         phase = "revoke"
         revoked_so_far: set[str] = set()
-        for entry in document.get("revocations", []) or []:
-            revoked_keyrings = [users[u] for u in entry["revoke"]]
-            revoked_so_far.update(entry["revoke"])
+        for revoked in scenario.revocations:
+            revoked_keyrings = [users[u] for u in revoked]
+            revoked_so_far.update(revoked)
             recipients = [u for u in users if u not in revoked_so_far]
-            revocation_report = {"revoked": list(entry["revoke"]), "records": []}
+            revocation_report = {"revoked": list(revoked), "records": []}
             for record_id in repository.record_ids():
                 ciphertext = repository.get(record_id)
                 new_ct, updates, new_state = abe.revoke(
@@ -342,7 +366,7 @@ def run_scenario(
                 })
             report["revocations"].append(revocation_report)
 
-        if document.get("revocations"):
+        if scenario.revocations:
             phase = "reattempts"
             evaluate_attempts(report["reattempts"])
 
@@ -350,8 +374,6 @@ def run_scenario(
             totals = ctx.counters
             report["totals"] = {"pairings": totals.pairings,
                                 "scalar_muls": totals.scalar_muls}
-    except ScenarioError:
-        raise
     except Exception as exc:  # phase failure: return the partial report
         report["error"] = {"phase": phase, "message": str(exc)}
     return report

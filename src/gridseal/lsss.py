@@ -96,10 +96,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
-        self.length = length
 
     def _eof_position(self) -> int:
         return self.tokens[-1][2] if self.tokens else 0
@@ -160,7 +159,7 @@ def parse_policy(text: str) -> AccessTree:
     tokens = _tokenize(text)
     if not tokens:
         raise PolicySyntaxError("empty policy", 0)
-    return _Parser(tokens, len(text)).parse()
+    return _Parser(tokens).parse()
 
 
 def policy_text(tree: AccessTree) -> str:
@@ -244,10 +243,6 @@ class LsssProgram:
     @property
     def h(self) -> int:
         return len(self.rows[0])
-
-    def rows_for(self, attributes: Iterable[str]) -> list[int]:
-        held = set(attributes)
-        return [i for i, attr in enumerate(self.attributes) if attr in held]
 
     def share(self, vector: Sequence[int], x: int, q: int) -> int:
         """Row x's share of a sharing vector: the dot product R_x . vector in Z_q."""
@@ -425,7 +420,9 @@ def solve_reconstruction(
     q: int,
 ) -> Optional[dict[int, int]]:
     """Reconstruction coefficients over the rows whose attribute is held."""
-    return solve_for_rows(program, program.rows_for(attributes), q)
+    held = set(attributes)
+    rows = [i for i, attr in enumerate(program.attributes) if attr in held]
+    return solve_for_rows(program, rows, q)
 
 
 def verify_reconstruction(

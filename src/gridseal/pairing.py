@@ -37,42 +37,6 @@ class BackendMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """An element of Z_q with exact field arithmetic."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.q:
-            object.__setattr__(self, "value", self.value % self.q)
-
-    def _peer(self, other: "Scalar") -> None:
-        if self.q != other.q:
-            raise ValueError("scalar field mismatch")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._peer(other)
-        return Scalar((self.value + other.value) % self.q, self.q)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._peer(other)
-        return Scalar((self.value - other.value) % self.q, self.q)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._peer(other)
-        return Scalar(self.value * other.value % self.q, self.q)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value % self.q, self.q)
-
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse in Z_q")
-        return Scalar(pow(self.value, -1, self.q), self.q)
-
-
-@dataclass(frozen=True)
 class GroupElementG:
     backend: str
     data: object
@@ -295,11 +259,6 @@ class PairingContext:
         with self._lock:
             return CounterSnapshot(self._pairings, self._scalar_muls)
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._pairings = 0
-            self._scalar_muls = 0
-
     def measure(self) -> _CounterWindow:
         return _CounterWindow(self)
 
@@ -313,21 +272,21 @@ class PairingContext:
 
     # -- metered operations (exponentiations and pairings) ------------------
 
-    def g_exp(self, base: GroupElementG, k: int | Scalar) -> GroupElementG:
+    def g_exp(self, base: GroupElementG, k: int) -> GroupElementG:
         self._count_mul()
-        return self.backend.g_exp(base, self._as_int(k))
+        return self.backend.g_exp(base, k % self.q)
 
-    def gt_exp(self, base: GroupElementGT, k: int | Scalar) -> GroupElementGT:
+    def gt_exp(self, base: GroupElementGT, k: int) -> GroupElementGT:
         self._count_mul()
-        return self.backend.gt_exp(base, self._as_int(k))
+        return self.backend.gt_exp(base, k % self.q)
 
-    def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int | Scalar]]) -> GroupElementG:
+    def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int]]) -> GroupElementG:
         self._count_mul()
-        return self.backend.g_mulexp([(b, self._as_int(k)) for b, k in pairs])
+        return self.backend.g_mulexp([(b, k % self.q) for b, k in pairs])
 
-    def gt_mulexp(self, pairs: Iterable[tuple[GroupElementGT, int | Scalar]]) -> GroupElementGT:
+    def gt_mulexp(self, pairs: Iterable[tuple[GroupElementGT, int]]) -> GroupElementGT:
         self._count_mul()
-        return self.backend.gt_mulexp([(b, self._as_int(k)) for b, k in pairs])
+        return self.backend.gt_mulexp([(b, k % self.q) for b, k in pairs])
 
     def pair(self, p: GroupElementG, q: GroupElementG) -> GroupElementGT:
         self._count_pairing()
@@ -357,21 +316,6 @@ class PairingContext:
         if isinstance(data, str):
             data = data.encode("utf-8")
         return self.backend.hash_to_g(data, self.hash_name)
-
-    # -- scalars -------------------------------------------------------------
-
-    def scalar(self, value: int) -> Scalar:
-        return Scalar(value % self.q, self.q)
-
-    def rand_scalar(self, rng: random.Random) -> Scalar:
-        return Scalar(rng.randrange(self.q), self.q)
-
-    def _as_int(self, k: int | Scalar) -> int:
-        if isinstance(k, Scalar):
-            if k.q != self.q:
-                raise ValueError("scalar from a different field")
-            return k.value
-        return k % self.q
 
     @property
     def q_bits(self) -> int:

@@ -8,7 +8,6 @@ from gridseal.abe import (
     UserKeyring,
     abe_decrypt,
     abe_encrypt,
-    combine_keyrings_attack,
     issue_key,
     kdc_setup,
     revoke,
@@ -22,6 +21,7 @@ from gridseal.lsss import (
     solve_reconstruction,
 )
 from gridseal.pairing import ctx_new
+from collusion import combine_keyrings_attack
 from treegen import random_tree
 
 Q = 2**61 - 1

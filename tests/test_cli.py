@@ -4,6 +4,7 @@ import pytest
 
 from gridseal import pairing
 from gridseal.harness.cli import bundled_scenarios, main
+from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.pairing import ReferenceBackend
 
 
@@ -100,6 +101,9 @@ def test_bench_reports_default_prediction(capsys):
     assert result["encrypt"] == {"pairings": 1, "scalar_muls": 40}
     assert result["decrypt"]["pairings"] == 20
     assert result["wire_bytes"] > 0
+    # priced for the 13-byte payload the command actually encrypts
+    q_bits = pairing.DEFAULT_Q_160.bit_length()
+    assert result["comm_bits"] == estimate_comm_overhead(10, q_bits, q_bits, 10, 104)
     assert "wall clock" in err
 
 

@@ -5,45 +5,23 @@ import pytest
 
 from gridseal.abe import abe_decrypt, abe_encrypt, kdc_setup, issue_key, UserKeyring
 from gridseal.harness import (
-    AttributeRegistry,
     CostModel,
-    DEFAULT_UNIVERSE,
     Repository,
     ScenarioError,
     counters_cost,
     estimate_comm_overhead,
+    load_scenario,
     measure_counters,
     predict_cost,
     render_report,
     report_has_denial,
     run_scenario,
-    validate_scenario,
 )
 from gridseal.lsss import compile_lsss, parse_policy
 from gridseal.pairing import ctx_new
 
 Q = 2**61 - 1
 SCHEMA = "gridseal-scenario/1"
-
-
-# --- registry -------------------------------------------------------------------
-
-def test_default_universe_covers_six_categories():
-    registry = AttributeRegistry()
-    assert registry.w == sum(len(group) for group in DEFAULT_UNIVERSE.values())
-    assert len(DEFAULT_UNIVERSE) == 6
-    assert "source:fossil" in registry
-
-
-def test_registry_enforces_disjoint_ownership():
-    registry = AttributeRegistry(universe=[])
-    registry.add_attributes(["a", "b", "c"])
-    registry.assign("kdc1", ["a", "b"])
-    registry.assign("kdc1", ["a"])  # re-claiming your own is fine
-    with pytest.raises(ValueError):
-        registry.assign("kdc2", ["b", "c"])
-    assert registry.owner("c") is None  # failed claim must not partially apply
-    assert registry.attributes_of("kdc1") == ["a", "b"]
 
 
 # --- repository ------------------------------------------------------------------
@@ -164,15 +142,15 @@ def test_counters_cost_prices_measurements():
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ScenarioError) as excinfo:
-        validate_scenario({"schema": SCHEMA, "repository_decrypt": []})
+        load_scenario({"schema": SCHEMA, "repository_decrypt": []})
     assert "repository_decrypt" in str(excinfo.value)
 
 
 def test_schema_id_required():
     with pytest.raises(ScenarioError):
-        validate_scenario({})
+        load_scenario({})
     with pytest.raises(ScenarioError):
-        validate_scenario({"schema": "something-else/9"})
+        load_scenario({"schema": "something-else/9"})
 
 
 def test_validation_paths_point_at_fields():
@@ -182,7 +160,7 @@ def test_validation_paths_point_at_fields():
         "users": [{"id": "u", "attributes": ["mystery"]}],
     }
     with pytest.raises(ScenarioError) as excinfo:
-        validate_scenario(document)
+        load_scenario(document)
     assert excinfo.value.path == "users[0].attributes[0]"
 
 
@@ -195,8 +173,44 @@ def test_validation_rejects_duplicate_attribute_claims():
         ],
     }
     with pytest.raises(ScenarioError) as excinfo:
-        validate_scenario(document)
+        load_scenario(document)
     assert excinfo.value.path == "kdcs[1].attributes"
+
+
+def test_validation_rejects_attribute_repeated_within_one_authority():
+    document = {"schema": SCHEMA, "kdcs": [{"id": "A", "attributes": ["a", "a"]}]}
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(document)
+    assert excinfo.value.path == "kdcs[0].attributes"
+
+
+def test_validation_rejects_tag_with_repeated_attribute():
+    document = {
+        "schema": SCHEMA,
+        "paillier": {"bits": 64},
+        "topology": {
+            "nodes": [
+                {"id": "nan", "role": "NAN"},
+                {"id": "ban", "role": "BAN", "parent": "nan"},
+                {"id": "h", "role": "HAN", "parent": "ban"},
+            ],
+            "readings": [{"node": "h", "tag": ["a", "a"], "value": 1}],
+        },
+    }
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(document)
+    assert excinfo.value.path == "topology.readings[0].tag"
+
+
+def test_validation_rejects_payload_that_cannot_be_utf8():
+    document = {
+        "schema": SCHEMA,
+        "kdcs": [{"id": "A", "attributes": ["a"]}],
+        "records": [{"id": "r", "policy": "a", "payload": "\ud800"}],
+    }
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(document)
+    assert excinfo.value.path == "records[0].payload"
 
 
 def test_validation_rejects_unresolved_references():
@@ -208,18 +222,18 @@ def test_validation_rejects_unresolved_references():
     }
     bad_attempt = dict(base, attempts=[{"user": "ghost", "record": "r"}])
     with pytest.raises(ScenarioError):
-        validate_scenario(bad_attempt)
+        load_scenario(bad_attempt)
     bad_policy = dict(base, records=[{"id": "r", "policy": "a & ghost", "payload": "p"}])
     with pytest.raises(ScenarioError):
-        validate_scenario(bad_policy)
+        load_scenario(bad_policy)
     bad_revoke = dict(base, revocations=[{"revoke": ["ghost"]}])
     with pytest.raises(ScenarioError):
-        validate_scenario(bad_revoke)
+        load_scenario(bad_revoke)
 
 
 def test_validation_rejects_topology_without_paillier():
     with pytest.raises(ScenarioError):
-        validate_scenario({
+        load_scenario({
             "schema": SCHEMA,
             "topology": {"nodes": [{"id": "nan", "role": "NAN"}]},
         })
@@ -239,14 +253,14 @@ def test_validation_rejects_reading_on_gateway():
         },
     }
     with pytest.raises(ScenarioError) as excinfo:
-        validate_scenario(document)
+        load_scenario(document)
     assert "readings[0].node" in excinfo.value.path
 
 
 # --- scenario execution -----------------------------------------------------------------
 
 def test_empty_scenario_runs_clean():
-    report = run_scenario({"schema": SCHEMA}, seed=1)
+    report = run_scenario(load_scenario({"schema": SCHEMA}), seed=1)
     assert report["error"] is None
     assert report["attempts"] == [] and report["aggregation"] is None
     assert not report_has_denial(report)
@@ -271,7 +285,7 @@ def test_aggregation_scenario_sums_per_tag():
             ],
         },
     }
-    report = run_scenario(document, seed=5)
+    report = run_scenario(load_scenario(document), seed=5)
     assert report["error"] is None
     assert report["aggregation"]["tags"] == [
         {"tag": ["fossil"], "sum": 70},
@@ -296,7 +310,7 @@ def test_headroom_warning_emitted():
             ],
         },
     }
-    report = run_scenario(document, seed=6)
+    report = run_scenario(load_scenario(document), seed=6)
     assert report["aggregation"]["warnings"]
 
 
@@ -314,7 +328,7 @@ def test_access_scenario_end_to_end():
             {"user": "partial", "record": "r"},
         ],
     }
-    report = run_scenario(document, seed=7)
+    report = run_scenario(load_scenario(document), seed=7)
     assert report["error"] is None
     outcomes = {(a["user"], a["outcome"]) for a in report["attempts"]}
     assert outcomes == {("full", "ok"), ("partial", "denied")}
@@ -341,7 +355,7 @@ def test_revocation_scenario_reattempts():
         ],
         "revocations": [{"revoke": ["out"]}],
     }
-    report = run_scenario(document, seed=8)
+    report = run_scenario(load_scenario(document), seed=8)
     assert report["error"] is None
     assert [a["outcome"] for a in report["attempts"]] == ["ok", "ok"]
     assert [a["outcome"] for a in report["reattempts"]] == ["denied", "ok"]
@@ -367,10 +381,11 @@ def test_scenario_determinism_under_seed():
         "records": [{"id": "r", "policy": "a", "payload": "p"}],
         "attempts": [{"user": "u", "record": "r"}],
     }
-    first = render_report(run_scenario(document, seed=99))
-    second = render_report(run_scenario(document, seed=99))
+    scenario = load_scenario(document)
+    first = render_report(run_scenario(scenario, seed=99))
+    second = render_report(run_scenario(scenario, seed=99))
     assert first == second
-    third = render_report(run_scenario(document, seed=100))
+    third = render_report(run_scenario(scenario, seed=100))
     assert third != first
 
 
@@ -388,7 +403,7 @@ def test_attempt_level_failure_recorded_as_error(monkeypatch):
         "records": [{"id": "r", "policy": "a", "payload": "p"}],
         "attempts": [{"user": "u", "record": "r"}],
     }
-    report = run_scenario(document, seed=3)
+    report = run_scenario(load_scenario(document), seed=3)
     assert report["error"] is None  # the phase survives
     assert report["attempts"][0]["outcome"] == "error"
     assert "fuse" in report["attempts"][0]["message"]
@@ -410,5 +425,5 @@ def test_phase_error_produces_partial_report():
             "readings": [{"node": "h1", "tag": ["t"], "value": 1}],
         },
     }
-    report = run_scenario(document, seed=1)
+    report = run_scenario(load_scenario(document), seed=1)
     assert report["error"]["phase"] == "aggregate"

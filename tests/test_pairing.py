@@ -1,15 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridseal.pairing import (
     DEFAULT_Q_160,
     BackendMismatchError,
     GroupElementG,
     ReferenceBackend,
-    Scalar,
     ctx_new,
     register_backend,
 )
@@ -178,38 +175,6 @@ def test_register_backend_guards():
         register_backend("reference", 0x55, ReferenceBackend)
     with pytest.raises(ValueError):
         register_backend("clashing-wire-id", ReferenceBackend.wire_id, ReferenceBackend)
-
-
-def test_scalar_field_operations():
-    q = 101
-    a, b = Scalar(45, q), Scalar(77, q)
-    assert (a + b).value == (45 + 77) % q
-    assert (a - b).value == (45 - 77) % q
-    assert (a * b).value == 45 * 77 % q
-    assert (-a).value == (q - 45) % q
-    assert (a * a.inverse()).value == 1
-    with pytest.raises(ZeroDivisionError):
-        Scalar(0, q).inverse()
-    with pytest.raises(ValueError):
-        a + Scalar(1, 103)
-
-
-def test_scalar_exponent_arguments(ctx):
-    k = ctx.scalar(42)
-    assert ctx.g_exp(ctx.g, k) == ctx.g_exp(ctx.g, 42)
-    with pytest.raises(ValueError):
-        ctx.g_exp(ctx.g, Scalar(2, 103))
-
-
-@given(a=st.integers(min_value=0, max_value=MERSENNE_61 - 1),
-       b=st.integers(min_value=0, max_value=MERSENNE_61 - 1))
-@settings(deadline=None, max_examples=50)
-def test_scalar_field_closure(a, b):
-    x, y = Scalar(a, MERSENNE_61), Scalar(b, MERSENNE_61)
-    assert 0 <= (x + y).value < MERSENNE_61
-    assert 0 <= (x * y).value < MERSENNE_61
-    if b:
-        assert (y * y.inverse()).value == 1
 
 
 def test_group_elements_are_values(ctx):
