@@ -432,7 +432,7 @@ def revoke(
 
     s_new = rng.randrange(1, ctx.q)
     v_new = (s_new,) + state.v[1:]
-    moved_rows = {x for x in range(program.n) if program.rows[x][0] % ctx.q != 0}
+    moved_rows = {x for x in range(program.n) if program.support[x][:1] == (0,)}
     affected = sorted(carrier_rows | moved_rows)
 
     # e(g,g) is held from encryption time, so re-blinding C0 meters as one

@@ -194,6 +194,9 @@ def packet_to_bytes(packet: MeterPacket) -> bytes:
 
 
 def packet_from_bytes(data: bytes, pk: PaillierPublicKey) -> MeterPacket:
+    """Strict inverse of packet_to_bytes: the tag attributes must already be
+    in canonical form (trimmed, sorted, distinct), so whatever decodes
+    re-encodes to the same bytes."""
     if len(data) < 2:
         raise ValueError("truncated packet")
     count = int.from_bytes(data[:2], "big")
@@ -202,7 +205,10 @@ def packet_from_bytes(data: bytes, pk: PaillierPublicKey) -> MeterPacket:
     for _ in range(count):
         attribute, offset = decode_short_str(data, offset)
         attributes.append(attribute)
+    tag = AttributeTag(attributes)
+    if tag.attributes != tuple(attributes):
+        raise ValueError("tag attributes must be trimmed and sorted")
     value, offset = decode_uint(data, offset)
     if offset != len(data):
         raise ValueError("trailing bytes after packet")
-    return MeterPacket(AttributeTag(attributes), PaillierCiphertext(value, pk.modulus))
+    return MeterPacket(tag, PaillierCiphertext(value, pk.modulus))

@@ -55,7 +55,16 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ScenarioError(path, message)
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
+def _list(value: Any, path: str) -> list:
+    """A list-valued field; an absent or null one reads as empty."""
+    if value is None:
+        return []
+    _require(isinstance(value, list), path, "need a list")
+    return value
+
+
+def _check_keys(obj: Any, allowed: tuple[str, ...], path: str) -> None:
+    _require(isinstance(obj, Mapping), path, "need an object")
     for key in obj:
         _require(key in allowed, f"{path}.{key}" if path else key, "unknown field")
 
@@ -121,16 +130,19 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
             _require(isinstance(node.get("id"), str), f"topology.nodes[{i}].id", "need a string id")
             _require(node.get("role") in ("HAN", "BAN", "NAN"),
                      f"topology.nodes[{i}].role", "role must be HAN, BAN or NAN")
+            _require(node.get("parent") is None or isinstance(node["parent"], str),
+                     f"topology.nodes[{i}].parent", "need a string id or null")
         try:
             built = AggregationTopology([
                 TopologyNode(n["id"], n["role"], n.get("parent")) for n in nodes])
         except ValueError as exc:
             raise ScenarioError("topology.nodes", str(exc)) from None
         leaf_ids = set(built.leaves())
-        for i, reading in enumerate(topology.get("readings", [])):
+        for i, reading in enumerate(_list(topology.get("readings"), "topology.readings")):
             _check_keys(reading, ("node", "tag", "value"), f"topology.readings[{i}]")
             node_id = reading.get("node")
-            _require(node_id in built.nodes, f"topology.readings[{i}].node",
+            _require(isinstance(node_id, str) and node_id in built.nodes,
+                     f"topology.readings[{i}].node",
                      f"unknown node {node_id!r}")
             _require(node_id in leaf_ids, f"topology.readings[{i}].node",
                      "readings attach to HAN leaves")
@@ -150,7 +162,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
 
     kdcs: dict[str, tuple[str, ...]] = {}
     owners: dict[str, str] = {}
-    for i, kdc in enumerate(document.get("kdcs", []) or []):
+    for i, kdc in enumerate(_list(document.get("kdcs"), "kdcs")):
         _check_keys(kdc, ("id", "attributes"), f"kdcs[{i}]")
         kdc_id = kdc.get("id")
         _require(isinstance(kdc_id, str) and kdc_id, f"kdcs[{i}].id", "need a string id")
@@ -168,12 +180,14 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         kdcs[kdc_id] = tuple(attrs)
 
     users: dict[str, tuple[str, ...]] = {}
-    for i, user in enumerate(document.get("users", []) or []):
+    for i, user in enumerate(_list(document.get("users"), "users")):
         _check_keys(user, ("id", "attributes"), f"users[{i}]")
         user_id = user.get("id")
         _require(isinstance(user_id, str) and user_id, f"users[{i}].id", "need a string id")
         _require(user_id not in users, f"users[{i}].id", "duplicate user id")
-        attrs = tuple(user.get("attributes", []))
+        attrs = user.get("attributes", [])
+        _require(isinstance(attrs, list), f"users[{i}].attributes", "need an attribute list")
+        attrs = tuple(attrs)
         for j, attribute in enumerate(attrs):
             _require(isinstance(attribute, str) and attribute in owners,
                      f"users[{i}].attributes[{j}]",
@@ -181,7 +195,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         users[user_id] = attrs
 
     records: dict[str, tuple[str, LsssProgram, bytes]] = {}
-    for i, record in enumerate(document.get("records", []) or []):
+    for i, record in enumerate(_list(document.get("records"), "records")):
         _check_keys(record, ("id", "policy", "payload"), f"records[{i}]")
         record_id = record.get("id")
         _require(isinstance(record_id, str) and record_id, f"records[{i}].id", "need a string id")
@@ -204,22 +218,24 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         records[record_id] = (record_id, compile_lsss(tree), payload)
 
     attempts = []
-    for i, attempt in enumerate(document.get("attempts", []) or []):
+    for i, attempt in enumerate(_list(document.get("attempts"), "attempts")):
         _check_keys(attempt, ("user", "record"), f"attempts[{i}]")
-        _require(attempt.get("user") in users, f"attempts[{i}].user",
-                 f"unknown user {attempt.get('user')!r}")
-        _require(attempt.get("record") in records, f"attempts[{i}].record",
-                 f"unknown record {attempt.get('record')!r}")
-        attempts.append((attempt["user"], attempt["record"]))
+        user_id, record_id = attempt.get("user"), attempt.get("record")
+        _require(isinstance(user_id, str) and user_id in users, f"attempts[{i}].user",
+                 f"unknown user {user_id!r}")
+        _require(isinstance(record_id, str) and record_id in records, f"attempts[{i}].record",
+                 f"unknown record {record_id!r}")
+        attempts.append((user_id, record_id))
 
     revocations = []
-    for i, revocation in enumerate(document.get("revocations", []) or []):
+    for i, revocation in enumerate(_list(document.get("revocations"), "revocations")):
         _check_keys(revocation, ("revoke",), f"revocations[{i}]")
         revoked = revocation.get("revoke")
         _require(isinstance(revoked, list) and revoked, f"revocations[{i}].revoke",
                  "need a non-empty user list")
         for j, user_id in enumerate(revoked):
-            _require(user_id in users, f"revocations[{i}].revoke[{j}]",
+            _require(isinstance(user_id, str) and user_id in users,
+                     f"revocations[{i}].revoke[{j}]",
                      f"unknown user {user_id!r}")
         revocations.append(tuple(revoked))
 

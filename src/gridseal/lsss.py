@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, compress, pairwise
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .wire import decode_short_str, encode_short_str
@@ -201,53 +202,73 @@ def evaluate_tree(tree: AccessTree, attributes: Iterable[str]) -> bool:
     return walk(tree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LsssProgram:
-    """Share-generating matrix plus the row-to-attribute map pi.
+    """Share-generating matrix plus the row-to-attribute map pi, held sparse.
 
-    rows[x] is the x-th matrix row with entries in {-1, 0, 1};
-    attributes[x] is pi(x+1) in 1-based terms. support[x] lists, in
-    increasing order, the columns where rows[x] is nonzero; the matrices
-    compile_lsss emits have about two per row, so share computation and the
-    wire codec work over the support instead of all n * h cells.
+    Row x of the n x h matrix is nonzero exactly at the columns support[x]
+    lists, in increasing order, and signs[x] holds its entries there, each
+    -1 or 1; attributes[x] is pi(x+1) in 1-based terms. The matrices
+    compile_lsss emits have about two nonzero entries per row, so sharing,
+    solving and the wire codec work over the supports, never over all n * h
+    cells. The dense `rows` are built only when read.
 
-    The matrix is never empty and every column carries a nonzero entry in
-    some row (compile_lsss always emits such matrices; an unused column adds
-    nothing to the span and would let a short encoding claim a huge matrix).
+    `LsssProgram(rows, attributes)` takes a literal dense matrix. It is never
+    empty and every column carries a nonzero entry in some row (compile_lsss
+    always emits such matrices; an unused column adds nothing to the span and
+    would let a short encoding claim a huge matrix).
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    h: int
+    support: tuple[tuple[int, ...], ...]
+    signs: tuple[tuple[int, ...], ...]
     attributes: tuple[str, ...]
-    support: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.attributes):
+    def __init__(self, rows: Sequence[Sequence[int]], attributes: Sequence[str]):
+        if len(rows) != len(attributes):
             raise ValueError("row/attribute count mismatch")
-        if not self.rows or not self.rows[0]:
+        if not rows or not rows[0]:
             raise ValueError("empty matrix")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
-        if not set().union(*self.rows) <= {-1, 0, 1}:
+        if not set().union(*rows) <= {-1, 0, 1}:
             raise ValueError("matrix entries must lie in {-1, 0, 1}")
         columns = range(width)
-        support = tuple(tuple(compress(columns, row)) for row in self.rows)
+        support = tuple(tuple(compress(columns, row)) for row in rows)
         if len(set().union(*support)) != width:
             raise ValueError("every matrix column needs a nonzero entry")
-        object.__setattr__(self, "support", support)
+        signs = tuple(tuple(row[c] for c in cols) for row, cols in zip(rows, support))
+        self.__dict__.update(h=width, support=support, signs=signs,
+                             attributes=tuple(attributes))
+
+    @classmethod
+    def _sparse(cls, h: int, support: tuple[tuple[int, ...], ...],
+                signs: tuple[tuple[int, ...], ...],
+                attributes: tuple[str, ...]) -> "LsssProgram":
+        """A program from already-checked sparse parts."""
+        program = object.__new__(cls)
+        program.__dict__.update(h=h, support=support, signs=signs, attributes=attributes)
+        return program
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.attributes)
 
-    @property
-    def h(self) -> int:
-        return len(self.rows[0])
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, built on first read (for literal comparisons)."""
+        dense = []
+        for cols, signs in zip(self.support, self.signs):
+            row = [0] * self.h
+            for c, sign in zip(cols, signs):
+                row[c] = sign
+            dense.append(tuple(row))
+        return tuple(dense)
 
     def share(self, vector: Sequence[int], x: int, q: int) -> int:
         """Row x's share of a sharing vector: the dot product R_x . vector in Z_q."""
-        row = self.rows[x]
-        return sum(row[c] * vector[c] for c in self.support[x]) % q
+        return sum(sign * vector[c] for c, sign in zip(self.support[x], self.signs[x])) % q
 
     def to_bytes(self) -> bytes:
         """Sparse layout, O(nnz) bytes for the matrix.
@@ -258,7 +279,8 @@ class LsssProgram:
           4-byte big-endian signed +-(column + 1), the sign that of the entry;
         * the n row attributes as short strings (2-byte length, UTF-8).
         """
-        entries = [row[c] * (c + 1) for row, cols in zip(self.rows, self.support) for c in cols]
+        entries = [sign * (c + 1) for cols, signs in zip(self.support, self.signs)
+                   for c, sign in zip(cols, signs)]
         return b"".join([
             struct.pack(f">II{self.n}I", self.n, self.h, *map(len, self.support)),
             struct.pack(f">{len(entries)}i", *entries),
@@ -267,7 +289,7 @@ class LsssProgram:
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["LsssProgram", int]:
-        """Strict inverse of to_bytes; returns (program, next offset).
+        """Strict inverse of to_bytes, linear in the input; returns (program, next offset).
 
         Rejects with ValueError: n or h of zero, truncation, a row whose
         columns are not strictly increasing, a column outside 1..h, and a
@@ -288,28 +310,22 @@ class LsssProgram:
             raise ValueError("truncated matrix entries")
         entries = struct.unpack_from(f">{total}i", data, offset)
         offset += 4 * total
-        # Checked before the dense rows are built, so their size is bounded
-        # by the input's: every column in 1..h, and each one used.
-        if h > total or set(map(abs, entries)) != set(range(1, h + 1)):
+        columns = [abs(e) - 1 for e in entries]
+        if h > total or set(columns) != set(range(h)):
             raise ValueError("matrix columns must cover exactly 1..h")
-        rows = []
-        start = 0
-        for count in counts:
-            row = [0] * h
-            previous = 0
-            for entry in entries[start:start + count]:
-                column = abs(entry)
-                if column <= previous:
-                    raise ValueError("matrix row columns must be strictly increasing")
-                row[column - 1] = 1 if entry > 0 else -1
-                previous = column
-            rows.append(tuple(row))
-            start += count
+        # A column may fail to exceed its predecessor only where a row starts.
+        bounds = list(accumulate(counts, initial=0))
+        if not set(bounds).issuperset(i for i in range(1, total)
+                                      if columns[i] <= columns[i - 1]):
+            raise ValueError("matrix row columns must be strictly increasing")
+        signs = [1 if e > 0 else -1 for e in entries]
         attrs = []
         for _ in range(n):
             attr, offset = decode_short_str(data, offset)
             attrs.append(attr)
-        return cls(tuple(rows), tuple(attrs)), offset
+        spans = list(pairwise(bounds))
+        return cls._sparse(h, tuple(tuple(columns[a:b]) for a, b in spans),
+                           tuple(tuple(signs[a:b]) for a, b in spans), tuple(attrs)), offset
 
 
 def compile_lsss(tree: AccessTree, columns: str = "fresh") -> LsssProgram:
@@ -320,51 +336,34 @@ def compile_lsss(tree: AccessTree, columns: str = "fresh") -> LsssProgram:
     In "fresh" mode each AND appends into its own new column (the sound
     construction, h = 1 + #AND); in "shared" mode an AND extends only its
     parent's vector, reproducing the compact conformance layout. Vectors are
-    zero-padded at the end so column 1 carries the secret.
+    zero-padded at the end so column 1 carries the secret; each is carried
+    as its nonzero columns and their signs.
     """
     if columns not in ("fresh", "shared"):
         raise ValueError("columns must be 'fresh' or 'shared'")
-    leaves: list[tuple[str, list[int]]] = []
+    leaves: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
+    unclaimed = 1  # fresh mode: the next column an AND claims
 
-    if columns == "fresh":
-        width = 1
+    def walk(node: AccessTree, cols: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        nonlocal unclaimed
+        if isinstance(node, Leaf):
+            leaves.append((node.attribute, cols, signs))
+            return
+        if node.op == "OR":
+            walk(node.left, cols, signs)
+            walk(node.right, cols, signs)
+            return
+        if columns == "fresh":
+            column = unclaimed
+            unclaimed += 1
+        else:
+            column = cols[-1] + 1  # the column just past the parent's vector
+        walk(node.left, cols + (column,), signs + (1,))
+        walk(node.right, (column,), (-1,))
 
-        def walk(node: AccessTree, vector: list[int]) -> None:
-            nonlocal width
-            if isinstance(node, Leaf):
-                leaves.append((node.attribute, vector))
-                return
-            if node.op == "OR":
-                walk(node.left, vector)
-                walk(node.right, vector)
-                return
-            padded = vector + [0] * (width - len(vector))
-            left = padded + [1]
-            right = [0] * width + [-1]
-            width += 1
-            walk(node.left, left)
-            walk(node.right, right)
-
-        walk(tree, [1])
-        total = width
-    else:
-        def walk(node: AccessTree, vector: list[int]) -> None:
-            if isinstance(node, Leaf):
-                leaves.append((node.attribute, vector))
-                return
-            if node.op == "OR":
-                walk(node.left, vector)
-                walk(node.right, vector)
-                return
-            walk(node.left, vector + [1])
-            walk(node.right, [0] * len(vector) + [-1])
-
-        walk(tree, [1])
-        total = max(len(v) for _, v in leaves)
-
-    rows = tuple(tuple(v + [0] * (total - len(v))) for _, v in leaves)
-    attrs = tuple(attr for attr, _ in leaves)
-    return LsssProgram(rows, attrs)
+    walk(tree, (0,), (1,))
+    attrs, support, signs = zip(*leaves)
+    return LsssProgram._sparse(1 + max(cols[-1] for cols in support), support, signs, attrs)
 
 
 def solve_for_rows(
@@ -375,43 +374,66 @@ def solve_for_rows(
     """Coefficients k over the given rows with sum(k_x * R_x) = (1, 0, ..., 0) in Z_q.
 
     Returns only nonzero coefficients, or None when the rows do not span the
-    target (absence, not an error). Gaussian elimination on the transposed
-    system; free variables pin to zero, so the support is a set of pivot rows.
+    target (absence, not an error). Gauss-Jordan elimination on the
+    transposed system, kept sparse: each equation (a matrix column) is a
+    {unknown: value} dict built from the row supports, and an index from
+    each unknown to the equations holding it finds pivots and drives
+    elimination. Unknowns are taken in the caller's order, each pivoting on
+    the first equation at or after the current rank in the swap order; free
+    unknowns pin to zero, so the support is a set of pivot rows.
     """
     indices = list(row_indices)
     if not indices:
         return None
     h = program.h
-    n = len(indices)
-    # Augmented system A * k = e1 where column j of A is the j-th selected row.
-    aug = [[program.rows[indices[j]][r] % q for j in range(n)] + [1 if r == 0 else 0]
-           for r in range(h)]
-    pivot_row_of_col: dict[int, int] = {}
+    equations: dict[int, dict[int, int]] = {}
+    holders: list[set[int]] = []  # holders[j]: the equations where unknown j is nonzero
+    for j, x in enumerate(indices):
+        cols = program.support[x]
+        for c, sign in zip(cols, program.signs[x]):
+            equations.setdefault(c, {})[j] = sign % q
+        holders.append(set(cols))
+    rhs = {0: 1 % q}
+    slot = list(range(h))   # slot[p]: the equation at position p of the swap order
+    where = list(range(h))  # where[e]: the position of equation e
+    pivots: list[tuple[int, int]] = []
     rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, h) if aug[r][col] % q), None)
-        if pivot is None:
+    for j, held in enumerate(holders):
+        candidates = [e for e in held if where[e] >= rank]
+        if not candidates:
             continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][col], -1, q)
-        aug[rank] = [x * inv % q for x in aug[rank]]
-        for r in range(h):
-            if r != rank and aug[r][col] % q:
-                factor = aug[r][col]
-                aug[r] = [(aug[r][k] - factor * aug[rank][k]) % q for k in range(n + 1)]
-        pivot_row_of_col[col] = rank
+        e = min(candidates, key=where.__getitem__)
+        displaced = slot[rank]
+        slot[rank], slot[where[e]] = e, displaced
+        where[e], where[displaced] = rank, where[e]
+        pivot = equations[e]
+        if pivot[j] != 1:
+            inv = pow(pivot[j], -1, q)
+            for k in pivot:
+                pivot[k] = pivot[k] * inv % q
+            rhs[e] = rhs.get(e, 0) * inv % q
+        target = rhs.get(e, 0)
+        for r in list(held):
+            if r == e:
+                continue
+            equation = equations[r]
+            factor = equation[j]
+            for k, value in pivot.items():
+                value = (equation.get(k, 0) - factor * value) % q
+                if value:
+                    equation[k] = value
+                    holders[k].add(r)
+                else:
+                    equation.pop(k, None)
+                    holders[k].discard(r)
+            if target:
+                rhs[r] = (rhs.get(r, 0) - factor * target) % q
+        pivots.append((j, e))
         rank += 1
-    for r in range(rank, h):
-        if aug[r][n] % q:
-            return None  # inconsistent: target outside the span
-    solution: dict[int, int] = {}
-    for col, r in pivot_row_of_col.items():
-        value = aug[r][n] % q
-        if value:
-            solution[indices[col]] = value
-    if not solution:
-        return None
-    return solution
+    if any(rhs.get(e) for e in slot[rank:]):
+        return None  # inconsistent: target outside the span
+    solution = {indices[j]: rhs[e] for j, e in pivots if rhs.get(e)}
+    return solution or None
 
 
 def solve_reconstruction(
@@ -431,9 +453,8 @@ def verify_reconstruction(
     q: int,
 ) -> bool:
     """Re-substitute: sum(k_x * R_x) must equal (1, 0, ..., 0) exactly in Z_q."""
-    total = [0] * program.h
+    total: dict[int, int] = {}
     for index, k in coefficients.items():
-        row = program.rows[index]
-        for c in range(program.h):
-            total[c] = (total[c] + k * row[c]) % q
-    return total[0] == 1 % q and all(v == 0 for v in total[1:])
+        for c, sign in zip(program.support[index], program.signs[index]):
+            total[c] = (total.get(c, 0) + k * sign) % q
+    return total.get(0, 0) == 1 % q and not any(v for c, v in total.items() if c)

@@ -5,9 +5,10 @@ cryptosystem used between meters and the substation terminal unit: the
 modulus N is a product of two primes, encryption computes g^m * r^N mod N^2,
 and multiplying two ciphertexts decrypts to the sum of their plaintexts.
 
-The generator defaults to g = N + 1, which always has order divisible by N
-and enables the fast encryption path (1 + mN) * r^N mod N^2. Decryption uses
-the cached inverse mu = L(g^lambda mod N^2)^-1 mod N where L(u) = (u - 1) / N.
+The generator is always g = N + 1, which has order N modulo N^2 and gives
+the fast encryption path (1 + mN) * r^N mod N^2. Decryption uses the cached
+inverse mu = L(g^lambda mod N^2)^-1 mod N where L(u) = (u - 1) / N; with
+g = N + 1, g^lambda = 1 + lambda*N mod N^2, so mu is simply lambda^-1 mod N.
 
 All values are immutable after construction and every operation takes its
 randomness source explicitly, so keys and ciphertexts can be shared freely
@@ -44,7 +45,8 @@ class PaillierPublicKey:
 
     Attributes:
         modulus: N, the product of two distinct primes.
-        generator: g in Z_{N^2}^*, order a multiple of N (N + 1 by default).
+        generator: g = N + 1, the only generator decryption supports (mu
+            is computed for it); any other value is rejected.
     """
 
     modulus: int
@@ -53,9 +55,8 @@ class PaillierPublicKey:
     def __post_init__(self):
         if self.modulus <= 1:
             raise ValueError("modulus must exceed 1")
-        n_sq = self.modulus * self.modulus
-        if not 1 < self.generator < n_sq:
-            raise ValueError("generator out of range for Z_{N^2}")
+        if self.generator != self.modulus + 1:
+            raise ValueError("generator must be N + 1")
 
     @property
     def modulus_squared(self) -> int:
@@ -132,12 +133,10 @@ def _build_keys(q1: int, q2: int) -> tuple[PaillierPublicKey, PaillierSecretKey]
     lam = math.lcm(q1 - 1, q2 - 1)
     if math.gcd(lam, modulus) != 1:
         raise ValueError("lambda(N) shares a factor with N; L-denominator not invertible")
-    generator = modulus + 1
-    n_sq = modulus * modulus
-    denom = (int(_powmod(generator, lam, n_sq)) - 1) // modulus
-    mu = pow(denom, -1, modulus)
+    # L((N + 1)^lambda mod N^2) = lambda mod N, so mu needs no modexp.
+    mu = pow(lam, -1, modulus)
     return (
-        PaillierPublicKey(modulus, generator),
+        PaillierPublicKey(modulus, modulus + 1),
         PaillierSecretKey(lam, mu, q1, q2),
     )
 
@@ -212,11 +211,7 @@ def paillier_encrypt(
                 break
         else:
             raise RuntimeError("randomness source exhausted drawing a unit modulo N")
-    if pk.generator == n + 1:
-        g_to_m = (1 + message * n) % n_sq
-    else:
-        g_to_m = int(_powmod(pk.generator, message, n_sq))
-    value = g_to_m * int(_powmod(r, n, n_sq)) % n_sq
+    value = (1 + message * n) * int(_powmod(r, n, n_sq)) % n_sq
     return PaillierCiphertext(value, n)
 
 

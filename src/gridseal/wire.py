@@ -14,13 +14,16 @@ def encode_uint(value: int) -> bytes:
 
 
 def decode_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Return (value, next_offset); raises ValueError on truncation."""
+    """Return (value, next_offset); raises ValueError on truncation and on a
+    leading zero body byte, so each value has exactly one encoding."""
     if offset + 4 > len(data):
         raise ValueError("truncated length prefix")
     (length,) = struct.unpack_from(">I", data, offset)
     offset += 4
     if offset + length > len(data):
         raise ValueError("truncated integer body")
+    if length and data[offset] == 0:
+        raise ValueError("integer body has a leading zero byte")
     return int.from_bytes(data[offset:offset + length], "big"), offset + length
 
 

@@ -493,3 +493,22 @@ def test_post_revocation_serialization_keeps_holes(ctx):
     assert restored.rows[0].c1 is None
     survivor = build_user(ctx, (authority,), "here", ["a"])
     assert abe_decrypt(ctx, survivor, restored, updates) == b"x"
+
+
+def test_record_operations_never_build_the_dense_matrix(ctx):
+    rng = random.Random(32)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c"], rng)
+    program = compile_lsss(parse_policy("(a & b) | (b & c) | a & c"))
+    ciphertext, state = abe_encrypt(ctx, authority.shares, program, b"sparse", rng)
+    restored = AbeCiphertext.from_bytes(ciphertext.to_bytes(ctx), ctx)
+    reader = build_user(ctx, (authority,), "reader", ["a", "b"])
+    assert abe_decrypt(ctx, reader, restored) == b"sparse"
+    gone = build_user(ctx, (authority,), "gone", ["c"])
+    with pytest.raises(AccessDenied):
+        abe_decrypt(ctx, gone, restored)
+    new_ct, updates, _ = revoke(ctx, authority.shares, restored, state, [gone], rng)
+    assert abe_decrypt(ctx, reader, new_ct, updates) == b"sparse"
+    # `rows` is built on first read and cached in the instance
+    assert "rows" not in vars(program) and "rows" not in vars(restored.program)
+    assert restored.program.rows == program.rows
+    assert "rows" in vars(restored.program)

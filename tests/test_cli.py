@@ -72,6 +72,18 @@ def test_invalid_scenario_file_exits_2(tmp_path, capsys):
     assert "zap" in err
 
 
+@pytest.mark.parametrize("patch, path", [
+    ({"users": [{"id": "u", "attributes": None}]}, "users[0].attributes"),
+    ({"kdcs": [5]}, "kdcs[0]"),
+])
+def test_malformed_scenario_shape_exits_2_with_its_path(tmp_path, capsys, patch, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "gridseal-scenario/1", **patch}))
+    code, _, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert path in err and "Traceback" not in err
+
+
 def test_aggregate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "aggregate", "full_demo", "--seed", "2")
     assert code == 0

@@ -1,13 +1,14 @@
-"""Wire codecs of LsssProgram and AbeCiphertext.
+"""Wire codecs of LsssProgram, AbeCiphertext, MeterPacket and PaillierCiphertext.
 
-Properties, over random policies in both column layouts, both payload modes
-and records with rows stripped by a revocation: decode(encode(x)) == x;
-decoding is canonical (whatever decodes re-encodes to exactly its input);
-truncated or single-byte-mutated input raises only ValueError. A size gate
-holds AND- and OR-chains within the paper's size estimate plus a stated
-per-row framing constant.
+Properties, over random policies in both column layouts, both payload modes,
+records with rows stripped by a revocation, and random tags and ciphertext
+values: decode(encode(x)) == x; decoding is canonical (whatever decodes
+re-encodes to exactly its input); truncated or single-byte-mutated input
+raises only ValueError. A size gate holds AND- and OR-chains within the
+paper's size estimate plus a stated per-row framing constant.
 """
 
+import math
 import random
 import struct
 
@@ -26,9 +27,12 @@ from gridseal.abe import (
     kdc_setup,
     revoke,
 )
+from gridseal.aggregation import AttributeTag, MeterPacket, packet_from_bytes, packet_to_bytes
 from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
+from gridseal.paillier import PaillierCiphertext, paillier_keygen
 from gridseal.pairing import ctx_new
+from gridseal.wire import encode_short_str
 from treegen import policy_trees
 
 Q = 2**61 - 1
@@ -171,6 +175,64 @@ def test_ciphertext_decoder_rejects_unknown_flags(which, value):
     blob[_flag_offsets(ciphertext)[which]] = value
     with pytest.raises(ValueError, match="mode|flag"):
         AbeCiphertext.from_bytes(bytes(blob), CTX)
+
+
+# --- MeterPacket and PaillierCiphertext ----------------------------------------------
+
+PK, _ = paillier_keygen(128, rng=random.Random(5))
+CIPHERTEXTS = st.integers(min_value=1, max_value=PK.modulus_squared - 1).filter(
+    lambda v: math.gcd(v, PK.modulus) == 1).map(lambda v: PaillierCiphertext(v, PK.modulus))
+TAGS = st.lists(st.text(alphabet="ab:.é ", min_size=1, max_size=5).map(str.strip).filter(bool),
+                min_size=1, max_size=4, unique=True).map(AttributeTag)
+
+
+@given(packet=st.builds(MeterPacket, TAGS, CIPHERTEXTS))
+@settings(deadline=None, max_examples=80)
+def test_packet_round_trip(packet):
+    assert packet_from_bytes(packet_to_bytes(packet), PK) == packet
+
+
+@given(packet=st.builds(MeterPacket, TAGS, CIPHERTEXTS), data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_damaged_packet_bytes_fail_or_decode_canonically(packet, data):
+    _decodes_canonically_or_fails(lambda b: packet_from_bytes(b, PK), packet_to_bytes,
+                                  _damaged(data, packet_to_bytes(packet)))
+
+
+@given(ciphertext=CIPHERTEXTS)
+@settings(deadline=None, max_examples=80)
+def test_paillier_ciphertext_round_trip(ciphertext):
+    assert PaillierCiphertext.from_bytes(ciphertext.to_bytes(), PK) == ciphertext
+
+
+@given(ciphertext=CIPHERTEXTS, data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_damaged_paillier_ciphertext_bytes_fail_or_decode_canonically(ciphertext, data):
+    _decodes_canonically_or_fails(lambda b: PaillierCiphertext.from_bytes(b, PK),
+                                  PaillierCiphertext.to_bytes,
+                                  _damaged(data, ciphertext.to_bytes()))
+
+
+def _packet_bytes(attributes, body):
+    return (len(attributes).to_bytes(2, "big") + b"".join(map(encode_short_str, attributes))
+            + struct.pack(">I", len(body)) + body)
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(_packet_bytes(["b", "a"], b"\x05"), "sorted", id="unsorted-tag"),
+    pytest.param(_packet_bytes([" a"], b"\x05"), "trimmed", id="padded-tag"),
+    pytest.param(_packet_bytes(["a", "a"], b"\x05"), "duplicate", id="repeated-tag"),
+    pytest.param(_packet_bytes([], b"\x05"), "at least one", id="empty-tag"),
+    pytest.param(_packet_bytes(["a"], b"\x00\x05"), "leading zero", id="padded-value"),
+])
+def test_packet_decoder_rejects(blob, message):
+    with pytest.raises(ValueError, match=message):
+        packet_from_bytes(blob, PK)
+
+
+def test_paillier_ciphertext_decoder_rejects_a_leading_zero_byte():
+    with pytest.raises(ValueError, match="leading zero"):
+        PaillierCiphertext.from_bytes(b"\x00\x00\x00\x02\x00\x05", PK)
 
 
 # --- size gate -----------------------------------------------------------------------

@@ -164,6 +164,25 @@ def test_validation_paths_point_at_fields():
     assert excinfo.value.path == "users[0].attributes[0]"
 
 
+@pytest.mark.parametrize("patch, path", [
+    pytest.param({"users": [{"id": "u", "attributes": None}]}, "users[0].attributes",
+                 id="null-user-attributes"),
+    pytest.param({"kdcs": [5]}, "kdcs[0]", id="kdc-not-an-object"),
+    pytest.param({"kdcs": 5}, "kdcs", id="kdcs-not-a-list"),
+    pytest.param({"attempts": [{"user": ["u"], "record": "r"}]}, "attempts[0].user",
+                 id="unhashable-attempt-user"),
+    pytest.param({"revocations": [{"revoke": [{}]}]}, "revocations[0].revoke[0]",
+                 id="unhashable-revoked-user"),
+    pytest.param({"paillier": 5}, "paillier", id="paillier-not-an-object"),
+])
+def test_validation_rejects_malformed_shapes_with_a_path(patch, path):
+    document = {"schema": SCHEMA, "kdcs": [{"id": "A", "attributes": ["a"]}],
+                "users": [{"id": "u", "attributes": ["a"]}], **patch}
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(document)
+    assert excinfo.value.path == path
+
+
 def test_validation_rejects_duplicate_attribute_claims():
     document = {
         "schema": SCHEMA,

@@ -1,8 +1,10 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridseal.lsss import (
     Gate,
@@ -18,6 +20,7 @@ from gridseal.lsss import (
     tree_attributes,
     verify_reconstruction,
 )
+from dense_solver import dense_solve_for_rows
 from treegen import policy_trees, random_tree
 
 Q = 2**61 - 1
@@ -193,6 +196,20 @@ def test_solve_for_rows_subset():
     assert solve_for_rows(program, [0, 3], Q) == {0: 1, 3: 1}
 
 
+@given(tree=policy_trees(), layout=st.sampled_from(("fresh", "shared")), data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_sparse_solver_matches_the_dense_oracle(tree, layout, data):
+    # shuffled row subsets, with and without repeated indices: the same
+    # coefficient dict as dense elimination, or None from both
+    program = compile_lsss(tree, columns=layout)
+    rows = data.draw(st.permutations(range(program.n)))
+    rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
+    rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1), max_size=3))
+    rows = data.draw(st.permutations(rows))
+    for q in (Q, 3):
+        assert solve_for_rows(program, rows, q) == dense_solve_for_rows(program, rows, q)
+
+
 def test_span_satisfaction_equivalence_sampled():
     rng = random.Random(31337)
     attributes = [f"a{i}" for i in range(8)]
@@ -226,6 +243,24 @@ def test_program_serialization_round_trip():
     restored, consumed = LsssProgram.from_bytes(blob)
     assert restored == program
     assert consumed == len(blob)
+
+
+def test_wide_program_decodes_in_linear_memory():
+    # n = h = 2000, one entry per row, empty attribute names: 20,008 bytes
+    # that a dense decoder would expand to a 2000 x 2000 matrix (32.6 MB)
+    n = 2000
+    blob = struct.pack(f">II{n}I{n}i", n, n, *[1] * n, *range(1, n + 1)) + b"\x00\x00" * n
+    assert len(blob) == 20_008
+    tracemalloc.start()
+    try:
+        program, consumed = LsssProgram.from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consumed == len(blob) and (program.n, program.h) == (n, n)
+    assert peak < 4_000_000
+    assert solve_for_rows(program, [5], Q) is None
+    assert solve_for_rows(program, [4, 0], Q) == {0: 1}
 
 
 def test_program_shape_validation():

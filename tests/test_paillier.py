@@ -16,6 +16,7 @@ from gridseal.paillier import (
     paillier_encrypt,
     paillier_keygen,
 )
+from gridseal.wire import encode_uint
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,27 @@ def test_generator_order_is_multiple_of_modulus(desk_keys):
         x = x * pk.generator % n_sq
         order += 1
     assert order % pk.modulus == 0
+
+
+def test_mu_closed_form_matches_the_l_function():
+    # mu is L(g^lambda mod N^2)^-1 mod N with L(u) = (u - 1) / N; for g = N + 1
+    # keygen computes it as lambda^-1 mod N
+    for q1, q2 in [(5, 7), (11, 13), (17, 23), (101, 103), (1009, 2003), (65521, 65537)]:
+        pk, sk = paillier_keygen(q1=q1, q2=q2)
+        n, n_sq = pk.modulus, pk.modulus_squared
+        assert sk.mu == pow((pow(pk.generator, sk.lam, n_sq) - 1) // n, -1, n)
+
+
+def test_public_key_rejects_other_generators(desk_keys):
+    # decryption's mu is computed for g = N + 1; with g = 1 + 2N it would
+    # silently decrypt m as 2m
+    pk, _ = desk_keys
+    n = pk.modulus
+    for generator in (1 + 2 * n, 2, n * n - 1):
+        with pytest.raises(ValueError, match="N \\+ 1"):
+            PaillierPublicKey(n, generator)
+        with pytest.raises(ValueError, match="N \\+ 1"):
+            PaillierPublicKey.from_bytes(encode_uint(n) + encode_uint(generator))
 
 
 def test_keygen_size_and_primality():
