@@ -258,6 +258,14 @@ class EncryptionState:
     payload: bytes | None        # kem mode: the plaintext payload
     message: GroupElementGT | None = None  # direct mode
 
+    def __post_init__(self):
+        h, n = self.program.h, self.program.n
+        if len(self.v) != h or len(self.w) != h or len(self.rho) != n:
+            raise ValueError("sharing vectors and randomizers must match the matrix")
+        held = {MODE_KEM: (self.seed, self.payload), MODE_DIRECT: (self.message,)}.get(self.mode)
+        if held is None or any(x is None for x in held):
+            raise ValueError(f"state in mode {self.mode!r} lacks its seed, payload or message")
+
 
 def _kem_key(ctx: PairingContext, seed: GroupElementGT) -> bytes:
     return hashlib.sha256(ctx.element_to_bytes(seed)).digest()
@@ -404,11 +412,16 @@ def revoke(
     same secret) and no row updates are emitted.
 
     Returns (stored record, out-of-band row updates, new sealed state).
+    Raises ValueError when `state` was sealed for another record.
     """
     revoked = list(revoked)
     if not revoked:
         raise ValueError("revoked set must not be empty")
     program = ciphertext.program
+    # row 0 carries C2 = g^rho_0, so a state sealed for another record fails here (unmetered)
+    g_rho_0 = ctx.backend.g_exp(ctx.g, state.rho[0] % ctx.q)
+    if state.program != program or ciphertext.rows[0].c2 != g_rho_0:
+        raise ValueError("the sealed state belongs to another record")
     revoked_attrs: set[str] = set()
     for keyring in revoked:
         revoked_attrs |= keyring.attributes

@@ -1,6 +1,6 @@
 """Scenario orchestration: repository, cost model, scenario plans and runner, CLI."""
 
-from .cost import CostModel, counters_cost, estimate_comm_overhead, measure_counters, predict_cost
+from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .registry import Repository
 from .scenario import (
     SCHEMA_ID,
@@ -22,7 +22,6 @@ __all__ = [
     "counters_cost",
     "estimate_comm_overhead",
     "load_scenario",
-    "measure_counters",
     "predict_cost",
     "render_report",
     "report_has_denial",

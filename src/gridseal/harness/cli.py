@@ -15,12 +15,12 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .. import abe
-from ..lsss import compile_lsss, parse_policy
+from ..lsss import LsssProgram, compile_lsss, parse_policy
 from ..paillier import paillier_keygen
-from ..pairing import PairingContext, ctx_new
+from ..pairing import GroupElementG, GroupElementGT, PairingContext, ctx_new
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
     Scenario,
@@ -33,10 +33,15 @@ from .scenario import (
 )
 
 
-# Kinds of the files that embed policy-program bytes; the suffix names the
-# program layout, so a file in an older layout is refused by kind.
+# Every CLI file carries its kind and, but for the Paillier keys, the group header
+# (backend, q, hash). The version suffixes name the program layout and the full
+# header; a file of an older kind is refused by kind.
 CIPHERTEXT_KIND = "gridseal-ciphertext-v2"
-RTU_STATE_KIND = "gridseal-rtu-state-v2"
+RTU_STATE_KIND = "gridseal-rtu-state-v3"
+_UPDATES_KIND = "gridseal-updates-v2"
+_GROUP_FIELDS = ("backend", "q", "hash")
+# Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
+_SECRET_KINDS = {"gridseal-kdc", "gridseal-keyring", RTU_STATE_KIND, "gridseal-paillier-secret"}
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -58,26 +63,66 @@ def _ctx_from_args(args, rng: random.Random) -> PairingContext:
                    rng=rng, hash_name=args.hash)
 
 
-def _ctx_header(args_backend: str, ctx: PairingContext) -> dict[str, str]:
-    return {"backend": args_backend, "q": str(ctx.q), "hash": ctx.hash_name}
+def _save(path: str, kind: str, header: dict[str, str] | None, body: dict[str, Any]) -> None:
+    """Write one CLI file: its kind, the group header (None for Paillier keys), the body."""
+    target = Path(path)
+    if kind in _SECRET_KINDS:
+        # created owner-only, or narrowed when rewritten, before the secret lands
+        target.touch(mode=0o600)
+        target.chmod(0o600)
+    document = {"kind": kind, **(header or {}), **body}
+    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _ctx_from_header(header: dict[str, Any]) -> PairingContext:
-    return ctx_new(backend=header["backend"], q=int(header["q"]),
-                   hash_name=header["hash"], self_test=False)
+def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]], Any],
+          expect: dict[str, str] | None = None) -> tuple[PairingContext, dict[str, str], Any]:
+    """Read a CLI file of `kind`: (its group's context, its group header, its decoded body).
 
-
-def _write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def _read_json(path: str | Path, kind: str) -> dict[str, Any]:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    With `expect`, the header of a command's first file, the file must name the
+    same group. Anything malformed raises ValueError naming the file.
+    """
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: expected a {kind} file, found a JSON {type(document).__name__}")
     if document.get("kind") != kind:
-        raise ValueError(f"{path}: expected a {kind} file, found kind "
-                         f"{document.get('kind')!r}")
-    return document
+        raise ValueError(f"{path}: expected a {kind} file, found kind {document.get('kind')!r}")
+    header = {field: document.get(field) for field in _GROUP_FIELDS}
+    if expect is not None and header != expect:
+        raise ValueError(f"{path}: the command's files use different groups")
+    try:
+        ctx = ctx_new(backend=header["backend"], q=_int(header["q"]),
+                      hash_name=header["hash"], self_test=False)
+        return ctx, header, decode(ctx, document)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from None
+
+
+def _int(text: str) -> int:
+    if not isinstance(text, str):  # a JSON number or boolean would pass int() silently
+        raise ValueError(f"expected a decimal integer string, found {text!r}")
+    return int(text)
+
+
+def _ints(texts: list[str]) -> tuple[int, ...]:
+    if not isinstance(texts, list):
+        raise ValueError("expected a list of decimal integer strings")
+    return tuple(_int(text) for text in texts)
+
+
+def _hex(ctx: PairingContext, element: GroupElementG | GroupElementGT) -> str:
+    return ctx.element_to_bytes(element).hex()
+
+
+def _element(ctx: PairingContext, text: str, group_t: bool = False):
+    """Inverse of _hex: exactly one element of G (of G_T with group_t), no trailing bytes."""
+    data = bytes.fromhex(text)
+    element, end = (ctx.element_gt_from_bytes if group_t else ctx.element_g_from_bytes)(data)
+    if end != len(data):
+        raise ValueError("trailing bytes after an element")
+    return element
 
 
 def _emit(document: dict[str, Any]) -> None:
@@ -130,10 +175,8 @@ def _cmd_keygen_paillier(args) -> int:
     public_hex = pk.to_bytes().hex()
     secret_hex = sk.to_bytes().hex()
     if args.out:
-        _write_json(f"{args.out}.pub.json",
-                    {"kind": "gridseal-paillier-public", "data": public_hex})
-        _write_json(f"{args.out}.sec.json",
-                    {"kind": "gridseal-paillier-secret", "data": secret_hex})
+        _save(f"{args.out}.pub.json", "gridseal-paillier-public", None, {"data": public_hex})
+        _save(f"{args.out}.sec.json", "gridseal-paillier-secret", None, {"data": secret_hex})
         _emit({"modulus_bits": pk.bit_length, "public": f"{args.out}.pub.json",
                "secret": f"{args.out}.sec.json"})
     else:
@@ -146,143 +189,106 @@ def _cmd_kdc_setup(args) -> int:
     ctx = _ctx_from_args(args, rng)
     attributes = [a.strip() for a in args.attrs.split(",") if a.strip()]
     keyring = abe.kdc_setup(ctx, args.kdc_id, attributes, rng)
-    document = {
-        "kind": "gridseal-kdc",
-        **_ctx_header(args.backend, ctx),
+    header = {"backend": args.backend, "q": str(ctx.q), "hash": ctx.hash_name}
+    _save(args.out, "gridseal-kdc", header, {
         "kdc_id": args.kdc_id,
         "attributes": attributes,
         "secrets": {a: {"alpha": str(s.alpha), "y": str(s.y)}
                     for a, s in keyring.secrets.items()},
-        "shares": {a: {"e_alpha": ctx.element_to_bytes(p.e_alpha).hex(),
-                       "g_y": ctx.element_to_bytes(p.g_y).hex()}
+        "shares": {a: {"e_alpha": _hex(ctx, p.e_alpha), "g_y": _hex(ctx, p.g_y)}
                    for a, p in keyring.shares.items()},
-    }
-    _write_json(args.out, document)
+    })
     _emit({"kdc": args.kdc_id, "attributes": attributes, "out": args.out})
     return 0
 
 
-def _load_kdc(path: str) -> tuple[PairingContext, dict[str, str], abe.KdcKeyring]:
-    """The authority's context, its group header (backend, q, hash) and keyring."""
-    document = _read_json(path, "gridseal-kdc")
-    ctx = _ctx_from_header(document)
-    header = {k: document[k] for k in ("backend", "q", "hash")}
-    secrets = {a: abe.AttributeSecret(int(s["alpha"]), int(s["y"]))
-               for a, s in document["secrets"].items()}
-    shares = {}
-    for a, p in document["shares"].items():
-        e_alpha, _ = ctx.element_gt_from_bytes(bytes.fromhex(p["e_alpha"]))
-        g_y, _ = ctx.element_g_from_bytes(bytes.fromhex(p["g_y"]))
-        shares[a] = abe.PublicShare(e_alpha, g_y)
-    return ctx, header, abe.KdcKeyring(document["kdc_id"], secrets, shares)
+def _kdc(ctx: PairingContext, fields: dict[str, Any]) -> abe.KdcKeyring:
+    secrets = {a: abe.AttributeSecret(_int(s["alpha"]), _int(s["y"]))
+               for a, s in fields["secrets"].items()}
+    shares = {a: abe.PublicShare(_element(ctx, p["e_alpha"], True), _element(ctx, p["g_y"]))
+              for a, p in fields["shares"].items()}
+    return abe.KdcKeyring(fields["kdc_id"], secrets, shares)
+
+
+def _keyring(ctx: PairingContext, fields: dict[str, Any]) -> abe.UserKeyring:
+    if not isinstance(fields["user"], str):
+        raise ValueError("the user must be a string")
+    return abe.UserKeyring(fields["user"],
+                           {a: _element(ctx, e) for a, e in fields["keys"].items()})
 
 
 def _cmd_issue_key(args) -> int:
-    ctx, header, kdc = _load_kdc(args.kdc)
-    keyring_path = Path(args.keyring)
-    if keyring_path.exists():
-        document = _read_json(keyring_path, "gridseal-keyring")
-        if document["user"] != args.user:
-            raise ValueError(f"{args.keyring} belongs to {document['user']!r}")
-        if {k: document[k] for k in header} != header:
-            raise ValueError(f"{args.keyring} and {args.kdc} use different groups")
-    else:
-        document = {"kind": "gridseal-keyring", **header, "user": args.user, "keys": {}}
+    ctx, header, kdc = _load(args.kdc, "gridseal-kdc", _kdc)
+    try:
+        _, _, keyring = _load(args.keyring, "gridseal-keyring", _keyring, header)
+    except FileNotFoundError:
+        keyring = abe.UserKeyring(args.user)
+    if keyring.user_id != args.user:
+        raise ValueError(f"{args.keyring} belongs to {keyring.user_id!r}")
     issued = []
     for attribute in [a.strip() for a in args.attrs.split(",") if a.strip()]:
-        element = abe.issue_key(kdc, ctx, args.user, attribute)
-        document["keys"][attribute] = ctx.element_to_bytes(element).hex()
+        keyring.add(attribute, abe.issue_key(kdc, ctx, args.user, attribute))
         issued.append(attribute)
-    _write_json(keyring_path, document)
-    _emit({"user": args.user, "issued": issued, "keyring": str(keyring_path)})
+    _save(args.keyring, "gridseal-keyring", header,
+          {"user": args.user, "keys": {a: _hex(ctx, e) for a, e in keyring.keys.items()}})
+    _emit({"user": args.user, "issued": issued, "keyring": str(Path(args.keyring))})
     return 0
 
 
-def _load_keyring(path: str) -> tuple[PairingContext, abe.UserKeyring]:
-    document = _read_json(path, "gridseal-keyring")
-    ctx = _ctx_from_header(document)
-    keyring = abe.UserKeyring(document["user"])
-    for attribute, blob in document["keys"].items():
-        element, _ = ctx.element_g_from_bytes(bytes.fromhex(blob))
-        keyring.add(attribute, element)
-    return ctx, keyring
-
-
-def _state_to_json(ctx: PairingContext, state: abe.EncryptionState) -> dict[str, Any]:
-    return {
-        "kind": RTU_STATE_KIND,
-        **{"q": str(ctx.q), "hash": ctx.hash_name},
+def _save_record(path: str, state_path: str, ctx: PairingContext, header: dict[str, str],
+                 ciphertext: abe.AbeCiphertext, state: abe.EncryptionState) -> None:
+    """Write a stored record and the RTU's sealed state for it (encrypt and revoke)."""
+    _save(path, CIPHERTEXT_KIND, header, {"data": ciphertext.to_bytes(ctx).hex()})
+    _save(state_path, RTU_STATE_KIND, header, {
         "program": state.program.to_bytes().hex(),
         "v": [str(x) for x in state.v],
         "w": [str(x) for x in state.w],
         "rho": [str(x) for x in state.rho],
         "mode": state.mode,
-        "seed": ctx.element_to_bytes(state.seed).hex() if state.seed else None,
-        "payload": state.payload.hex() if state.payload is not None else None,
-        "message": ctx.element_to_bytes(state.message).hex() if state.message else None,
-    }
+        "seed": None if state.seed is None else _hex(ctx, state.seed),
+        "payload": None if state.payload is None else state.payload.hex(),
+        "message": None if state.message is None else _hex(ctx, state.message),
+    })
 
 
-def _state_from_json(ctx: PairingContext, document: dict[str, Any]) -> abe.EncryptionState:
-    from ..lsss import LsssProgram
-    program, _ = LsssProgram.from_bytes(bytes.fromhex(document["program"]))
-    seed = message = None
-    if document["seed"]:
-        seed, _ = ctx.element_gt_from_bytes(bytes.fromhex(document["seed"]))
-    if document["message"]:
-        message, _ = ctx.element_gt_from_bytes(bytes.fromhex(document["message"]))
+def _ciphertext(ctx: PairingContext, fields: dict[str, Any]) -> abe.AbeCiphertext:
+    return abe.AbeCiphertext.from_bytes(bytes.fromhex(fields["data"]), ctx)
+
+
+def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
+    data = bytes.fromhex(fields["program"])
+    program, end = LsssProgram.from_bytes(data)
+    if end != len(data):
+        raise ValueError("trailing bytes after the program")
+    optional = lambda name, decode: None if fields[name] is None else decode(fields[name])
+    gt = lambda text: _element(ctx, text, group_t=True)
     return abe.EncryptionState(
-        program,
-        tuple(int(x) for x in document["v"]),
-        tuple(int(x) for x in document["w"]),
-        tuple(int(x) for x in document["rho"]),
-        document["mode"],
-        seed,
-        bytes.fromhex(document["payload"]) if document["payload"] is not None else None,
-        message,
-    )
+        program, _ints(fields["v"]), _ints(fields["w"]), _ints(fields["rho"]), fields["mode"],
+        optional("seed", gt), optional("payload", bytes.fromhex), optional("message", gt))
 
 
 def _cmd_encrypt(args) -> int:
     rng = _make_rng(args.seed)
-    shares: dict[str, abe.PublicShare] = {}
-    ctx = None
-    header = None
-    for kdc_path in args.kdc:
-        kdc_ctx, kdc_header, kdc = _load_kdc(kdc_path)
-        if ctx is None:
-            ctx, header = kdc_ctx, kdc_header
-        elif kdc_header["q"] != header["q"]:
-            raise ValueError("authority files disagree on the group order")
-        shares.update(kdc.shares)
-    if ctx is None:
-        raise ValueError("need at least one authority file")
+    ctx, header, kdc = _load(args.kdc[0], "gridseal-kdc", _kdc)
+    shares = dict(kdc.shares)
+    for kdc_path in args.kdc[1:]:
+        shares.update(_load(kdc_path, "gridseal-kdc", _kdc, header)[2].shares)
     program = compile_lsss(parse_policy(args.policy), columns=args.columns)
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
-    _write_json(args.out, {"kind": CIPHERTEXT_KIND, **header,
-                           "data": ciphertext.to_bytes(ctx).hex()})
-    _write_json(args.state, _state_to_json(ctx, state))
+    _save_record(args.out, args.state, ctx, header, ciphertext, state)
     _emit({"rows": program.n, "columns": program.h, "out": args.out,
            "state": args.state})
     return 0
 
 
-def _load_ciphertext(path: str) -> tuple[PairingContext, dict[str, Any], abe.AbeCiphertext]:
-    document = _read_json(path, CIPHERTEXT_KIND)
-    ctx = _ctx_from_header(document)
-    return ctx, document, abe.AbeCiphertext.from_bytes(bytes.fromhex(document["data"]), ctx)
-
-
 def _cmd_decrypt(args) -> int:
-    ctx, _, ciphertext = _load_ciphertext(args.ciphertext)
-    _, keyring = _load_keyring(args.keyring)
+    ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
+    _, _, keyring = _load(args.keyring, "gridseal-keyring", _keyring, header)
     updates = {}
     if args.updates:
-        document = _read_json(args.updates, "gridseal-updates")
-        for index, blob in document["rows"].items():
-            element, _ = ctx.element_gt_from_bytes(bytes.fromhex(blob))
-            updates[int(index)] = element
+        _, _, updates = _load(args.updates, _UPDATES_KIND, lambda ctx, fields: {
+            _int(i): _element(ctx, e, group_t=True) for i, e in fields["rows"].items()}, header)
     try:
         payload = abe.abe_decrypt(ctx, keyring, ciphertext, updates)
     except abe.AccessDenied as exc:
@@ -294,25 +300,16 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_revoke(args) -> int:
     rng = _make_rng(args.seed)
-    ctx, header, ciphertext = _load_ciphertext(args.ciphertext)
-    state = _state_from_json(ctx, _read_json(args.state, RTU_STATE_KIND))
-    revoked = []
+    ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
+    _, _, state = _load(args.state, RTU_STATE_KIND, _state, header)
     shares: dict[str, abe.PublicShare] = {}
     for kdc_path in args.kdc:
-        _, _, kdc = _load_kdc(kdc_path)
-        shares.update(kdc.shares)
-    for keyring_path in args.revoked:
-        _, keyring = _load_keyring(keyring_path)
-        revoked.append(keyring)
+        shares.update(_load(kdc_path, "gridseal-kdc", _kdc, header)[2].shares)
+    revoked = [_load(path, "gridseal-keyring", _keyring, header)[2] for path in args.revoked]
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
-    _write_json(args.ciphertext, {"kind": CIPHERTEXT_KIND,
-                                  **{k: header[k] for k in ("backend", "q", "hash")},
-                                  "data": new_ct.to_bytes(ctx).hex()})
-    _write_json(args.state, _state_to_json(ctx, new_state))
-    _write_json(args.out_updates, {
-        "kind": "gridseal-updates", "q": str(ctx.q),
-        "rows": {str(i): ctx.element_to_bytes(e).hex() for i, e in sorted(updates.items())},
-    })
+    _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
+    _save(args.out_updates, _UPDATES_KIND, header,
+          {"rows": {str(i): _hex(ctx, e) for i, e in sorted(updates.items())}})
     _emit({"updated_rows": sorted(updates), "updates": args.out_updates})
     return 0
 
@@ -448,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
-from ..pairing import CounterSnapshot, PairingContext
-
-T = TypeVar("T")
+from ..pairing import CounterSnapshot
 
 
 @dataclass(frozen=True)
@@ -55,9 +52,3 @@ def estimate_comm_overhead(
     log_w = math.ceil(math.log2(universe_size)) if universe_size > 1 else 0
     return rows * rows + rows * (gt_bits + 2 * g_bits) + gt_bits + log_w + data_bits
 
-
-def measure_counters(ctx: PairingContext, thunk: Callable[[], T]) -> tuple[CounterSnapshot, T]:
-    """Run a callable and return (meter deltas, result)."""
-    with ctx.measure() as window:
-        result = thunk()
-    return CounterSnapshot(window.pairings, window.scalar_muls), result

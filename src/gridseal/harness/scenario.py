@@ -115,6 +115,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         else:
             _require("q1" in paillier and "q2" in paillier,
                      "paillier", "need bits or both q1 and q2")
+            for key in ("q1", "q2"):
+                value = paillier[key]
+                _require(isinstance(value, int) and not isinstance(value, bool) and value >= 2,
+                         f"paillier.{key}", "need an integer of at least 2")
         paillier = dict(paillier)
 
     topology = document.get("topology")

@@ -109,12 +109,6 @@ class PairingBackend(ABC):
             acc = self.g_mul(acc, self.g_exp(base, k))
         return acc
 
-    def gt_mulexp(self, pairs: Iterable[tuple[GroupElementGT, int]]) -> GroupElementGT:
-        acc = self.identity_gt()
-        for base, k in pairs:
-            acc = self.gt_mul(acc, self.gt_exp(base, k))
-        return acc
-
 
 class ReferenceBackend(PairingBackend):
     """Exponent-tracked discrete-log group; algebraically exact, cryptographically void."""
@@ -283,10 +277,6 @@ class PairingContext:
     def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int]]) -> GroupElementG:
         self._count_mul()
         return self.backend.g_mulexp([(b, k % self.q) for b, k in pairs])
-
-    def gt_mulexp(self, pairs: Iterable[tuple[GroupElementGT, int]]) -> GroupElementGT:
-        self._count_mul()
-        return self.backend.gt_mulexp([(b, k % self.q) for b, k in pairs])
 
     def pair(self, p: GroupElementG, q: GroupElementG) -> GroupElementGT:
         self._count_pairing()

@@ -77,11 +77,11 @@ def is_probable_prime(n: int) -> bool:
     return all(_miller_rabin_round(n, d, r, b) for b in bases)
 
 
-def generate_prime(bits: int, rng: random.Random, max_attempts: int | None = None) -> int:
+def generate_prime(bits: int, rng: random.Random) -> int:
     """Draw a random prime with exactly `bits` bits (top bit forced)."""
     if bits < 2:
         raise ValueError("prime size must be at least 2 bits")
-    attempts = max_attempts if max_attempts is not None else 200 * bits
+    attempts = 200 * bits
     for _ in range(attempts):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if candidate.bit_length() != bits:

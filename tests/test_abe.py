@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -439,6 +440,34 @@ def test_revoke_requires_nonempty_set(ctx):
     with pytest.raises(ValueError):
         revoke(ctx, authority.shares, ciphertext, state, [], rng)
 
+
+def test_revoke_refuses_the_state_of_another_record(ctx):
+    rng = random.Random(31)
+    authority = kdc_setup(ctx, "A", ["a", "b"], rng)
+    program = compile_lsss(parse_policy("a | b"))
+    record, state = abe_encrypt(ctx, authority.shares, program, b"A", rng)
+    _, same_policy = abe_encrypt(ctx, authority.shares, program, b"B", rng)
+    _, fewer_rows = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a")), b"C", rng)
+    gone = build_user(ctx, (authority,), "gone", ["a"])
+    for foreign in (same_policy, fewer_rows):
+        with ctx.measure() as window:
+            with pytest.raises(ValueError, match="another record"):
+                revoke(ctx, authority.shares, record, foreign, [gone], rng)
+        assert (window.pairings, window.scalar_muls) == (0, 0)
+    with ctx.measure() as window:
+        revoke(ctx, authority.shares, record, state, [gone], rng)
+    # the binding check is unmetered: one multiplication for C0, two per refreshed row
+    assert (window.pairings, window.scalar_muls) == (0, 1 + 2 * 2)
+
+
+def test_encryption_state_must_fit_its_program(ctx):
+    rng = random.Random(32)
+    authority = kdc_setup(ctx, "A", ["a", "b"], rng)
+    _, state = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a & b")), b"x", rng)
+    for changes in ({"rho": state.rho[:-1]}, {"v": state.v + (1,)}, {"w": ()},
+                    {"payload": None}, {"seed": None}, {"mode": "direct"}, {"mode": "other"}):
+        with pytest.raises(ValueError):
+            replace(state, **changes)
 
 def test_revoked_rows_are_stripped_from_storage(ctx):
     rng = random.Random(28)

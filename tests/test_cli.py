@@ -232,9 +232,10 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
     assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x",
                  "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
                  "--seed", "3"]) == 0
-    for path, old_kind in ((ct, "gridseal-ciphertext"), (state, "gridseal-rtu-state")):
+    for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v2"),
+                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v3")):
         document = json.loads(path.read_text())
-        assert document["kind"] == old_kind + "-v2"
+        assert document["kind"] == kind
         document["kind"] = old_kind
         path.write_text(json.dumps(document))
     capsys.readouterr()
@@ -247,4 +248,179 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
                            "--kdc", str(kdc_a), "--revoked", str(user_full),
                            "--out-updates", str(tmp_path / "updates.json"))
     assert code == 2
-    assert "expected a gridseal-rtu-state-v2 file" in err
+    assert "expected a gridseal-rtu-state-v3 file" in err
+
+
+@pytest.fixture()
+def record(keyfiles, tmp_path, capsys):
+    """A record under "alpha | beta" after one revocation, with every file kind beside it."""
+    kdc_a, _, user_full, user_partial = keyfiles
+    files = {"kdc": kdc_a, "keyring": user_full, "survivor": tmp_path / "survivor.json",
+             "ciphertext": tmp_path / "record.json", "state": tmp_path / "state.json",
+             "updates": tmp_path / "updates.json"}
+    assert main(["issue-key", "--kdc", str(kdc_a), "--user", "survivor", "--attrs", "beta",
+                 "--keyring", str(files["survivor"])]) == 0
+    assert main(["encrypt", "--policy", "alpha | beta", "--payload", "meter digest",
+                 "--kdc", str(kdc_a), "--out", str(files["ciphertext"]),
+                 "--state", str(files["state"]), "--seed", "3"]) == 0
+    assert main(revoke_argv(files, tmp_path)) == 0
+    assert main(decrypt_argv(files, tmp_path)) == 0
+    capsys.readouterr()
+    return files
+
+
+def revoke_argv(files, tmp_path):
+    return ["revoke", "--ciphertext", str(files["ciphertext"]), "--state", str(files["state"]),
+            "--kdc", str(files["kdc"]), "--revoked", str(files["keyring"]),
+            "--out-updates", str(files["updates"]), "--seed", "5"]
+
+
+def decrypt_argv(files, tmp_path):
+    return ["decrypt", "--ciphertext", str(files["ciphertext"]),
+            "--keyring", str(files["survivor"]), "--updates", str(files["updates"])]
+
+
+def encrypt_argv(files, tmp_path):
+    return ["encrypt", "--policy", "alpha", "--payload", "x", "--kdc", str(files["kdc"]),
+            "--out", str(tmp_path / "fresh.json"), "--state", str(tmp_path / "fresh_state.json")]
+
+
+def issue_argv(files, tmp_path):
+    return ["issue-key", "--kdc", str(files["kdc"]), "--user", "full", "--attrs", "alpha",
+            "--keyring", str(files["keyring"])]
+
+
+def test_every_file_carries_its_group_header(record):
+    authority = json.loads(record["kdc"].read_text())
+    header = {field: authority[field] for field in ("backend", "q", "hash")}
+    assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160), "hash": "sha256"}
+    for name, kind in (("keyring", "gridseal-keyring"), ("ciphertext", "gridseal-ciphertext-v2"),
+                       ("state", "gridseal-rtu-state-v3"), ("updates", "gridseal-updates-v2")):
+        document = json.loads(record[name].read_text())
+        assert document["kind"] == kind
+        assert {field: document[field] for field in header} == header
+
+
+def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, capsys):
+    for name, old_kind in (("state", "gridseal-rtu-state-v2"), ("updates", "gridseal-updates")):
+        document = json.loads(record[name].read_text())
+        document["kind"] = old_kind
+        record[name].write_text(json.dumps(document))
+    code, _, err = run_cli(capsys, *revoke_argv(record, tmp_path))
+    assert code == 2
+    assert "expected a gridseal-rtu-state-v3 file" in err
+    code, _, err = run_cli(capsys, *decrypt_argv(record, tmp_path))
+    assert code == 2
+    assert "expected a gridseal-updates-v2 file" in err
+
+
+@pytest.fixture()
+def other_group(tmp_path, capsys):
+    """The same file kinds in a 64-bit group."""
+    files = {"kdc": tmp_path / "o_kdc.json", "keyring": tmp_path / "o_full.json",
+             "survivor": tmp_path / "o_survivor.json", "ciphertext": tmp_path / "o_record.json",
+             "state": tmp_path / "o_state.json", "updates": tmp_path / "o_updates.json"}
+    assert main(["kdc-setup", "--kdc-id", "O", "--attrs", "alpha,beta", "--q-bits", "64",
+                 "--out", str(files["kdc"]), "--seed", "9"]) == 0
+    for user, attrs in (("keyring", "alpha,beta"), ("survivor", "beta")):
+        assert main(["issue-key", "--kdc", str(files["kdc"]), "--user", user, "--attrs", attrs,
+                     "--keyring", str(files[user])]) == 0
+    assert main(["encrypt", "--policy", "alpha | beta", "--payload", "other",
+                 "--kdc", str(files["kdc"]), "--out", str(files["ciphertext"]),
+                 "--state", str(files["state"]), "--seed", "3"]) == 0
+    assert main(revoke_argv(files, tmp_path)) == 0
+    capsys.readouterr()
+    return files
+
+
+@pytest.mark.parametrize("argv, swapped", [
+    pytest.param(lambda f, t: encrypt_argv(f, t) + ["--kdc", str(f["other_kdc"])], None,
+                 id="encrypt-kdc"),
+    pytest.param(decrypt_argv, "survivor", id="decrypt-keyring"),
+    pytest.param(decrypt_argv, "updates", id="decrypt-updates"),
+    pytest.param(revoke_argv, "state", id="revoke-state"),
+    pytest.param(revoke_argv, "kdc", id="revoke-kdc"),
+    pytest.param(revoke_argv, "keyring", id="revoke-revoked-keyring"),
+])
+def test_files_from_different_groups_exit_2(record, other_group, tmp_path, capsys,
+                                            argv, swapped):
+    files = {**record, "other_kdc": other_group["kdc"]}
+    if swapped:
+        files[swapped] = other_group[swapped]
+    before = {name: path.read_bytes() for name, path in record.items()}
+    code, _, err = run_cli(capsys, *argv(files, tmp_path))
+    assert code == 2
+    assert "different groups" in err
+    assert {name: path.read_bytes() for name, path in record.items()} == before
+
+
+def test_revoke_refuses_the_state_of_another_record(record, keyfiles, tmp_path, capsys):
+    kdc_a = keyfiles[0]
+    for policy, name in (("alpha | beta", "same_policy"), ("alpha", "fewer_rows")):
+        assert main(["encrypt", "--policy", policy, "--payload", "B", "--kdc", str(kdc_a),
+                     "--out", str(tmp_path / f"{name}.json"),
+                     "--state", str(tmp_path / f"{name}_state.json"), "--seed", "8"]) == 0
+    capsys.readouterr()
+    before = record["ciphertext"].read_bytes()
+    for name in ("same_policy", "fewer_rows"):
+        files = {**record, "state": tmp_path / f"{name}_state.json"}
+        code, _, err = run_cli(capsys, *revoke_argv(files, tmp_path))
+        assert code == 2
+        assert "another record" in err
+    assert record["ciphertext"].read_bytes() == before
+
+
+def test_secret_files_are_owner_only(record, tmp_path, capsys):
+    assert main(["keygen-paillier", "--bits", "64", "--seed", "3",
+                 "--out", str(tmp_path / "paillier")]) == 0
+    secret = [record["kdc"], record["keyring"], record["survivor"], record["state"],
+              tmp_path / "paillier.sec.json"]
+    for path in secret:
+        assert path.stat().st_mode & 0o777 == 0o600, path
+    # a rewrite narrows a file that was readable by others
+    for path in (record["keyring"], record["state"]):
+        path.chmod(0o644)
+    assert main(issue_argv(record, tmp_path)) == 0
+    assert main(revoke_argv(record, tmp_path)) == 0
+    capsys.readouterr()
+    for path in (record["keyring"], record["state"]):
+        assert path.stat().st_mode & 0o777 == 0o600, path
+
+
+def _set(field, value):
+    return lambda document: {**document, field: value}
+
+
+def _drop(field):
+    return lambda document: {k: v for k, v in document.items() if k != field}
+
+
+@pytest.mark.parametrize("name, damage, argv", [
+    pytest.param("ciphertext", lambda d: [], decrypt_argv, id="ciphertext-list"),
+    pytest.param("ciphertext", lambda d: "{", decrypt_argv, id="ciphertext-not-json"),
+    pytest.param("ciphertext", _drop("data"), decrypt_argv, id="ciphertext-no-data"),
+    pytest.param("ciphertext", _set("q", 7), decrypt_argv, id="header-q-number"),
+    pytest.param("ciphertext", _set("backend", None), decrypt_argv, id="header-no-backend"),
+    pytest.param("kdc", _set("shares", None), issue_argv, id="kdc-shares-null"),
+    pytest.param("kdc", _drop("secrets"), issue_argv, id="kdc-no-secrets"),
+    pytest.param("kdc", lambda d: {**d, "secrets": {"alpha": {"alpha": 5, "y": "7"}}},
+                 issue_argv, id="kdc-secret-number"),
+    pytest.param("keyring", _set("user", 5), issue_argv, id="keyring-user-number"),
+    pytest.param("survivor", lambda d: {**d, "keys": {"beta": d["keys"]["beta"] + "00"}},
+                 decrypt_argv, id="keyring-trailing-bytes"),
+    pytest.param("survivor", _set("keys", ["beta"]), decrypt_argv, id="keyring-keys-list"),
+    pytest.param("state", lambda d: {**d, "v": "".join(d["v"])}, revoke_argv,
+                 id="state-v-string"),
+    pytest.param("state", _set("mode", "bogus"), revoke_argv, id="state-mode-unknown"),
+    pytest.param("state", _set("payload", None), revoke_argv, id="state-payload-null"),
+    pytest.param("state", lambda d: {**d, "rho": d["rho"][:1]}, revoke_argv,
+                 id="state-rho-short"),
+    pytest.param("updates", _set("rows", None), decrypt_argv, id="updates-rows-null"),
+    pytest.param("updates", _set("rows", {"x": "00"}), decrypt_argv, id="updates-bad-index"),
+])
+def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, damage, argv):
+    damaged = damage(json.loads(record[name].read_text()))
+    record[name].write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    code, _, err = run_cli(capsys, *argv(record, tmp_path))
+    assert code == 2
+    assert str(record[name]) in err

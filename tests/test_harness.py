@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gridseal.abe import abe_decrypt, abe_encrypt, kdc_setup, issue_key, UserKeyring
+from gridseal.abe import abe_encrypt, kdc_setup
 from gridseal.harness import (
     CostModel,
     Repository,
@@ -11,7 +11,6 @@ from gridseal.harness import (
     counters_cost,
     estimate_comm_overhead,
     load_scenario,
-    measure_counters,
     predict_cost,
     render_report,
     report_has_denial,
@@ -106,32 +105,6 @@ def test_comm_overhead_degenerate_and_shape():
         estimate_comm_overhead(-1, 160, 160, 8, 0)
 
 
-def test_measure_counters_roundtrip():
-    ctx = ctx_new(q=Q)
-    rng = random.Random(2)
-    attributes = [f"a{i}" for i in range(10)]
-    authority = kdc_setup(ctx, "A", attributes, rng)
-    program = compile_lsss(parse_policy(" & ".join(attributes)))
-    counters, (ciphertext, _) = measure_counters(
-        ctx, lambda: abe_encrypt(ctx, authority.shares, program, b"x", rng))
-    assert counters == (1, 40)
-
-    user = UserKeyring("u1")
-    for attribute in attributes:
-        user.add(attribute, issue_key(authority, ctx, "u1", attribute))
-    counters, _ = measure_counters(ctx, lambda: abe_decrypt(ctx, user, ciphertext))
-    assert counters.pairings == 20
-
-    denied = UserKeyring("nobody")
-    def attempt():
-        try:
-            abe_decrypt(ctx, denied, ciphertext)
-        except Exception:
-            return None
-    counters, _ = measure_counters(ctx, attempt)
-    assert counters.pairings == 0
-
-
 def test_counters_cost_prices_measurements():
     model = CostModel(4.5, 0.6)
     from gridseal.pairing import CounterSnapshot
@@ -174,6 +147,10 @@ def test_validation_paths_point_at_fields():
     pytest.param({"revocations": [{"revoke": [{}]}]}, "revocations[0].revoke[0]",
                  id="unhashable-revoked-user"),
     pytest.param({"paillier": 5}, "paillier", id="paillier-not-an-object"),
+    pytest.param({"paillier": {"q1": "x", "q2": 5}}, "paillier.q1", id="q1-a-string"),
+    pytest.param({"paillier": {"q1": 5.0, "q2": 7}}, "paillier.q1", id="q1-a-float"),
+    pytest.param({"paillier": {"q1": 5, "q2": True}}, "paillier.q2", id="q2-a-boolean"),
+    pytest.param({"paillier": {"q1": 5, "q2": 1}}, "paillier.q2", id="q2-below-2"),
 ])
 def test_validation_rejects_malformed_shapes_with_a_path(patch, path):
     document = {"schema": SCHEMA, "kdcs": [{"id": "A", "attributes": ["a"]}],
