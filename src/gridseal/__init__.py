@@ -40,13 +40,9 @@ from .lsss import (
     LsssProgram,
     PolicySyntaxError,
     compile_lsss,
-    evaluate_tree,
     parse_policy,
-    policy_text,
     solve_for_rows,
-    solve_reconstruction,
     tree_attributes,
-    verify_reconstruction,
 )
 from .paillier import (
     MalformedCiphertextError,

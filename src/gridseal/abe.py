@@ -8,10 +8,9 @@ matrix rows; decryption pairs per-row components back together and the H(u)
 terms cancel only within a single identity, which is what stops key pooling
 across users.
 
-Payloads travel in one of two modes: "direct" keeps the payload as a G_T
-element blinded by e(g,g)^s (handy for algebra tests); "kem" (default)
-blinds a random G_T seed instead, hashes the seed into an AES-GCM key and
-carries the real payload authenticated in the ciphertext body.
+The payload travels under a KEM: C0 = M * e(g,g)^s blinds a random G_T
+seed M, the hash of M keys AES-GCM, and the record carries the payload
+authenticated, so a wrong key is a denial, never garbage.
 
 Revocation rotates the shared secret: the encrypting terminal keeps its
 sharing vectors and per-row randomizers sealed, recomputes the affected
@@ -31,10 +30,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .lsss import LsssProgram, solve_for_rows
 from .pairing import GroupElementG, GroupElementGT, PairingContext
-from .wire import decode_blob, encode_blob
-
-MODE_DIRECT = "direct"
-MODE_KEM = "kem"
 
 _KEM_NONCE_BYTES = 12
 _KEM_TAG_BYTES = 16
@@ -165,45 +160,40 @@ class CiphertextRow:
 class AbeCiphertext:
     """A record under a compiled policy.
 
-    Wire layout (to_bytes), every integer big-endian:
+    Wire layout (to_bytes), every integer big-endian, with no length prefix
+    outside the program:
 
     * the policy program in LsssProgram's sparse layout;
-    * a mode byte: 0 direct, 1 kem;
-    * C0 as a framed G_T element (backend wire id, 4-byte length, body);
-    * per row: a flag byte (1 if C1 follows, 0 once revocation stripped it),
-      then C1 if present, C2 and C3 as framed elements;
-    * kem mode only: the nonce, the AES-GCM body and its 16-byte tag, each
-      with a 4-byte length prefix.
+    * the backend's wire id, one byte;
+    * C0, then per row a flag byte (1 if C1 follows, 0 once revocation
+      stripped it), C1 if present, C2 and C3; each element is its bare body,
+      `gt_bytes` long in G_T and `g_bytes` long in G;
+    * the 12-byte KEM nonce, then the AES-GCM output (body and 16-byte tag)
+      to the end of the record.
     """
 
     program: LsssProgram
     c0: GroupElementGT
     rows: tuple[CiphertextRow, ...]
-    mode: str
-    kem_nonce: bytes | None = None
-    kem_body: bytes | None = None
+    kem_nonce: bytes
+    kem_body: bytes
 
     def __post_init__(self):
         if len(self.rows) != self.program.n:
             raise ValueError("row triple count must match the matrix")
-        if self.mode not in (MODE_DIRECT, MODE_KEM):
-            raise ValueError(f"unknown payload mode {self.mode!r}")
-        if self.mode == MODE_KEM and (self.kem_nonce is None or self.kem_body is None):
-            raise ValueError("kem mode needs nonce and body")
+        if len(self.kem_nonce) != _KEM_NONCE_BYTES or len(self.kem_body) < _KEM_TAG_BYTES:
+            raise ValueError("the KEM part is shorter than its nonce and tag")
 
     def to_bytes(self, ctx: PairingContext) -> bytes:
-        parts = [self.program.to_bytes(), b"\x00" if self.mode == MODE_DIRECT else b"\x01",
-                 ctx.element_to_bytes(self.c0)]
+        encode = ctx.element_to_bytes
+        parts = [self.program.to_bytes(), bytes([ctx.backend.wire_id]), encode(self.c0)]
         for row in self.rows:
             if row.c1 is None:
                 parts.append(b"\x00")
             else:
-                parts += (b"\x01", ctx.element_to_bytes(row.c1))
-            parts += (ctx.element_to_bytes(row.c2), ctx.element_to_bytes(row.c3))
-        if self.mode == MODE_KEM:
-            # nonce, ciphertext body and authentication tag, each length-prefixed
-            body, tag = self.kem_body[:-_KEM_TAG_BYTES], self.kem_body[-_KEM_TAG_BYTES:]
-            parts += (encode_blob(self.kem_nonce), encode_blob(body), encode_blob(tag))
+                parts += (b"\x01", encode(row.c1))
+            parts += (encode(row.c2), encode(row.c3))
+        parts += (self.kem_nonce, self.kem_body)
         return b"".join(parts)
 
     @classmethod
@@ -212,83 +202,79 @@ class AbeCiphertext:
         program, offset = LsssProgram.from_bytes(data)
         if offset >= len(data):
             raise ValueError("truncated ciphertext")
-        if data[offset] > 1:
-            raise ValueError("unknown payload mode byte")
-        mode = MODE_KEM if data[offset] else MODE_DIRECT
-        offset += 1
-        c0, offset = ctx.element_gt_from_bytes(data, offset)
+        if data[offset] != ctx.backend.wire_id:
+            raise ValueError("record from another backend")
+        c0, offset = ctx.element_gt_from_bytes(data, offset + 1)
         rows = []
         for _ in range(program.n):
             if offset >= len(data):
                 raise ValueError("truncated ciphertext row")
-            if data[offset] > 1:
+            flag = data[offset]
+            if flag > 1:
                 raise ValueError("unknown row flag")
-            has_c1 = data[offset] == 1
-            offset += 1
             c1 = None
-            if has_c1:
+            offset += 1
+            if flag:
                 c1, offset = ctx.element_gt_from_bytes(data, offset)
             c2, offset = ctx.element_g_from_bytes(data, offset)
             c3, offset = ctx.element_g_from_bytes(data, offset)
             rows.append(CiphertextRow(c1, c2, c3))
-        nonce = body = None
-        if mode == MODE_KEM:
-            nonce, offset = decode_blob(data, offset)
-            body, offset = decode_blob(data, offset)
-            tag, offset = decode_blob(data, offset)
-            if len(tag) != _KEM_TAG_BYTES:
-                raise ValueError("authentication tag has the wrong size")
-            body += tag
-        if offset != len(data):
-            raise ValueError("trailing bytes after ciphertext")
-        return cls(program, c0, tuple(rows), mode, nonce, body)
+        nonce_end = offset + _KEM_NONCE_BYTES
+        return cls(program, c0, tuple(rows), data[offset:nonce_end], data[nonce_end:])
 
 
 @dataclass(frozen=True)
 class EncryptionState:
     """Sealed encrypting-terminal state that revocation needs: the sharing
-    vectors, per-row randomizers and the blinded seed or payload element."""
+    vectors, per-row randomizers, the KEM seed and the payload."""
 
     program: LsssProgram
     v: tuple[int, ...]
     w: tuple[int, ...]
     rho: tuple[int, ...]
-    mode: str
-    seed: GroupElementGT | None  # kem mode: the G_T element whose hash keys the body
-    payload: bytes | None        # kem mode: the plaintext payload
-    message: GroupElementGT | None = None  # direct mode
+    seed: GroupElementGT  # the G_T element whose hash keys the body
+    payload: bytes
 
     def __post_init__(self):
         h, n = self.program.h, self.program.n
         if len(self.v) != h or len(self.w) != h or len(self.rho) != n:
             raise ValueError("sharing vectors and randomizers must match the matrix")
-        held = {MODE_KEM: (self.seed, self.payload), MODE_DIRECT: (self.message,)}.get(self.mode)
-        if held is None or any(x is None for x in held):
-            raise ValueError(f"state in mode {self.mode!r} lacks its seed, payload or message")
+        if self.seed is None or self.payload is None:
+            raise ValueError("the state lacks its seed or payload")
 
 
 def _kem_key(ctx: PairingContext, seed: GroupElementGT) -> bytes:
     return hashlib.sha256(ctx.element_to_bytes(seed)).digest()
 
 
-def _rand_bytes(rng: random.Random, count: int) -> bytes:
-    return rng.getrandbits(count * 8).to_bytes(count, "big")
+def _seal(ctx: PairingContext, gt: GroupElementGT, blind: GroupElementGT, payload: bytes,
+          rng: random.Random) -> tuple[GroupElementGT, GroupElementGT, bytes, bytes]:
+    """The KEM: a fresh seed M, C0 = M * blind, a nonce and AES-GCM over the payload."""
+    seed = ctx.backend.gt_exp(gt, rng.randrange(1, ctx.q))
+    nonce = rng.getrandbits(_KEM_NONCE_BYTES * 8).to_bytes(_KEM_NONCE_BYTES, "big")
+    body = AESGCM(_kem_key(ctx, seed)).encrypt(nonce, payload, None)
+    return seed, ctx.backend.gt_mul(seed, blind), nonce, body
+
+
+def _require_shares(shares: Mapping[str, PublicShare], attributes: Iterable[str]) -> None:
+    for attribute in attributes:
+        if attribute not in shares:
+            raise ValueError(f"no published share for attribute {attribute!r}")
 
 
 def abe_encrypt(
     ctx: PairingContext,
     shares: Mapping[str, PublicShare],
     program: LsssProgram,
-    payload: bytes | GroupElementGT,
+    payload: bytes,
     rng: random.Random,
-    mode: str = MODE_KEM,
 ) -> tuple[AbeCiphertext, EncryptionState]:
     """Encrypt a payload under a compiled policy.
 
     Draws the sharing vector v (first entry s), the masking vector w (first
     entry 0) and one randomizer per row, then computes
 
-        C0    = seed * e(g,g)^s          (seed is the payload in direct mode)
+        C0    = M * e(g,g)^s             (M a random G_T seed, see _seal)
         C1,x  = e(g,g)^lambda_x * (e(g,g)^alpha)^rho_x
         C2,x  = g^rho_x
         C3,x  = (g^y)^rho_x * g^omega_x
@@ -301,35 +287,18 @@ def abe_encrypt(
 
     Returns the ciphertext together with the sealed state revocation needs.
     """
-    for attribute in program.attributes:
-        if attribute not in shares:
-            raise ValueError(f"no published share for attribute {attribute!r}")
+    if not isinstance(payload, (bytes, bytearray)):
+        raise ValueError("the payload must be bytes")
+    _require_shares(shares, program.attributes)
     h = program.h
     v = tuple(rng.randrange(ctx.q) for _ in range(h))
     w = (0,) + tuple(rng.randrange(ctx.q) for _ in range(h - 1))
     rho = tuple(rng.randrange(1, ctx.q) for _ in range(program.n))
-    s = v[0]
 
     gt = ctx.pair(ctx.g, ctx.g)
-    blind = ctx.backend.gt_exp(gt, s)  # unmetered: outside the 4m row budget
-
-    if mode == MODE_KEM:
-        if not isinstance(payload, (bytes, bytearray)):
-            raise ValueError("kem mode encrypts byte payloads")
-        seed = ctx.backend.gt_exp(gt, rng.randrange(1, ctx.q))  # random G_T seed
-        c0 = ctx.backend.gt_mul(seed, blind)
-        nonce = _rand_bytes(rng, _KEM_NONCE_BYTES)
-        body = AESGCM(_kem_key(ctx, seed)).encrypt(nonce, bytes(payload), None)
-        state = EncryptionState(program, v, w, rho, mode, seed, bytes(payload))
-    elif mode == MODE_DIRECT:
-        if not isinstance(payload, GroupElementGT):
-            raise ValueError("direct mode encrypts a G_T element")
-        seed = payload
-        c0 = ctx.backend.gt_mul(seed, blind)
-        nonce = body = None
-        state = EncryptionState(program, v, w, rho, mode, None, None, payload)
-    else:
-        raise ValueError(f"unknown payload mode {mode!r}")
+    blind = ctx.backend.gt_exp(gt, v[0])  # unmetered: outside the 4m row budget
+    payload = bytes(payload)
+    seed, c0, nonce, body = _seal(ctx, gt, blind, payload, rng)
 
     rows = []
     for x in range(program.n):
@@ -341,19 +310,8 @@ def abe_encrypt(
         c3 = ctx.g_mulexp([(share.g_y, rho[x]), (ctx.g, omega)])
         rows.append(CiphertextRow(c1, c2, c3))
 
-    return AbeCiphertext(program, c0, tuple(rows), mode, nonce, body), state
-
-
-def _open_with_blind(ctx: PairingContext, ciphertext: AbeCiphertext,
-                     blind: GroupElementGT) -> bytes | GroupElementGT:
-    seed = ctx.gt_mul(ciphertext.c0, ctx.gt_inv(blind))
-    if ciphertext.mode == MODE_DIRECT:
-        return seed
-    try:
-        return AESGCM(_kem_key(ctx, seed)).decrypt(
-            ciphertext.kem_nonce, ciphertext.kem_body, None)
-    except InvalidTag as exc:
-        raise AccessDenied("payload authentication failed") from exc
+    return (AbeCiphertext(program, c0, tuple(rows), nonce, body),
+            EncryptionState(program, v, w, rho, seed, payload))
 
 
 def abe_decrypt(
@@ -361,7 +319,7 @@ def abe_decrypt(
     keyring: UserKeyring,
     ciphertext: AbeCiphertext,
     row_updates: Mapping[int, GroupElementGT] | None = None,
-) -> bytes | GroupElementGT:
+) -> bytes:
     """Recover the payload, or raise AccessDenied.
 
     Usable rows are those whose attribute the keyring holds and whose C1 is
@@ -390,7 +348,12 @@ def abe_decrypt(
         if k != 1:
             dec = ctx.gt_exp(dec, k)
         blind = ctx.gt_mul(blind, dec)
-    return _open_with_blind(ctx, ciphertext, blind)
+    seed = ctx.gt_mul(ciphertext.c0, ctx.gt_inv(blind))
+    try:
+        return AESGCM(_kem_key(ctx, seed)).decrypt(
+            ciphertext.kem_nonce, ciphertext.kem_body, None)
+    except InvalidTag as exc:
+        raise AccessDenied("payload authentication failed") from exc
 
 
 def revoke(
@@ -412,7 +375,8 @@ def revoke(
     same secret) and no row updates are emitted.
 
     Returns (stored record, out-of-band row updates, new sealed state).
-    Raises ValueError when `state` was sealed for another record.
+    Raises ValueError when `state` was sealed for another record, or when
+    `shares` lacks the share of a row to refresh.
     """
     revoked = list(revoked)
     if not revoked:
@@ -426,42 +390,21 @@ def revoke(
     for keyring in revoked:
         revoked_attrs |= keyring.attributes
     carrier_rows = {x for x in range(program.n) if program.attributes[x] in revoked_attrs}
+    moved_rows = {x for x in range(program.n) if program.support[x][:1] == (0,)}
+    # With no carrier row nothing here was reachable by the revoked users:
+    # secret and shares stay, and only the seed is refreshed so the stored bytes rotate.
+    affected = sorted(carrier_rows | moved_rows) if carrier_rows else []
+    _require_shares(shares, (program.attributes[x] for x in affected))
 
     gt = ctx.backend.pair(ctx.g, ctx.g)
-
-    if not carrier_rows:
-        # Nothing here was reachable by the revoked users; refresh the seed so
-        # the stored bytes rotate, leave shares and secret untouched.
-        if ciphertext.mode == MODE_KEM:
-            seed = ctx.backend.gt_exp(gt, rng.randrange(1, ctx.q))
-            blind = ctx.backend.gt_exp(gt, state.v[0])
-            c0 = ctx.backend.gt_mul(seed, blind)
-            nonce = _rand_bytes(rng, _KEM_NONCE_BYTES)
-            body = AESGCM(_kem_key(ctx, seed)).encrypt(nonce, state.payload, None)
-            new_ct = replace(ciphertext, c0=c0, kem_nonce=nonce, kem_body=body)
-            new_state = replace(state, seed=seed)
-            return new_ct, {}, new_state
-        return ciphertext, {}, state
-
-    s_new = rng.randrange(1, ctx.q)
-    v_new = (s_new,) + state.v[1:]
-    moved_rows = {x for x in range(program.n) if program.support[x][:1] == (0,)}
-    affected = sorted(carrier_rows | moved_rows)
-
-    # e(g,g) is held from encryption time, so re-blinding C0 meters as one
-    # scalar multiplication and each refreshed row as two.
-    blind = ctx.gt_exp(gt, s_new)
-    if ciphertext.mode == MODE_KEM:
-        seed = ctx.backend.gt_exp(gt, rng.randrange(1, ctx.q))
-        c0 = ctx.backend.gt_mul(seed, blind)
-        nonce = _rand_bytes(rng, _KEM_NONCE_BYTES)
-        body = AESGCM(_kem_key(ctx, seed)).encrypt(nonce, state.payload, None)
-        new_state = replace(state, v=v_new, seed=seed)
+    if affected:
+        v_new = (rng.randrange(1, ctx.q),) + state.v[1:]
+        # e(g,g) is held from encryption time, so re-blinding C0 meters as one
+        # scalar multiplication and each refreshed row as two.
+        blind = ctx.gt_exp(gt, v_new[0])
     else:
-        seed = state.message
-        c0 = ctx.backend.gt_mul(seed, blind)
-        nonce = body = None
-        new_state = replace(state, v=v_new)
+        v_new, blind = state.v, ctx.backend.gt_exp(gt, state.v[0])
+    seed, c0, nonce, body = _seal(ctx, gt, blind, state.payload, rng)
 
     updates: dict[int, GroupElementGT] = {}
     stored_rows = list(ciphertext.rows)
@@ -472,5 +415,5 @@ def revoke(
         updates[x] = c1
         stored_rows[x] = replace(stored_rows[x], c1=None)
 
-    new_ct = AbeCiphertext(program, c0, tuple(stored_rows), ciphertext.mode, nonce, body)
-    return new_ct, updates, new_state
+    new_ct = AbeCiphertext(program, c0, tuple(stored_rows), nonce, body)
+    return new_ct, updates, replace(state, v=v_new, seed=seed)

@@ -34,14 +34,17 @@ from .scenario import (
 
 
 # Every CLI file carries its kind and, but for the Paillier keys, the group header
-# (backend, q, hash). The version suffixes name the program layout and the full
-# header; a file of an older kind is refused by kind.
-CIPHERTEXT_KIND = "gridseal-ciphertext-v2"
-RTU_STATE_KIND = "gridseal-rtu-state-v3"
-_UPDATES_KIND = "gridseal-updates-v2"
+# (backend, q, hash). The version suffixes name the record layout, the
+# fixed-width element bodies and the full header; a file of an older kind is
+# refused by kind.
+CIPHERTEXT_KIND = "gridseal-ciphertext-v3"
+RTU_STATE_KIND = "gridseal-rtu-state-v4"
+_UPDATES_KIND = "gridseal-updates-v3"
+_KDC_KIND = "gridseal-kdc-v2"
+_KEYRING_KIND = "gridseal-keyring-v2"
 _GROUP_FIELDS = ("backend", "q", "hash")
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
-_SECRET_KINDS = {"gridseal-kdc", "gridseal-keyring", RTU_STATE_KIND, "gridseal-paillier-secret"}
+_SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND, "gridseal-paillier-secret"}
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -190,7 +193,7 @@ def _cmd_kdc_setup(args) -> int:
     attributes = [a.strip() for a in args.attrs.split(",") if a.strip()]
     keyring = abe.kdc_setup(ctx, args.kdc_id, attributes, rng)
     header = {"backend": args.backend, "q": str(ctx.q), "hash": ctx.hash_name}
-    _save(args.out, "gridseal-kdc", header, {
+    _save(args.out, _KDC_KIND, header, {
         "kdc_id": args.kdc_id,
         "attributes": attributes,
         "secrets": {a: {"alpha": str(s.alpha), "y": str(s.y)}
@@ -218,9 +221,9 @@ def _keyring(ctx: PairingContext, fields: dict[str, Any]) -> abe.UserKeyring:
 
 
 def _cmd_issue_key(args) -> int:
-    ctx, header, kdc = _load(args.kdc, "gridseal-kdc", _kdc)
+    ctx, header, kdc = _load(args.kdc, _KDC_KIND, _kdc)
     try:
-        _, _, keyring = _load(args.keyring, "gridseal-keyring", _keyring, header)
+        _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, header)
     except FileNotFoundError:
         keyring = abe.UserKeyring(args.user)
     if keyring.user_id != args.user:
@@ -229,7 +232,7 @@ def _cmd_issue_key(args) -> int:
     for attribute in [a.strip() for a in args.attrs.split(",") if a.strip()]:
         keyring.add(attribute, abe.issue_key(kdc, ctx, args.user, attribute))
         issued.append(attribute)
-    _save(args.keyring, "gridseal-keyring", header,
+    _save(args.keyring, _KEYRING_KIND, header,
           {"user": args.user, "keys": {a: _hex(ctx, e) for a, e in keyring.keys.items()}})
     _emit({"user": args.user, "issued": issued, "keyring": str(Path(args.keyring))})
     return 0
@@ -244,10 +247,8 @@ def _save_record(path: str, state_path: str, ctx: PairingContext, header: dict[s
         "v": [str(x) for x in state.v],
         "w": [str(x) for x in state.w],
         "rho": [str(x) for x in state.rho],
-        "mode": state.mode,
-        "seed": None if state.seed is None else _hex(ctx, state.seed),
-        "payload": None if state.payload is None else state.payload.hex(),
-        "message": None if state.message is None else _hex(ctx, state.message),
+        "seed": _hex(ctx, state.seed),
+        "payload": state.payload.hex(),
     })
 
 
@@ -260,19 +261,17 @@ def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
     program, end = LsssProgram.from_bytes(data)
     if end != len(data):
         raise ValueError("trailing bytes after the program")
-    optional = lambda name, decode: None if fields[name] is None else decode(fields[name])
-    gt = lambda text: _element(ctx, text, group_t=True)
     return abe.EncryptionState(
-        program, _ints(fields["v"]), _ints(fields["w"]), _ints(fields["rho"]), fields["mode"],
-        optional("seed", gt), optional("payload", bytes.fromhex), optional("message", gt))
+        program, _ints(fields["v"]), _ints(fields["w"]), _ints(fields["rho"]),
+        _element(ctx, fields["seed"], group_t=True), bytes.fromhex(fields["payload"]))
 
 
 def _cmd_encrypt(args) -> int:
     rng = _make_rng(args.seed)
-    ctx, header, kdc = _load(args.kdc[0], "gridseal-kdc", _kdc)
+    ctx, header, kdc = _load(args.kdc[0], _KDC_KIND, _kdc)
     shares = dict(kdc.shares)
     for kdc_path in args.kdc[1:]:
-        shares.update(_load(kdc_path, "gridseal-kdc", _kdc, header)[2].shares)
+        shares.update(_load(kdc_path, _KDC_KIND, _kdc, header)[2].shares)
     program = compile_lsss(parse_policy(args.policy), columns=args.columns)
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
@@ -284,7 +283,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
-    _, _, keyring = _load(args.keyring, "gridseal-keyring", _keyring, header)
+    _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, header)
     updates = {}
     if args.updates:
         _, _, updates = _load(args.updates, _UPDATES_KIND, lambda ctx, fields: {
@@ -304,8 +303,8 @@ def _cmd_revoke(args) -> int:
     _, _, state = _load(args.state, RTU_STATE_KIND, _state, header)
     shares: dict[str, abe.PublicShare] = {}
     for kdc_path in args.kdc:
-        shares.update(_load(kdc_path, "gridseal-kdc", _kdc, header)[2].shares)
-    revoked = [_load(path, "gridseal-keyring", _keyring, header)[2] for path in args.revoked]
+        shares.update(_load(kdc_path, _KDC_KIND, _kdc, header)[2].shares)
+    revoked = [_load(path, _KEYRING_KIND, _keyring, header)[2] for path in args.revoked]
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
     _save(args.out_updates, _UPDATES_KIND, header,

@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, pairwise
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .wire import decode_short_str, encode_short_str
 
@@ -163,43 +163,11 @@ def parse_policy(text: str) -> AccessTree:
     return _Parser(tokens).parse()
 
 
-def policy_text(tree: AccessTree) -> str:
-    """Render a tree with minimal parentheses; reparses to an identical tree."""
-    # An OR under an AND needs parens; a right child of equal precedence needs
-    # them too, since the grammar is left-associative.
-    def render_child(node: AccessTree, parent_op: str, is_right: bool) -> str:
-        if isinstance(node, Leaf):
-            return node.attribute
-        needs = (parent_op == "AND" and node.op == "OR") or (is_right and node.op == parent_op)
-        text = render_child(node.left, node.op, False) + (" & " if node.op == "AND" else " | ") \
-            + render_child(node.right, node.op, True)
-        return f"({text})" if needs else text
-
-    if isinstance(tree, Leaf):
-        return tree.attribute
-    return render_child(tree.left, tree.op, False) + (" & " if tree.op == "AND" else " | ") \
-        + render_child(tree.right, tree.op, True)
-
-
 def tree_attributes(tree: AccessTree) -> list[str]:
     """Leaf attributes in depth-first order (duplicates preserved)."""
     if isinstance(tree, Leaf):
         return [tree.attribute]
     return tree_attributes(tree.left) + tree_attributes(tree.right)
-
-
-def evaluate_tree(tree: AccessTree, attributes: Iterable[str]) -> bool:
-    """Boolean satisfaction of the formula by an attribute set."""
-    held = set(attributes)
-
-    def walk(node: AccessTree) -> bool:
-        if isinstance(node, Leaf):
-            return node.attribute in held
-        if node.op == "AND":
-            return walk(node.left) and walk(node.right)
-        return walk(node.left) or walk(node.right)
-
-    return walk(tree)
 
 
 @dataclass(frozen=True, init=False)
@@ -434,27 +402,3 @@ def solve_for_rows(
         return None  # inconsistent: target outside the span
     solution = {indices[j]: rhs[e] for j, e in pivots if rhs.get(e)}
     return solution or None
-
-
-def solve_reconstruction(
-    program: LsssProgram,
-    attributes: Iterable[str],
-    q: int,
-) -> Optional[dict[int, int]]:
-    """Reconstruction coefficients over the rows whose attribute is held."""
-    held = set(attributes)
-    rows = [i for i, attr in enumerate(program.attributes) if attr in held]
-    return solve_for_rows(program, rows, q)
-
-
-def verify_reconstruction(
-    program: LsssProgram,
-    coefficients: Mapping[int, int],
-    q: int,
-) -> bool:
-    """Re-substitute: sum(k_x * R_x) must equal (1, 0, ..., 0) exactly in Z_q."""
-    total: dict[int, int] = {}
-    for index, k in coefficients.items():
-        for c, sign in zip(program.support[index], program.signs[index]):
-            total[c] = (total.get(c, 0) + k * sign) % q
-    return total.get(0, 0) == 1 % q and not any(v for c, v in total.items() if c)

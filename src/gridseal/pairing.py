@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .primes import generate_prime, is_probable_prime
-from .wire import decode_blob, encode_blob
 
 # 160-bit default order, matching the curve size the cost-model defaults assume.
 DEFAULT_Q_160 = 1096126227998177188652763624537212264741949407257
@@ -52,13 +51,18 @@ class PairingBackend(ABC):
     """The six group operations plus pairing, hashing and element codecs.
 
     `ident` must be unique per (backend family, group order) so elements from
-    incompatible instances never interoperate; `wire_id` is the single byte
-    prefixed to serialized elements.
+    incompatible instances never interoperate; `wire_id` is the byte a record
+    carries once to name its backend. Every element of G encodes to exactly
+    `g_bytes` bytes and every element of G_T to exactly `gt_bytes`; the two
+    decoders get exactly that many and raise ValueError on any body
+    `element_bytes` would not emit.
     """
 
     ident: str
     wire_id: int
     q: int
+    g_bytes: int
+    gt_bytes: int
 
     @abstractmethod
     def generator(self) -> GroupElementG: ...
@@ -118,7 +122,8 @@ class ReferenceBackend(PairingBackend):
     def __init__(self, q: int):
         self.q = q
         self.ident = f"reference:{q}"
-        self._body_bytes = (q.bit_length() + 7) // 8
+        # both groups hold an exponent below q
+        self.g_bytes = self.gt_bytes = (q.bit_length() + 7) // 8
 
     def _check_g(self, *elements: GroupElementG) -> None:
         for e in elements:
@@ -177,11 +182,11 @@ class ReferenceBackend(PairingBackend):
         else:
             self._check_gt(element)
         value: int = element.data
-        return value.to_bytes(self._body_bytes, "big")
+        return value.to_bytes(self.g_bytes, "big")
 
     def _exponent(self, body: bytes) -> int:
         """The one accepted encoding: exactly ceil(q_bits / 8) bytes, value below q."""
-        if len(body) != self._body_bytes:
+        if len(body) != self.g_bytes:
             raise ValueError("element body has the wrong length")
         value = int.from_bytes(body, "big")
         if value >= self.q:
@@ -314,23 +319,22 @@ class PairingContext:
     # -- serialization --------------------------------------------------------
 
     def element_to_bytes(self, element: GroupElementG | GroupElementGT) -> bytes:
-        return bytes([self.backend.wire_id]) + encode_blob(self.backend.element_bytes(element))
-
-    def _element_from_bytes(self, data: bytes, offset: int, group_t: bool):
-        if offset >= len(data):
-            raise ValueError("truncated element")
-        if data[offset] != self.backend.wire_id:
-            raise ValueError("element from an unknown backend")
-        body, offset = decode_blob(data, offset + 1)
-        if group_t:
-            return self.backend.element_gt_from_bytes(body), offset
-        return self.backend.element_g_from_bytes(body), offset
+        """The element's fixed-width body: g_bytes for G, gt_bytes for G_T."""
+        return self.backend.element_bytes(element)
 
     def element_g_from_bytes(self, data: bytes, offset: int = 0) -> tuple[GroupElementG, int]:
-        return self._element_from_bytes(data, offset, group_t=False)
+        """The G element in data[offset:offset + g_bytes], and the offset after it."""
+        end = offset + self.backend.g_bytes
+        if end > len(data):
+            raise ValueError("truncated element")
+        return self.backend.element_g_from_bytes(data[offset:end]), end
 
     def element_gt_from_bytes(self, data: bytes, offset: int = 0) -> tuple[GroupElementGT, int]:
-        return self._element_from_bytes(data, offset, group_t=True)
+        """The G_T element in data[offset:offset + gt_bytes], and the offset after it."""
+        end = offset + self.backend.gt_bytes
+        if end > len(data):
+            raise ValueError("truncated element")
+        return self.backend.element_gt_from_bytes(data[offset:end]), end
 
 
 def _self_test(backend: PairingBackend, rng: random.Random) -> None:

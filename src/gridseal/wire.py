@@ -27,20 +27,6 @@ def decode_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
     return int.from_bytes(data[offset:offset + length], "big"), offset + length
 
 
-def encode_blob(body: bytes) -> bytes:
-    return struct.pack(">I", len(body)) + body
-
-
-def decode_blob(data: bytes, offset: int = 0) -> tuple[bytes, int]:
-    if offset + 4 > len(data):
-        raise ValueError("truncated length prefix")
-    (length,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    if offset + length > len(data):
-        raise ValueError("truncated blob body")
-    return data[offset:offset + length], offset + length
-
-
 def encode_short_str(text: str) -> bytes:
     """2-byte big-endian length + UTF-8 bytes; used for attribute identifiers."""
     body = text.encode("utf-8")

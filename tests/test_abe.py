@@ -14,15 +14,10 @@ from gridseal.abe import (
     revoke,
     verify_user_key,
 )
-from gridseal.lsss import (
-    LsssProgram,
-    compile_lsss,
-    evaluate_tree,
-    parse_policy,
-    solve_reconstruction,
-)
+from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
 from gridseal.pairing import ctx_new
 from collusion import combine_keyrings_attack
+from lsss_oracles import evaluate_tree, solve_reconstruction
 from treegen import random_tree
 
 Q = 2**61 - 1
@@ -154,17 +149,6 @@ def test_single_row_round_trip(ctx):
     assert abe_decrypt(ctx, user, ciphertext) == b"payload"
 
 
-def test_direct_mode_round_trip(ctx):
-    rng = random.Random(9)
-    authority = kdc_setup(ctx, "A", ["a", "b"], rng)
-    user = build_user(ctx, (authority,), "u1", ["a", "b"])
-    program = compile_lsss(parse_policy("a & b"))
-    message = ctx.backend.gt_exp(ctx.backend.pair(ctx.g, ctx.g), 123456)
-    ciphertext, _ = abe_encrypt(ctx, authority.shares, program, message, rng,
-                                mode="direct")
-    assert abe_decrypt(ctx, user, ciphertext) == message
-
-
 def test_encryption_is_probabilistic(ctx):
     rng_a, rng_b = random.Random(10), random.Random(11)
     authority = kdc_setup(ctx, "A", ["a"], random.Random(12))
@@ -281,7 +265,7 @@ def test_kem_body_tamper_detected(ctx):
     program = compile_lsss(parse_policy("a"))
     ciphertext, _ = abe_encrypt(ctx, authority.shares, program, b"payload", rng)
     tampered = AbeCiphertext(ciphertext.program, ciphertext.c0, ciphertext.rows,
-                             ciphertext.mode, ciphertext.kem_nonce,
+                             ciphertext.kem_nonce,
                              bytes([ciphertext.kem_body[0] ^ 1]) + ciphertext.kem_body[1:])
     with pytest.raises(AccessDenied):
         abe_decrypt(ctx, user, tampered)
@@ -460,12 +444,28 @@ def test_revoke_refuses_the_state_of_another_record(ctx):
     assert (window.pairings, window.scalar_muls) == (0, 1 + 2 * 2)
 
 
+def test_revoke_names_an_attribute_without_a_published_share(ctx):
+    rng = random.Random(33)
+    first = kdc_setup(ctx, "A", ["alpha", "beta"], rng)
+    second = kdc_setup(ctx, "B", ["gamma"], rng)
+    shares = {**first.shares, **second.shares}
+    program = compile_lsss(parse_policy("alpha | gamma"))
+    record, state = abe_encrypt(ctx, shares, program, b"x", rng)
+    gone = build_user(ctx, (second,), "gone", ["gamma"])
+    draws = rng.getstate()
+    with ctx.measure() as window:
+        with pytest.raises(ValueError, match="no published share for attribute 'gamma'"):
+            revoke(ctx, first.shares, record, state, [gone], rng)
+    assert (window.pairings, window.scalar_muls) == (0, 0)
+    assert rng.getstate() == draws
+
+
 def test_encryption_state_must_fit_its_program(ctx):
     rng = random.Random(32)
     authority = kdc_setup(ctx, "A", ["a", "b"], rng)
     _, state = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a & b")), b"x", rng)
     for changes in ({"rho": state.rho[:-1]}, {"v": state.v + (1,)}, {"w": ()},
-                    {"payload": None}, {"seed": None}, {"mode": "direct"}, {"mode": "other"}):
+                    {"payload": None}, {"seed": None}):
         with pytest.raises(ValueError):
             replace(state, **changes)
 
@@ -500,14 +500,19 @@ def test_kem_wire_layout_separates_nonce_body_tag(ctx):
     program = compile_lsss(parse_policy("a"))
     ciphertext, _ = abe_encrypt(ctx, authority.shares, program, b"abc", rng)
     blob = ciphertext.to_bytes(ctx)
-    # the trailing fields are length-prefixed nonce (12), body (3), tag (16)
-    tag_block = blob[-(4 + 16):]
-    assert tag_block[:4] == (16).to_bytes(4, "big")
-    body_block = blob[-(4 + 16) - (4 + 3):-(4 + 16)]
-    assert body_block[:4] == (3).to_bytes(4, "big")
-    nonce_block = blob[-(4 + 16) - (4 + 3) - (4 + 12):-(4 + 16) - (4 + 3)]
-    assert nonce_block[:4] == (12).to_bytes(4, "big")
-    assert nonce_block[4:] == ciphertext.kem_nonce
+    width = ctx.backend.g_bytes  # one width for both groups in the reference backend
+    # program, backend byte, C0, one row (flag, C1, C2, C3), then the bare KEM
+    # part: the 12-byte nonce and the AES-GCM output, body (3) and tag (16)
+    head = len(program.to_bytes())
+    assert blob[head] == ctx.backend.wire_id
+    kem = head + 1 + width + 1 + 3 * width
+    assert len(blob) == kem + 12 + 3 + 16
+    assert blob[kem:kem + 12] == ciphertext.kem_nonce
+    assert blob[kem + 12:] == ciphertext.kem_body
+    assert blob[head + 1:kem] == b"".join(
+        [ctx.element_to_bytes(ciphertext.c0), b"\x01"]
+        + [ctx.element_to_bytes(e) for e in (ciphertext.rows[0].c1, ciphertext.rows[0].c2,
+                                             ciphertext.rows[0].c3)])
 
 
 def test_post_revocation_serialization_keeps_holes(ctx):

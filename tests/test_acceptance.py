@@ -32,8 +32,6 @@ from gridseal.lsss import (
     LsssProgram,
     compile_lsss,
     parse_policy,
-    solve_reconstruction,
-    verify_reconstruction,
 )
 from gridseal.paillier import (
     paillier_add,
@@ -43,6 +41,7 @@ from gridseal.paillier import (
 )
 from gridseal.pairing import ctx_new
 from collusion import combine_keyrings_attack
+from lsss_oracles import solve_reconstruction, verify_reconstruction
 from treegen import random_tree
 
 Q61 = 2**61 - 1

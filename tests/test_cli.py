@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
-from gridseal import pairing
+from gridseal import abe, pairing
 from gridseal.harness.cli import bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
+from gridseal.lsss import compile_lsss, parse_policy
 from gridseal.pairing import ReferenceBackend
 
 
@@ -202,6 +204,22 @@ class _AltBackend(ReferenceBackend):
         self.ident = f"alt:{q}"
 
 
+def test_a_record_is_refused_under_another_backend_of_the_same_order():
+    q = 2**61 - 1
+    reference, alt = pairing.ctx_new(q=q), pairing.PairingContext(_AltBackend(q))
+    authority = abe.kdc_setup(reference, "A", ["a"], random.Random(1))
+    record, _ = abe.abe_encrypt(reference, authority.shares, compile_lsss(parse_policy("a")),
+                                b"x", random.Random(2))
+    blob = record.to_bytes(reference)
+    at = len(record.program.to_bytes())
+    assert blob[at] == ReferenceBackend.wire_id
+    with pytest.raises(ValueError, match="another backend"):
+        abe.AbeCiphertext.from_bytes(blob, alt)
+    # only the backend byte stands in the way: under alt's wire id the rest decodes
+    relabelled = blob[:at] + bytes([_AltBackend.wire_id]) + blob[at + 1:]
+    assert abe.AbeCiphertext.from_bytes(relabelled, alt).to_bytes(alt) == relabelled
+
+
 def test_issue_key_takes_group_header_from_authority(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(pairing._BACKENDS, "alt", (_AltBackend.wire_id, _AltBackend))
     kdc = tmp_path / "kdc.json"
@@ -232,8 +250,8 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
     assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x",
                  "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
                  "--seed", "3"]) == 0
-    for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v2"),
-                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v3")):
+    for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v3"),
+                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v4")):
         document = json.loads(path.read_text())
         assert document["kind"] == kind
         document["kind"] = old_kind
@@ -242,13 +260,13 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
     code, _, err = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
                            "--keyring", str(user_full))
     assert code == 2
-    assert "expected a gridseal-ciphertext-v2 file" in err
-    ct.write_text(json.dumps({**json.loads(ct.read_text()), "kind": "gridseal-ciphertext-v2"}))
+    assert "expected a gridseal-ciphertext-v3 file" in err
+    ct.write_text(json.dumps({**json.loads(ct.read_text()), "kind": "gridseal-ciphertext-v3"}))
     code, _, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
                            "--kdc", str(kdc_a), "--revoked", str(user_full),
                            "--out-updates", str(tmp_path / "updates.json"))
     assert code == 2
-    assert "expected a gridseal-rtu-state-v3 file" in err
+    assert "expected a gridseal-rtu-state-v4 file" in err
 
 
 @pytest.fixture()
@@ -294,8 +312,8 @@ def test_every_file_carries_its_group_header(record):
     authority = json.loads(record["kdc"].read_text())
     header = {field: authority[field] for field in ("backend", "q", "hash")}
     assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160), "hash": "sha256"}
-    for name, kind in (("keyring", "gridseal-keyring"), ("ciphertext", "gridseal-ciphertext-v2"),
-                       ("state", "gridseal-rtu-state-v3"), ("updates", "gridseal-updates-v2")):
+    for name, kind in (("keyring", "gridseal-keyring-v2"), ("ciphertext", "gridseal-ciphertext-v3"),
+                       ("state", "gridseal-rtu-state-v4"), ("updates", "gridseal-updates-v3")):
         document = json.loads(record[name].read_text())
         assert document["kind"] == kind
         assert {field: document[field] for field in header} == header
@@ -308,10 +326,30 @@ def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, caps
         record[name].write_text(json.dumps(document))
     code, _, err = run_cli(capsys, *revoke_argv(record, tmp_path))
     assert code == 2
-    assert "expected a gridseal-rtu-state-v3 file" in err
+    assert "expected a gridseal-rtu-state-v4 file" in err
     code, _, err = run_cli(capsys, *decrypt_argv(record, tmp_path))
     assert code == 2
-    assert "expected a gridseal-updates-v2 file" in err
+    assert "expected a gridseal-updates-v3 file" in err
+
+
+@pytest.mark.parametrize("name, old_kind, kind, argv", [
+    pytest.param("kdc", "gridseal-kdc", "gridseal-kdc-v2", issue_argv, id="kdc"),
+    pytest.param("keyring", "gridseal-keyring", "gridseal-keyring-v2", issue_argv, id="keyring"),
+    pytest.param("ciphertext", "gridseal-ciphertext-v2", "gridseal-ciphertext-v3", decrypt_argv,
+                 id="ciphertext"),
+    pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v4", revoke_argv,
+                 id="state"),
+    pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v3", decrypt_argv,
+                 id="updates"),
+])
+def test_files_of_the_framed_element_layout_are_refused_by_kind(record, tmp_path, capsys,
+                                                                name, old_kind, kind, argv):
+    document = json.loads(record[name].read_text())
+    assert document["kind"] == kind
+    record[name].write_text(json.dumps({**document, "kind": old_kind}))
+    code, _, err = run_cli(capsys, *argv(record, tmp_path))
+    assert code == 2
+    assert f"expected a {kind} file" in err
 
 
 @pytest.fixture()
@@ -370,6 +408,22 @@ def test_revoke_refuses_the_state_of_another_record(record, keyfiles, tmp_path, 
     assert record["ciphertext"].read_bytes() == before
 
 
+def test_revoke_names_an_attribute_no_authority_file_covers(keyfiles, tmp_path, capsys):
+    kdc_a, kdc_b, user_full, _ = keyfiles
+    ct, state = tmp_path / "record.json", tmp_path / "state.json"
+    assert main(["encrypt", "--policy", "alpha | gamma", "--payload", "x", "--kdc", str(kdc_a),
+                 "--kdc", str(kdc_b), "--out", str(ct), "--state", str(state),
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    before = ct.read_bytes(), state.read_bytes()
+    code, _, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
+                           "--kdc", str(kdc_a), "--revoked", str(user_full),
+                           "--out-updates", str(tmp_path / "updates.json"))
+    assert code == 2
+    assert "no published share for attribute 'gamma'" in err
+    assert (ct.read_bytes(), state.read_bytes()) == before
+
+
 def test_secret_files_are_owner_only(record, tmp_path, capsys):
     assert main(["keygen-paillier", "--bits", "64", "--seed", "3",
                  "--out", str(tmp_path / "paillier")]) == 0
@@ -411,7 +465,7 @@ def _drop(field):
     pytest.param("survivor", _set("keys", ["beta"]), decrypt_argv, id="keyring-keys-list"),
     pytest.param("state", lambda d: {**d, "v": "".join(d["v"])}, revoke_argv,
                  id="state-v-string"),
-    pytest.param("state", _set("mode", "bogus"), revoke_argv, id="state-mode-unknown"),
+    pytest.param("state", _set("seed", None), revoke_argv, id="state-seed-null"),
     pytest.param("state", _set("payload", None), revoke_argv, id="state-payload-null"),
     pytest.param("state", lambda d: {**d, "rho": d["rho"][:1]}, revoke_argv,
                  id="state-rho-short"),

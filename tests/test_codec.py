@@ -1,6 +1,6 @@
 """Wire codecs of LsssProgram, AbeCiphertext, MeterPacket and PaillierCiphertext.
 
-Properties, over random policies in both column layouts, both payload modes,
+Properties, over random policies in both column layouts, random payloads,
 records with rows stripped by a revocation, and random tags and ciphertext
 values: decode(encode(x)) == x; decoding is canonical (whatever decodes
 re-encodes to exactly its input); truncated or single-byte-mutated input
@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridseal.abe import (
-    MODE_DIRECT,
-    MODE_KEM,
     AbeCiphertext,
     UserKeyring,
     abe_decrypt,
@@ -46,14 +44,10 @@ LAYOUTS = st.sampled_from(("fresh", "shared"))
 def records(draw):
     """An encrypted record, after a revocation when the drawn revoked set is nonempty."""
     program = compile_lsss(draw(policy_trees()), columns=draw(LAYOUTS))
-    mode = draw(st.sampled_from((MODE_KEM, MODE_DIRECT)))
     revoked = draw(st.sets(st.sampled_from(ATTRS)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    if mode == MODE_KEM:
-        payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
-    else:
-        payload = CTX.backend.gt_exp(CTX.pair(CTX.g, CTX.g), rng.randrange(Q))
-    ciphertext, state = abe_encrypt(CTX, AUTHORITY.shares, program, payload, rng, mode)
+    payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
+    ciphertext, state = abe_encrypt(CTX, AUTHORITY.shares, program, payload, rng)
     if revoked:
         gone = UserKeyring("gone", {a: issue_key(AUTHORITY, CTX, "gone", a) for a in revoked})
         ciphertext, _, _ = revoke(CTX, AUTHORITY.shares, ciphertext, state, [gone], rng)
@@ -161,9 +155,9 @@ def test_damaged_ciphertext_bytes_fail_or_decode_canonically(record, data):
 
 
 def _flag_offsets(ciphertext):
-    """Offsets of the mode byte and of the first row's C1 flag."""
-    mode_at = len(ciphertext.program.to_bytes())
-    return mode_at, mode_at + 1 + len(CTX.element_to_bytes(ciphertext.c0))
+    """Offsets of the backend byte and of the first row's C1 flag."""
+    backend_at = len(ciphertext.program.to_bytes())
+    return backend_at, backend_at + 1 + CTX.backend.gt_bytes
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -173,8 +167,18 @@ def test_ciphertext_decoder_rejects_unknown_flags(which, value):
                                 b"flags", random.Random(2))
     blob = bytearray(ciphertext.to_bytes(CTX))
     blob[_flag_offsets(ciphertext)[which]] = value
-    with pytest.raises(ValueError, match="mode|flag"):
+    with pytest.raises(ValueError, match="backend|flag"):
         AbeCiphertext.from_bytes(bytes(blob), CTX)
+
+
+@pytest.mark.parametrize("short", [1, 16, 28])
+def test_ciphertext_decoder_rejects_a_kem_part_shorter_than_nonce_and_tag(short):
+    ciphertext, _ = abe_encrypt(CTX, AUTHORITY.shares, compile_lsss(parse_policy("a0")),
+                                b"", random.Random(3))
+    blob = ciphertext.to_bytes(CTX)
+    assert len(ciphertext.kem_nonce) + len(ciphertext.kem_body) == 12 + 16
+    with pytest.raises(ValueError, match="nonce and tag"):
+        AbeCiphertext.from_bytes(blob[:-short], CTX)
 
 
 # --- MeterPacket and PaillierCiphertext ----------------------------------------------
@@ -238,13 +242,14 @@ def test_paillier_ciphertext_decoder_rejects_a_leading_zero_byte():
 # --- size gate -----------------------------------------------------------------------
 
 # Per-row bytes the wire carries beyond estimate_comm_overhead's per-row term:
-# three element frames of a backend byte and a 4-byte length (15), the C1 flag
-# (1), the 4-byte nonzero count (4), two 4-byte matrix entries (8, the average
-# in an AND-chain) and the attribute's 2-byte length (2) make 30 bytes; the
-# attribute names here fit in the rest. The 128 bytes cover the program header,
-# the mode byte, C0's frame and the KEM nonce, body and tag framing.
-ROW_FRAMING_BYTES = 32
-RECORD_FRAMING_BYTES = 128
+# the C1 flag (1), the 4-byte nonzero count (4), two 4-byte matrix entries (8,
+# the average in an AND-chain) and the attribute's 2-byte length (2) make 15
+# bytes; the attribute names here fit in the rest. Elements are bare
+# fixed-width bodies, so they add nothing. The 116 bytes cover the program
+# header, the backend byte, C0 and the KEM nonce and tag, which carry no
+# length prefixes.
+ROW_FRAMING_BYTES = 17
+RECORD_FRAMING_BYTES = 116
 
 
 @pytest.mark.parametrize("m", [1, 50, 400])

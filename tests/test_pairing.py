@@ -137,36 +137,30 @@ def test_backend_domain_separation():
 def test_element_serialization_round_trip(ctx):
     element = ctx.g_exp(ctx.g, 123456789)
     blob = ctx.element_to_bytes(element)
-    assert blob[0] == ReferenceBackend.wire_id
-    restored, consumed = ctx.element_g_from_bytes(blob)
-    assert restored == element
-    assert consumed == len(blob)
+    assert len(blob) == ctx.backend.g_bytes == (MERSENNE_61.bit_length() + 7) // 8
+    assert ctx.element_g_from_bytes(blob) == (element, len(blob))
     gt = ctx.pair(ctx.g, element)
-    restored_gt, _ = ctx.element_gt_from_bytes(ctx.element_to_bytes(gt))
-    assert restored_gt == gt
-
-
-def test_unknown_wire_id_rejected(ctx):
-    blob = bytearray(ctx.element_to_bytes(ctx.g))
-    blob[0] = 0x7F
-    with pytest.raises(ValueError):
-        ctx.element_g_from_bytes(bytes(blob))
+    gt_blob = ctx.element_to_bytes(gt)
+    assert len(gt_blob) == ctx.backend.gt_bytes
+    # an element decodes at an offset and consumes exactly its width
+    assert ctx.element_gt_from_bytes(b"xy" + gt_blob + b"z", 2) == (gt, 2 + len(gt_blob))
 
 
 def test_element_decoding_is_canonical(ctx):
-    blob = ctx.element_to_bytes(ctx.g_exp(ctx.g, 5))
-    body = blob[5:]
-    assert len(body) == (MERSENNE_61.bit_length() + 7) // 8
-    framed = [
-        bytes([ReferenceBackend.wire_id]) + len(b).to_bytes(4, "big") + b
-        for b in (b"\x00" + body, body[1:], MERSENNE_61.to_bytes(len(body), "big"),
-                  (MERSENNE_61 + 5).to_bytes(len(body), "big"))
-    ]
-    for bad in framed:
+    body = ctx.element_to_bytes(ctx.g_exp(ctx.g, 5))
+    width = len(body)
+    for bad in (body[1:], b"", MERSENNE_61.to_bytes(width, "big"),
+                (MERSENNE_61 + 5).to_bytes(width, "big"), b"\xff" * width):
         with pytest.raises(ValueError):
             ctx.element_g_from_bytes(bad)
         with pytest.raises(ValueError):
             ctx.element_gt_from_bytes(bad)
+    # the backend refuses any body but exactly its width, whoever slices it
+    for bad in (b"\x00" + body, body[1:]):
+        with pytest.raises(ValueError):
+            ctx.backend.element_g_from_bytes(bad)
+        with pytest.raises(ValueError):
+            ctx.backend.element_gt_from_bytes(bad)
 
 
 def test_register_backend_guards():
