@@ -22,7 +22,7 @@ from .paillier import (
     paillier_decrypt,
     paillier_encrypt,
 )
-from .wire import decode_short_str, decode_uint, encode_short_str, encode_uint
+from .wire import decode_short_str, encode_short_str
 
 ROLES = ("HAN", "BAN", "NAN")
 
@@ -190,7 +190,7 @@ def packet_to_bytes(packet: MeterPacket) -> bytes:
     out = count.to_bytes(2, "big")
     for attribute in packet.tag.attributes:
         out += encode_short_str(attribute)
-    return out + encode_uint(packet.ciphertext.value)
+    return out + packet.ciphertext.to_bytes()
 
 
 def packet_from_bytes(data: bytes, pk: PaillierPublicKey) -> MeterPacket:
@@ -208,7 +208,4 @@ def packet_from_bytes(data: bytes, pk: PaillierPublicKey) -> MeterPacket:
     tag = AttributeTag(attributes)
     if tag.attributes != tuple(attributes):
         raise ValueError("tag attributes must be trimmed and sorted")
-    value, offset = decode_uint(data, offset)
-    if offset != len(data):
-        raise ValueError("trailing bytes after packet")
-    return MeterPacket(tag, PaillierCiphertext(value, pk.modulus))
+    return MeterPacket(tag, PaillierCiphertext.from_bytes(data[offset:], pk))

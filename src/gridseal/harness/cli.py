@@ -34,17 +34,20 @@ from .scenario import (
 
 
 # Every CLI file carries its kind and, but for the Paillier keys, the group header
-# (backend, q, hash). The version suffixes name the record layout, the
-# fixed-width element bodies and the full header; a file of an older kind is
-# refused by kind.
-CIPHERTEXT_KIND = "gridseal-ciphertext-v3"
-RTU_STATE_KIND = "gridseal-rtu-state-v4"
-_UPDATES_KIND = "gridseal-updates-v3"
-_KDC_KIND = "gridseal-kdc-v2"
-_KEYRING_KIND = "gridseal-keyring-v2"
-_GROUP_FIELDS = ("backend", "q", "hash")
+# (backend, q). The version suffixes name the record layout, the fixed-width
+# element bodies and the header without a hash field; a file of an older kind,
+# which may have been written under SHA-1 identity hashes, is refused by kind.
+CIPHERTEXT_KIND = "gridseal-ciphertext-v4"
+RTU_STATE_KIND = "gridseal-rtu-state-v5"
+_UPDATES_KIND = "gridseal-updates-v4"
+_KDC_KIND = "gridseal-kdc-v3"
+_KEYRING_KIND = "gridseal-keyring-v3"
+# The Paillier key files hold N, and the two primes of N.
+_PAILLIER_PUBLIC_KIND = "gridseal-paillier-public-v2"
+_PAILLIER_SECRET_KIND = "gridseal-paillier-secret-v2"
+_GROUP_FIELDS = ("backend", "q")
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
-_SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND, "gridseal-paillier-secret"}
+_SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND, _PAILLIER_SECRET_KIND}
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -57,13 +60,10 @@ def _add_group_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, default=None, help="explicit prime group order")
     parser.add_argument("--q-bits", type=int, default=None, dest="q_bits",
                         help="generate a prime group order of this size")
-    parser.add_argument("--hash", default="sha256", choices=("sha256", "sha1"),
-                        help="identity hash (sha1 only for compatibility)")
 
 
 def _ctx_from_args(args, rng: random.Random) -> PairingContext:
-    return ctx_new(backend=args.backend, q=args.q, q_bits=args.q_bits,
-                   rng=rng, hash_name=args.hash)
+    return ctx_new(backend=args.backend, q=args.q, q_bits=args.q_bits, rng=rng)
 
 
 def _save(path: str, kind: str, header: dict[str, str] | None, body: dict[str, Any]) -> None:
@@ -96,8 +96,7 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
     if expect is not None and header != expect:
         raise ValueError(f"{path}: the command's files use different groups")
     try:
-        ctx = ctx_new(backend=header["backend"], q=_int(header["q"]),
-                      hash_name=header["hash"], self_test=False)
+        ctx = ctx_new(backend=header["backend"], q=_int(header["q"]), self_test=False)
         return ctx, header, decode(ctx, document)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from None
@@ -149,8 +148,7 @@ def bundled_scenarios() -> list[str]:
 
 def _cmd_run(args) -> int:
     report = run_scenario(_resolve_scenario(args.scenario), seed=args.seed,
-                          backend=args.backend, q=args.q, q_bits=args.q_bits,
-                          hash_name=args.hash)
+                          backend=args.backend, q=args.q, q_bits=args.q_bits)
     rendered = render_report(report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -178,8 +176,8 @@ def _cmd_keygen_paillier(args) -> int:
     public_hex = pk.to_bytes().hex()
     secret_hex = sk.to_bytes().hex()
     if args.out:
-        _save(f"{args.out}.pub.json", "gridseal-paillier-public", None, {"data": public_hex})
-        _save(f"{args.out}.sec.json", "gridseal-paillier-secret", None, {"data": secret_hex})
+        _save(f"{args.out}.pub.json", _PAILLIER_PUBLIC_KIND, None, {"data": public_hex})
+        _save(f"{args.out}.sec.json", _PAILLIER_SECRET_KIND, None, {"data": secret_hex})
         _emit({"modulus_bits": pk.bit_length, "public": f"{args.out}.pub.json",
                "secret": f"{args.out}.sec.json"})
     else:
@@ -192,7 +190,7 @@ def _cmd_kdc_setup(args) -> int:
     ctx = _ctx_from_args(args, rng)
     attributes = [a.strip() for a in args.attrs.split(",") if a.strip()]
     keyring = abe.kdc_setup(ctx, args.kdc_id, attributes, rng)
-    header = {"backend": args.backend, "q": str(ctx.q), "hash": ctx.hash_name}
+    header = {"backend": args.backend, "q": str(ctx.q)}
     _save(args.out, _KDC_KIND, header, {
         "kdc_id": args.kdc_id,
         "attributes": attributes,
@@ -272,7 +270,7 @@ def _cmd_encrypt(args) -> int:
     shares = dict(kdc.shares)
     for kdc_path in args.kdc[1:]:
         shares.update(_load(kdc_path, _KDC_KIND, _kdc, header)[2].shares)
-    program = compile_lsss(parse_policy(args.policy), columns=args.columns)
+    program = compile_lsss(parse_policy(args.policy))
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
     _save_record(args.out, args.state, ctx, header, ciphertext, state)
@@ -285,9 +283,10 @@ def _cmd_decrypt(args) -> int:
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
     _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, header)
     updates = {}
-    if args.updates:
-        _, _, updates = _load(args.updates, _UPDATES_KIND, lambda ctx, fields: {
-            _int(i): _element(ctx, e, group_t=True) for i, e in fields["rows"].items()}, header)
+    for path in args.updates:
+        updates.update(_load(path, _UPDATES_KIND, lambda ctx, fields: {
+            _int(i): _element(ctx, e, group_t=True) for i, e in fields["rows"].items()},
+            header)[2])
     try:
         payload = abe.abe_decrypt(ctx, keyring, ciphertext, updates)
     except abe.AccessDenied as exc:
@@ -400,14 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     encrypt.add_argument("--out", required=True)
     encrypt.add_argument("--state", required=True,
                          help="sealed encryption state kept for revocation")
-    encrypt.add_argument("--columns", default="fresh", choices=("fresh", "shared"))
     encrypt.add_argument("--seed", type=int, default=None)
     encrypt.set_defaults(func=_cmd_encrypt)
 
     decrypt = commands.add_parser("decrypt", help="attempt decryption with a user keyring")
     decrypt.add_argument("--ciphertext", required=True)
     decrypt.add_argument("--keyring", required=True)
-    decrypt.add_argument("--updates", default=None, help="out-of-band row updates file")
+    decrypt.add_argument("--updates", action="append", default=[],
+                         help="out-of-band row updates file (repeatable, oldest revocation "
+                              "first: a later file's row replaces an earlier one's)")
     decrypt.set_defaults(func=_cmd_decrypt)
 
     revoke = commands.add_parser("revoke", help="rotate a stored record away from revoked users")

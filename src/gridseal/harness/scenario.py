@@ -277,7 +277,6 @@ def run_scenario(
     backend: str = "reference",
     q: int | None = None,
     q_bits: int | None = None,
-    hash_name: str = "sha256",
 ) -> dict[str, Any]:
     """Execute a scenario from `load_scenario` and return the report dictionary."""
     rng: random.Random = random.Random(seed) if seed is not None else random.SystemRandom()
@@ -302,7 +301,7 @@ def run_scenario(
 
         ctx: PairingContext | None = None
         if scenario.kdcs or scenario.records:
-            ctx = ctx_new(backend=backend, q=q, q_bits=q_bits, rng=rng, hash_name=hash_name)
+            ctx = ctx_new(backend=backend, q=q, q_bits=q_bits, rng=rng)
 
         phase = "kdc-setup"
         authorities: dict[str, abe.KdcKeyring] = {}

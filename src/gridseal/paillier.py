@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .primes import generate_prime, is_probable_prime
 from .wire import decode_uint, encode_uint
@@ -45,18 +46,18 @@ class PaillierPublicKey:
 
     Attributes:
         modulus: N, the product of two distinct primes.
-        generator: g = N + 1, the only generator decryption supports (mu
-            is computed for it); any other value is rejected.
     """
 
     modulus: int
-    generator: int
 
     def __post_init__(self):
         if self.modulus <= 1:
             raise ValueError("modulus must exceed 1")
-        if self.generator != self.modulus + 1:
-            raise ValueError("generator must be N + 1")
+
+    @property
+    def generator(self) -> int:
+        """g = N + 1, the only generator decryption supports (mu is computed for it)."""
+        return self.modulus + 1
 
     @property
     def modulus_squared(self) -> int:
@@ -67,40 +68,55 @@ class PaillierPublicKey:
         return self.modulus.bit_length()
 
     def to_bytes(self) -> bytes:
-        return encode_uint(self.modulus) + encode_uint(self.generator)
+        return encode_uint(self.modulus)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PaillierPublicKey":
         modulus, off = decode_uint(data, 0)
-        generator, off = decode_uint(data, off)
         if off != len(data):
             raise ValueError("trailing bytes after public key")
-        return cls(modulus, generator)
+        return cls(modulus)
 
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
-    """Secret half: lambda(N) = lcm(q1-1, q2-1) plus the cached L-inverse mu.
+    """Secret half: the two primes of N, from which lambda and mu are derived.
 
-    The generating primes are kept in memory for inspection and a potential
-    CRT fast path but never serialized.
+    Construction does not test the primes, because keygen draws them already
+    tested; `from_bytes`, which reads outside input, does.
     """
 
-    lam: int
-    mu: int
-    q1: int | None = None
-    q2: int | None = None
+    q1: int
+    q2: int
+
+    def __post_init__(self):
+        if self.q1 == self.q2:
+            raise ValueError("the primes must be distinct")
+        if math.gcd(self.lam, self.q1 * self.q2) != 1:
+            raise ValueError("lambda(N) shares a factor with N; L-denominator not invertible")
+
+    @cached_property
+    def lam(self) -> int:
+        """lambda(N) = lcm(q1 - 1, q2 - 1)."""
+        return math.lcm(self.q1 - 1, self.q2 - 1)
+
+    @cached_property
+    def mu(self) -> int:
+        """L((N + 1)^lambda mod N^2)^-1 = lambda^-1 mod N, so mu needs no modexp."""
+        return pow(self.lam, -1, self.q1 * self.q2)
 
     def to_bytes(self) -> bytes:
-        return encode_uint(self.lam) + encode_uint(self.mu)
+        return encode_uint(self.q1) + encode_uint(self.q2)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PaillierSecretKey":
-        lam, off = decode_uint(data, 0)
-        mu, off = decode_uint(data, off)
+        q1, off = decode_uint(data, 0)
+        q2, off = decode_uint(data, off)
         if off != len(data):
             raise ValueError("trailing bytes after secret key")
-        return cls(lam, mu)
+        if not (is_probable_prime(q1) and is_probable_prime(q2)):
+            raise ValueError("secret key factors must be prime")
+        return cls(q1, q2)
 
 
 @dataclass(frozen=True)
@@ -128,19 +144,6 @@ class PaillierCiphertext:
         return cls(value, pk.modulus)
 
 
-def _build_keys(q1: int, q2: int) -> tuple[PaillierPublicKey, PaillierSecretKey]:
-    modulus = q1 * q2
-    lam = math.lcm(q1 - 1, q2 - 1)
-    if math.gcd(lam, modulus) != 1:
-        raise ValueError("lambda(N) shares a factor with N; L-denominator not invertible")
-    # L((N + 1)^lambda mod N^2) = lambda mod N, so mu needs no modexp.
-    mu = pow(lam, -1, modulus)
-    return (
-        PaillierPublicKey(modulus, modulus + 1),
-        PaillierSecretKey(lam, mu, q1, q2),
-    )
-
-
 def paillier_keygen(
     bit_length: int = DEFAULT_KEY_BITS,
     rng: random.Random | None = None,
@@ -163,9 +166,7 @@ def paillier_keygen(
     if q1 is not None and q2 is not None:
         if not (is_probable_prime(q1) and is_probable_prime(q2)):
             raise ValueError("injected factors must be prime")
-        if q1 == q2:
-            raise ValueError("injected factors must be distinct")
-        return _build_keys(q1, q2)
+        return PaillierPublicKey(q1 * q2), PaillierSecretKey(q1, q2)
 
     if bit_length < MIN_KEY_BITS:
         raise ValueError(f"bit_length must be at least {MIN_KEY_BITS}")
@@ -174,11 +175,9 @@ def paillier_keygen(
     for _ in range(64):
         p = generate_prime(half, rng)
         q = generate_prime(bit_length - half, rng)
-        if p == q:
-            continue
         try:
-            return _build_keys(p, q)
-        except ValueError:
+            return PaillierPublicKey(p * q), PaillierSecretKey(p, q)
+        except ValueError:  # equal primes, or gcd(lambda, N) != 1
             continue
     raise RuntimeError("prime generation exceeded retry budget for a usable keypair")
 
@@ -246,5 +245,3 @@ def paillier_add(
     if c1.modulus != pk.modulus or c2.modulus != pk.modulus:
         raise ValueError("ciphertext modulus mismatch")
     return PaillierCiphertext(c1.value * c2.value % pk.modulus_squared, pk.modulus)
-
-# TODO: optional CRT decryption fast path keyed on the retained factors.

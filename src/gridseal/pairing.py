@@ -28,8 +28,6 @@ from .primes import generate_prime, is_probable_prime
 # 160-bit default order, matching the curve size the cost-model defaults assume.
 DEFAULT_Q_160 = 1096126227998177188652763624537212264741949407257
 
-_HASHES = {"sha256": hashlib.sha256, "sha1": hashlib.sha1}
-
 
 class BackendMismatchError(ValueError):
     """Raised when elements from different backends (or group orders) are mixed."""
@@ -48,7 +46,7 @@ class GroupElementGT:
 
 
 class PairingBackend(ABC):
-    """The six group operations plus pairing, hashing and element codecs.
+    """The five group operations plus pairing, hashing and element codecs.
 
     `ident` must be unique per (backend family, group order) so elements from
     incompatible instances never interoperate; `wire_id` is the byte a record
@@ -77,9 +75,6 @@ class PairingBackend(ABC):
     def g_mul(self, a: GroupElementG, b: GroupElementG) -> GroupElementG: ...
 
     @abstractmethod
-    def g_inv(self, a: GroupElementG) -> GroupElementG: ...
-
-    @abstractmethod
     def g_exp(self, base: GroupElementG, k: int) -> GroupElementG: ...
 
     @abstractmethod
@@ -95,7 +90,8 @@ class PairingBackend(ABC):
     def pair(self, p: GroupElementG, q: GroupElementG) -> GroupElementGT: ...
 
     @abstractmethod
-    def hash_to_g(self, data: bytes, hash_name: str) -> GroupElementG: ...
+    def hash_to_g(self, data: bytes) -> GroupElementG:
+        """H(u): SHA-256 of data, mapped into G."""
 
     @abstractmethod
     def element_bytes(self, element: GroupElementG | GroupElementGT) -> bytes: ...
@@ -148,10 +144,6 @@ class ReferenceBackend(PairingBackend):
         self._check_g(a, b)
         return GroupElementG(self.ident, (a.data + b.data) % self.q)
 
-    def g_inv(self, a):
-        self._check_g(a)
-        return GroupElementG(self.ident, -a.data % self.q)
-
     def g_exp(self, base, k):
         self._check_g(base)
         return GroupElementG(self.ident, base.data * (k % self.q) % self.q)
@@ -172,8 +164,8 @@ class ReferenceBackend(PairingBackend):
         self._check_g(p, q)
         return GroupElementGT(self.ident, p.data * q.data % self.q)
 
-    def hash_to_g(self, data: bytes, hash_name: str) -> GroupElementG:
-        digest = _HASHES[hash_name](data).digest()
+    def hash_to_g(self, data: bytes) -> GroupElementG:
+        digest = hashlib.sha256(data).digest()
         return GroupElementG(self.ident, int.from_bytes(digest, "big") % self.q)
 
     def element_bytes(self, element):
@@ -240,11 +232,8 @@ class _CounterWindow:
 class PairingContext:
     """A configured group pair with meters; create through ctx_new()."""
 
-    def __init__(self, backend: PairingBackend, hash_name: str = "sha256"):
-        if hash_name not in _HASHES:
-            raise ValueError(f"unsupported hash {hash_name!r}")
+    def __init__(self, backend: PairingBackend):
         self.backend = backend
-        self.hash_name = hash_name
         self.q = backend.q
         self.g = backend.generator()
         self._lock = threading.Lock()
@@ -289,20 +278,11 @@ class PairingContext:
 
     # -- unmetered group-law plumbing ---------------------------------------
 
-    def g_mul(self, a: GroupElementG, b: GroupElementG) -> GroupElementG:
-        return self.backend.g_mul(a, b)
-
-    def g_inv(self, a: GroupElementG) -> GroupElementG:
-        return self.backend.g_inv(a)
-
     def gt_mul(self, a: GroupElementGT, b: GroupElementGT) -> GroupElementGT:
         return self.backend.gt_mul(a, b)
 
     def gt_inv(self, a: GroupElementGT) -> GroupElementGT:
         return self.backend.gt_inv(a)
-
-    def identity_g(self) -> GroupElementG:
-        return self.backend.identity_g()
 
     def identity_gt(self) -> GroupElementGT:
         return self.backend.identity_gt()
@@ -310,7 +290,7 @@ class PairingContext:
     def hash_to_g(self, data: bytes | str) -> GroupElementG:
         if isinstance(data, str):
             data = data.encode("utf-8")
-        return self.backend.hash_to_g(data, self.hash_name)
+        return self.backend.hash_to_g(data)
 
     @property
     def q_bits(self) -> int:
@@ -358,7 +338,6 @@ def ctx_new(
     q: int | None = None,
     q_bits: int | None = None,
     rng: random.Random | None = None,
-    hash_name: str = "sha256",
     self_test: bool = True,
 ) -> PairingContext:
     """Build a pairing context.
@@ -380,4 +359,4 @@ def ctx_new(
     instance = factory(q)
     if self_test:
         _self_test(instance, rng)
-    return PairingContext(instance, hash_name=hash_name)
+    return PairingContext(instance)

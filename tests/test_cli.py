@@ -7,6 +7,13 @@ from gridseal import abe, pairing
 from gridseal.harness.cli import bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.lsss import compile_lsss, parse_policy
+from gridseal.paillier import (
+    PaillierPublicKey,
+    PaillierSecretKey,
+    paillier_decrypt,
+    paillier_encrypt,
+    paillier_keygen,
+)
 from gridseal.pairing import ReferenceBackend
 
 
@@ -103,8 +110,17 @@ def test_keygen_paillier(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "keygen-paillier", "--bits", "64", "--seed", "3",
                            "--out", str(prefix))
     assert code == 0
-    assert (tmp_path / "keys.pub.json").exists()
-    assert (tmp_path / "keys.sec.json").exists()
+    public = json.loads((tmp_path / "keys.pub.json").read_text())
+    secret = json.loads((tmp_path / "keys.sec.json").read_text())
+    assert (public["kind"], secret["kind"]) == ("gridseal-paillier-public-v2",
+                                                "gridseal-paillier-secret-v2")
+    # the public file holds N and the secret file its two primes
+    pk = PaillierPublicKey.from_bytes(bytes.fromhex(public["data"]))
+    sk = PaillierSecretKey.from_bytes(bytes.fromhex(secret["data"]))
+    assert (pk, sk) == paillier_keygen(64, rng=random.Random(3))
+    assert sk.q1 * sk.q2 == pk.modulus
+    ct = paillier_encrypt(pk, 4242, rng=random.Random(1))
+    assert paillier_decrypt(sk, pk, ct) == 4242
 
 
 def test_bench_reports_default_prediction(capsys):
@@ -187,6 +203,36 @@ def test_encrypt_decrypt_revoke_cycle(keyfiles, tmp_path, capsys):
     assert json.loads(out)["payload"] == "meter digest"
 
 
+def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
+    kdc, ct, state = tmp_path / "kdc.json", tmp_path / "ct.json", tmp_path / "state.json"
+    assert main(["kdc-setup", "--kdc-id", "K", "--attrs", "x,y,z,w", "--out", str(kdc),
+                 "--seed", "1"]) == 0
+    for user, attrs in (("U", "x,y"), ("A", "y"), ("B", "z")):
+        assert main(["issue-key", "--kdc", str(kdc), "--user", user, "--attrs", attrs,
+                     "--keyring", str(tmp_path / f"{user}.json")]) == 0
+    assert main(["encrypt", "--policy", "(x & y) | z", "--payload", "p", "--kdc", str(kdc),
+                 "--out", str(ct), "--state", str(state), "--seed", "2"]) == 0
+    for n, user in ((1, "A"), (2, "B")):
+        assert main(["revoke", "--ciphertext", str(ct), "--state", str(state),
+                     "--kdc", str(kdc), "--revoked", str(tmp_path / f"{user}.json"),
+                     "--out-updates", str(tmp_path / f"u{n}.json"), "--seed", str(n)]) == 0
+    capsys.readouterr()
+
+    def decrypt(user, *updates):
+        argv = ["decrypt", "--ciphertext", str(ct), "--keyring", str(tmp_path / f"{user}.json")]
+        for name in updates:
+            argv += ["--updates", str(tmp_path / f"{name}.json")]
+        code, out, _ = run_cli(capsys, *argv)
+        return code, json.loads(out)["outcome"]
+
+    assert decrypt("U", "u1", "u2") == (0, "ok")
+    # a later file's row replaces an earlier one's, so the order matters; B was in
+    # good standing at the first revocation only, so it is sent u1 alone
+    for user, updates in (("U", ("u1",)), ("U", ("u2",)), ("U", ("u2", "u1")),
+                          ("A", ("u1", "u2")), ("B", ("u1",))):
+        assert decrypt(user, *updates) == (1, "denied"), (user, updates)
+
+
 def test_issue_key_guards_foreign_keyring(keyfiles, tmp_path, capsys):
     kdc_a, _, user_full, _ = keyfiles
     code, _, err = run_cli(capsys, "issue-key", "--kdc", str(kdc_a),
@@ -230,7 +276,7 @@ def test_issue_key_takes_group_header_from_authority(tmp_path, capsys, monkeypat
                  "--attrs", "alpha", "--keyring", str(keyring)]) == 0
     authority = json.loads(kdc.read_text())
     issued = json.loads(keyring.read_text())
-    for field in ("backend", "q", "hash"):
+    for field in ("backend", "q"):
         assert issued[field] == authority[field]
 
     other = tmp_path / "other.json"
@@ -250,8 +296,8 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
     assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x",
                  "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
                  "--seed", "3"]) == 0
-    for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v3"),
-                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v4")):
+    for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v4"),
+                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v5")):
         document = json.loads(path.read_text())
         assert document["kind"] == kind
         document["kind"] = old_kind
@@ -260,13 +306,13 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
     code, _, err = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
                            "--keyring", str(user_full))
     assert code == 2
-    assert "expected a gridseal-ciphertext-v3 file" in err
-    ct.write_text(json.dumps({**json.loads(ct.read_text()), "kind": "gridseal-ciphertext-v3"}))
+    assert "expected a gridseal-ciphertext-v4 file" in err
+    ct.write_text(json.dumps({**json.loads(ct.read_text()), "kind": "gridseal-ciphertext-v4"}))
     code, _, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
                            "--kdc", str(kdc_a), "--revoked", str(user_full),
                            "--out-updates", str(tmp_path / "updates.json"))
     assert code == 2
-    assert "expected a gridseal-rtu-state-v4 file" in err
+    assert "expected a gridseal-rtu-state-v5 file" in err
 
 
 @pytest.fixture()
@@ -310,36 +356,43 @@ def issue_argv(files, tmp_path):
 
 def test_every_file_carries_its_group_header(record):
     authority = json.loads(record["kdc"].read_text())
-    header = {field: authority[field] for field in ("backend", "q", "hash")}
-    assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160), "hash": "sha256"}
-    for name, kind in (("keyring", "gridseal-keyring-v2"), ("ciphertext", "gridseal-ciphertext-v3"),
-                       ("state", "gridseal-rtu-state-v4"), ("updates", "gridseal-updates-v3")):
+    header = {field: authority[field] for field in ("backend", "q")}
+    assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160)}
+    assert authority["kind"] == "gridseal-kdc-v3" and "hash" not in authority
+    for name, kind in (("keyring", "gridseal-keyring-v3"), ("ciphertext", "gridseal-ciphertext-v4"),
+                       ("state", "gridseal-rtu-state-v5"), ("updates", "gridseal-updates-v4")):
         document = json.loads(record[name].read_text())
         assert document["kind"] == kind
         assert {field: document[field] for field in header} == header
+        assert "hash" not in document
 
 
 def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, capsys):
-    for name, old_kind in (("state", "gridseal-rtu-state-v2"), ("updates", "gridseal-updates")):
-        document = json.loads(record[name].read_text())
-        document["kind"] = old_kind
-        record[name].write_text(json.dumps(document))
-    code, _, err = run_cli(capsys, *revoke_argv(record, tmp_path))
-    assert code == 2
-    assert "expected a gridseal-rtu-state-v4 file" in err
-    code, _, err = run_cli(capsys, *decrypt_argv(record, tmp_path))
-    assert code == 2
-    assert "expected a gridseal-updates-v3 file" in err
+    # the kinds before the identity hash left the header may hold SHA-1 hashes
+    for name, old_kind, argv in (("kdc", "gridseal-kdc-v2", issue_argv),
+                                 ("keyring", "gridseal-keyring-v2", issue_argv),
+                                 ("ciphertext", "gridseal-ciphertext-v3", decrypt_argv),
+                                 ("state", "gridseal-rtu-state-v4", revoke_argv),
+                                 ("updates", "gridseal-updates-v3", decrypt_argv),
+                                 ("state", "gridseal-rtu-state-v2", revoke_argv),
+                                 ("updates", "gridseal-updates", decrypt_argv)):
+        text = record[name].read_text()
+        kind = json.loads(text)["kind"]
+        record[name].write_text(json.dumps({**json.loads(text), "kind": old_kind, "hash": "sha1"}))
+        code, _, err = run_cli(capsys, *argv(record, tmp_path))
+        assert code == 2, old_kind
+        assert f"expected a {kind} file" in err
+        record[name].write_text(text)
 
 
 @pytest.mark.parametrize("name, old_kind, kind, argv", [
-    pytest.param("kdc", "gridseal-kdc", "gridseal-kdc-v2", issue_argv, id="kdc"),
-    pytest.param("keyring", "gridseal-keyring", "gridseal-keyring-v2", issue_argv, id="keyring"),
-    pytest.param("ciphertext", "gridseal-ciphertext-v2", "gridseal-ciphertext-v3", decrypt_argv,
+    pytest.param("kdc", "gridseal-kdc", "gridseal-kdc-v3", issue_argv, id="kdc"),
+    pytest.param("keyring", "gridseal-keyring", "gridseal-keyring-v3", issue_argv, id="keyring"),
+    pytest.param("ciphertext", "gridseal-ciphertext-v2", "gridseal-ciphertext-v4", decrypt_argv,
                  id="ciphertext"),
-    pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v4", revoke_argv,
+    pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v5", revoke_argv,
                  id="state"),
-    pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v3", decrypt_argv,
+    pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v4", decrypt_argv,
                  id="updates"),
 ])
 def test_files_of_the_framed_element_layout_are_refused_by_kind(record, tmp_path, capsys,

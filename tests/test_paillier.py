@@ -56,18 +56,6 @@ def test_mu_closed_form_matches_the_l_function():
         assert sk.mu == pow((pow(pk.generator, sk.lam, n_sq) - 1) // n, -1, n)
 
 
-def test_public_key_rejects_other_generators(desk_keys):
-    # decryption's mu is computed for g = N + 1; with g = 1 + 2N it would
-    # silently decrypt m as 2m
-    pk, _ = desk_keys
-    n = pk.modulus
-    for generator in (1 + 2 * n, 2, n * n - 1):
-        with pytest.raises(ValueError, match="N \\+ 1"):
-            PaillierPublicKey(n, generator)
-        with pytest.raises(ValueError, match="N \\+ 1"):
-            PaillierPublicKey.from_bytes(encode_uint(n) + encode_uint(generator))
-
-
 def test_keygen_size_and_primality():
     pk, sk = paillier_keygen(256, rng=random.Random(9))
     assert pk.bit_length in (255, 256)
@@ -214,7 +202,7 @@ def test_malformed_ciphertext_detected(small_keys):
     # the L-domain violation is observable exactly when the secret key does
     # not belong to the modulus
     pk, _ = small_keys
-    wrong_sk = PaillierSecretKey(lam=12, mu=3)
+    wrong_sk = PaillierSecretKey(5, 7)  # lambda 12, mu 3
     ct = paillier_encrypt(pk, 3, rng=random.Random(2))
     with pytest.raises(MalformedCiphertextError):
         paillier_decrypt(wrong_sk, pk, ct)
@@ -234,14 +222,34 @@ def test_serialization_round_trip(small_keys):
     pk, sk = small_keys
     assert PaillierPublicKey.from_bytes(pk.to_bytes()) == pk
     restored = PaillierSecretKey.from_bytes(sk.to_bytes())
+    assert (restored.q1, restored.q2) == (sk.q1, sk.q2)
     assert (restored.lam, restored.mu) == (sk.lam, sk.mu)
     ct = paillier_encrypt(pk, 12345, rng=random.Random(0))
     assert PaillierCiphertext.from_bytes(ct.to_bytes(), pk) == ct
+    assert paillier_decrypt(restored, pk, ct) == 12345
 
 
 def test_wire_layout_is_length_prefixed_big_endian(desk_keys):
-    pk, _ = desk_keys
-    assert pk.to_bytes() == b"\x00\x00\x00\x01\x23" + b"\x00\x00\x00\x01\x24"
+    pk, sk = desk_keys
+    assert pk.to_bytes() == b"\x00\x00\x00\x01\x23"
+    assert sk.to_bytes() == b"\x00\x00\x00\x01\x05" + b"\x00\x00\x00\x01\x07"
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(encode_uint(5) + encode_uint(9), "prime", id="composite-factor"),
+    pytest.param(encode_uint(1) + encode_uint(7), "prime", id="unit-factor"),
+    pytest.param(encode_uint(7) + encode_uint(7), "distinct", id="equal-factors"),
+    pytest.param(encode_uint(5) + encode_uint(7) + b"\x00", "trailing", id="trailing-bytes"),
+    pytest.param(encode_uint(12) + encode_uint(3), "prime", id="lambda-mu-layout"),
+])
+def test_secret_key_decoder_rejects(blob, message):
+    with pytest.raises(ValueError, match=message):
+        PaillierSecretKey.from_bytes(blob)
+
+
+def test_public_key_decoder_rejects_the_generator_layout():
+    with pytest.raises(ValueError, match="trailing"):
+        PaillierPublicKey.from_bytes(encode_uint(35) + encode_uint(36))
 
 
 @given(m1=st.integers(min_value=0, max_value=34), m2=st.integers(min_value=0, max_value=34))
