@@ -6,9 +6,14 @@ modulus N is a product of two primes, encryption computes g^m * r^N mod N^2,
 and multiplying two ciphertexts decrypts to the sum of their plaintexts.
 
 The generator is always g = N + 1, which has order N modulo N^2 and gives
-the fast encryption path (1 + mN) * r^N mod N^2. Decryption uses the cached
-inverse mu = L(g^lambda mod N^2)^-1 mod N where L(u) = (u - 1) / N; with
-g = N + 1, g^lambda = 1 + lambda*N mod N^2, so mu is simply lambda^-1 mod N.
+the fast encryption path (1 + mN) * r^N mod N^2. Decryption works modulo
+each prime's square (Paillier, EUROCRYPT 1999, section 7): with N = p*q and
+L_p(u) = (u - 1) / p, it recovers m mod p = L_p(c^(p-1) mod p^2) * h_p mod p,
+likewise m mod q, and joins the two by Garner's recombination. That is two
+exponentiations of half the modulus and half the exponent in place of one
+c^lambda mod N^2. The constants need no exponentiation: with g = N + 1,
+g^(p-1) = 1 + (p-1)*N mod p^2, so L_p(g^(p-1) mod p^2) = (p-1)*q = -q mod p
+and h_p = (-q)^-1 mod p; symmetrically h_q = (-p)^-1 mod q.
 
 All values are immutable after construction and every operation takes its
 randomness source explicitly, so keys and ciphertexts can be shared freely
@@ -37,7 +42,8 @@ _ENCRYPT_R_ATTEMPTS = 128
 
 
 class MalformedCiphertextError(ValueError):
-    """Raised when a ciphertext fails the L-function domain check during decryption."""
+    """Raised when decryption is given a secret key whose primes do not multiply
+    to the ciphertext's modulus, or a ciphertext outside the L-function domain."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class PaillierPublicKey:
 
     @property
     def generator(self) -> int:
-        """g = N + 1, the only generator decryption supports (mu is computed for it)."""
+        """g = N + 1, the only generator decryption supports (h_p and h_q are derived for it)."""
         return self.modulus + 1
 
     @property
@@ -80,7 +86,7 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
-    """Secret half: the two primes of N, from which lambda and mu are derived.
+    """Secret half: the two primes of N, from which the decryption constants are derived.
 
     Construction does not test the primes, because keygen draws them already
     tested; `from_bytes`, which reads outside input, does.
@@ -92,18 +98,31 @@ class PaillierSecretKey:
     def __post_init__(self):
         if self.q1 == self.q2:
             raise ValueError("the primes must be distinct")
-        if math.gcd(self.lam, self.q1 * self.q2) != 1:
-            raise ValueError("lambda(N) shares a factor with N; L-denominator not invertible")
+        if math.gcd(self.q1 * self.q2, (self.q1 - 1) * (self.q2 - 1)) != 1:
+            raise ValueError("phi(N) shares a factor with N; L-denominator not invertible")
 
     @cached_property
-    def lam(self) -> int:
-        """lambda(N) = lcm(q1 - 1, q2 - 1)."""
-        return math.lcm(self.q1 - 1, self.q2 - 1)
+    def q1_squared(self) -> int:
+        return self.q1 * self.q1
 
     @cached_property
-    def mu(self) -> int:
-        """L((N + 1)^lambda mod N^2)^-1 = lambda^-1 mod N, so mu needs no modexp."""
-        return pow(self.lam, -1, self.q1 * self.q2)
+    def q2_squared(self) -> int:
+        return self.q2 * self.q2
+
+    @cached_property
+    def h1(self) -> int:
+        """L_q1((N + 1)^(q1 - 1) mod q1^2)^-1 mod q1, which is (-q2)^-1 mod q1."""
+        return pow(-self.q2, -1, self.q1)
+
+    @cached_property
+    def h2(self) -> int:
+        """L_q2((N + 1)^(q2 - 1) mod q2^2)^-1 mod q2, which is (-q1)^-1 mod q2."""
+        return pow(-self.q1, -1, self.q2)
+
+    @cached_property
+    def q2_inverse(self) -> int:
+        """q2^-1 mod q1, the constant of Garner's recombination."""
+        return pow(self.q2, -1, self.q1)
 
     def to_bytes(self) -> bytes:
         return encode_uint(self.q1) + encode_uint(self.q2)
@@ -177,7 +196,7 @@ def paillier_keygen(
         q = generate_prime(bit_length - half, rng)
         try:
             return PaillierPublicKey(p * q), PaillierSecretKey(p, q)
-        except ValueError:  # equal primes, or gcd(lambda, N) != 1
+        except ValueError:  # equal primes, or gcd(phi(N), N) != 1
             continue
     raise RuntimeError("prime generation exceeded retry budget for a usable keypair")
 
@@ -223,17 +242,23 @@ def paillier_decrypt(
 
     Raises:
         ValueError: ciphertext bound to a different modulus.
-        MalformedCiphertextError: c^lambda mod N^2 falls outside the
-            L-function domain {u < N^2 | u = 1 mod N}.
+        MalformedCiphertextError: the secret key's primes do not multiply to
+            N, or c^(q1-1) mod q1^2 or c^(q2-1) mod q2^2 falls outside its
+            L-function domain {u | u = 1 mod q}.
     """
     n = pk.modulus
     if ciphertext.modulus != n:
         raise ValueError("ciphertext was produced under a different modulus")
-    n_sq = pk.modulus_squared
-    u = int(_powmod(ciphertext.value, sk.lam, n_sq))
-    if u % n != 1:
+    p, q = sk.q1, sk.q2
+    if p * q != n:
+        raise MalformedCiphertextError("secret key does not belong to the modulus")
+    x_p = int(_powmod(ciphertext.value, p - 1, sk.q1_squared))
+    x_q = int(_powmod(ciphertext.value, q - 1, sk.q2_squared))
+    if x_p % p != 1 or x_q % q != 1:
         raise MalformedCiphertextError("ciphertext escapes the L-function domain")
-    return (u - 1) // n * sk.mu % n
+    m_p = (x_p - 1) // p * sk.h1 % p
+    m_q = (x_q - 1) // q * sk.h2 % q
+    return m_q + q * ((m_p - m_q) * sk.q2_inverse % p)
 
 
 def paillier_add(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -17,6 +18,7 @@ from gridseal.paillier import (
     paillier_keygen,
 )
 from gridseal.wire import encode_uint
+from paillier_oracle import oracle_decrypt, oracle_lam, oracle_mu
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +31,17 @@ def small_keys():
     return paillier_keygen(128, rng=random.Random(1234))
 
 
+@pytest.fixture(scope="module")
+def keys_512():
+    return paillier_keygen(512, rng=random.Random(512))
+
+
 def test_injected_primes_give_handcomputed_parameters(desk_keys):
     pk, sk = desk_keys
     assert pk.modulus == 35
     assert pk.generator == 36
-    assert sk.lam == 12  # lcm(4, 6)
+    assert oracle_lam(sk) == 12  # lcm(4, 6)
+    assert (sk.h1, sk.h2, sk.q2_inverse) == (2, 4, 3)  # (-7)^-1 mod 5, (-5)^-1 mod 7, 7^-1 mod 5
 
 
 def test_generator_order_is_multiple_of_modulus(desk_keys):
@@ -49,11 +57,105 @@ def test_generator_order_is_multiple_of_modulus(desk_keys):
 
 def test_mu_closed_form_matches_the_l_function():
     # mu is L(g^lambda mod N^2)^-1 mod N with L(u) = (u - 1) / N; for g = N + 1
-    # keygen computes it as lambda^-1 mod N
+    # the oracle computes it as lambda^-1 mod N
     for q1, q2 in [(5, 7), (11, 13), (17, 23), (101, 103), (1009, 2003), (65521, 65537)]:
         pk, sk = paillier_keygen(q1=q1, q2=q2)
         n, n_sq = pk.modulus, pk.modulus_squared
-        assert sk.mu == pow((pow(pk.generator, sk.lam, n_sq) - 1) // n, -1, n)
+        assert oracle_mu(sk) == pow((pow(pk.generator, oracle_lam(sk), n_sq) - 1) // n, -1, n)
+
+
+def test_crt_constants_match_the_l_function(keys_512):
+    # h_p = L_p(g^(p-1) mod p^2)^-1 mod p with L_p(u) = (u - 1) / p; the key
+    # derives it in closed form as (-q)^-1 mod p, and h_q symmetrically
+    cases = [paillier_keygen(q1=q1, q2=q2)
+             for q1, q2 in [(5, 7), (7, 5), (11, 13), (17, 23), (1009, 2003), (65521, 65537)]]
+    for pk, sk in cases + [keys_512]:
+        g = pk.generator
+        for p, q, h in [(sk.q1, sk.q2, sk.h1), (sk.q2, sk.q1, sk.h2)]:
+            assert h == pow((pow(g, p - 1, p * p) - 1) // p, -1, p)
+        assert sk.q2 * sk.q2_inverse % sk.q1 == 1
+
+
+def _random_units(pk, rng, count):
+    n, n_sq = pk.modulus, pk.modulus_squared
+    units = []
+    while len(units) < count:
+        c = rng.randrange(1, n_sq)
+        if math.gcd(c, n) == 1:
+            units.append(PaillierCiphertext(c, n))
+    return units
+
+
+def test_crt_decryption_matches_the_oracle_on_every_desk_unit(desk_keys):
+    pk, sk = desk_keys
+    n, n_sq = pk.modulus, pk.modulus_squared
+    units = [PaillierCiphertext(c, n) for c in range(1, n_sq) if math.gcd(c, n) == 1]
+    assert len(units) == 4 * 6 * 35  # |Z*_{N^2}| = phi(N) * N
+    for ct in units:
+        assert paillier_decrypt(sk, pk, ct) == oracle_decrypt(sk, pk, ct)
+
+
+def test_crt_decryption_matches_the_oracle_at_512_bits(keys_512):
+    pk, sk = keys_512
+    decoded = PaillierSecretKey.from_bytes(sk.to_bytes())
+    rng = random.Random(5120)
+    units = _random_units(pk, rng, 40)
+    sums = [paillier_add(pk, a, b) for a, b in zip(units, units[1:])]
+    # sums of fresh encryptions whose plaintexts wrap mod N
+    for _ in range(10):
+        m1 = rng.randrange(pk.modulus // 2, pk.modulus)
+        m2 = rng.randrange(pk.modulus - m1, pk.modulus)
+        c = paillier_add(pk, paillier_encrypt(pk, m1, rng=rng), paillier_encrypt(pk, m2, rng=rng))
+        assert paillier_decrypt(decoded, pk, c) == m1 + m2 - pk.modulus
+        sums.append(c)
+    for ct in units + sums:
+        expected = oracle_decrypt(sk, pk, ct)
+        assert paillier_decrypt(sk, pk, ct) == expected
+        assert paillier_decrypt(decoded, pk, ct) == expected
+
+
+def test_crt_decryption_matches_the_oracle_at_2048_bits():
+    pk, sk = paillier_keygen(2048, rng=random.Random(2048))
+    rng = random.Random(20480)
+    m1, m2 = pk.modulus - 3, 1_000_000
+    wrapped = paillier_add(pk, paillier_encrypt(pk, m1, rng=rng), paillier_encrypt(pk, m2, rng=rng))
+    for ct in [wrapped] + _random_units(pk, rng, 2):
+        assert paillier_decrypt(sk, pk, ct) == oracle_decrypt(sk, pk, ct)
+    assert paillier_decrypt(sk, pk, wrapped) == m2 - 3
+
+
+def test_another_keys_secret_key_is_refused(keys_512):
+    pk, _ = keys_512
+    _, other_sk = paillier_keygen(512, rng=random.Random(513))
+    rng = random.Random(514)
+    cts = [paillier_encrypt(pk, m, rng=rng) for m in (0, 1, 12345)] + _random_units(pk, rng, 5)
+    for ct in cts:
+        with pytest.raises(MalformedCiphertextError):
+            paillier_decrypt(other_sk, pk, ct)
+
+
+# SHA-256 of paillier_keygen(512, rng=Random(s))[1].to_bytes() for s = 0..9,
+# computed when every random candidate still ran 48 Miller-Rabin rounds
+_SEEDED_SECRET_KEY_DIGESTS = [
+    "d23cfb87f3bdd37a9bd521e4b72c9370c872d58ea4d8cb8bb99fb14f07df0c9c",
+    "8be773e0aedbafcbad9bac31471ddd6ba8cb72ccdd5d31ff84bf78cc292d9035",
+    "176122e39ee82500b8213b417e29f4b018d548b8eb316c7298eada7031a4fee3",
+    "16ca1c5c2b13babe582ba678c88d9610177f0528ba50ab512178d8ae0fa1f29a",
+    "c59f706513aedda53ef753b7320e7a2e5173835d55890b88296e7dd304b92907",
+    "7f93a146ec4482c38be1a9da9f296361e758f28b78d0f12ca38894e009b9a874",
+    "a04dd9b4f57bf116f7fd096dac12480736cca56349f03440a7c17d6ec491e487",
+    "3a20429127cedf519cd925182ecc56b4359adddf73634b9905cdb89a719a058b",
+    "eef49af6277b7e7f572747db981259c7d5e79b069f99ee2da27ec35ca4d2f621",
+    "9dcaeb29b3be0918345a3e3b45092951f96a7dd420302ca1cb17f92f0ed3d7fe",
+]
+
+
+def test_seeded_secret_keys_are_pinned():
+    # the average-case Miller-Rabin rounds shorten the witness stream but
+    # accept the same candidates, so a seed draws the same key as before
+    digests = [hashlib.sha256(paillier_keygen(512, rng=random.Random(s))[1].to_bytes()).hexdigest()
+               for s in range(10)]
+    assert digests == _SEEDED_SECRET_KEY_DIGESTS
 
 
 def test_keygen_size_and_primality():
@@ -185,7 +287,7 @@ def test_randomizer_elimination(small_keys):
         r = rng.randrange(1, pk.modulus)
         if math.gcd(r, pk.modulus) != 1:
             continue
-        assert pow(pow(r, pk.modulus, pk.modulus_squared), sk.lam, pk.modulus_squared) == 1
+        assert pow(pow(r, pk.modulus, pk.modulus_squared), oracle_lam(sk), pk.modulus_squared) == 1
 
 
 def test_no_ciphertext_collisions_at_512_bits():
@@ -223,7 +325,7 @@ def test_serialization_round_trip(small_keys):
     assert PaillierPublicKey.from_bytes(pk.to_bytes()) == pk
     restored = PaillierSecretKey.from_bytes(sk.to_bytes())
     assert (restored.q1, restored.q2) == (sk.q1, sk.q2)
-    assert (restored.lam, restored.mu) == (sk.lam, sk.mu)
+    assert (oracle_lam(restored), oracle_mu(restored)) == (oracle_lam(sk), oracle_mu(sk))
     ct = paillier_encrypt(pk, 12345, rng=random.Random(0))
     assert PaillierCiphertext.from_bytes(ct.to_bytes(), pk) == ct
     assert paillier_decrypt(restored, pk, ct) == 12345
