@@ -1,10 +1,15 @@
 """Boolean access policies: parsing, matrix compilation, reconstruction solving.
 
 A policy is a monotone formula over attribute identifiers (AND binds tighter
-than OR, both left-associative, no negation). Compilation turns its binary
-tree into a share-generating matrix whose rows map to leaf attributes through
-pi; a set of rows is authorized exactly when (1, 0, ..., 0) lies in their
-span over Z_q.
+than OR, both left-associative, no negation). An identifier starts with an
+ASCII letter, digit or underscore and goes on with those and `.`, `:` or
+`-`. The operators are `&` and `|` or the words AND and OR in any case;
+`!`, `~` and NOT are refused. Parentheses group, with no limit on nesting
+depth or policy length, and every PolicySyntaxError carries a character
+offset into the text. Compilation turns the policy's binary tree into a
+share-generating matrix whose rows map to leaf attributes through pi; a set
+of rows is authorized exactly when (1, 0, ..., 0) lies in their span over
+Z_q.
 
 Two column layouts are offered:
 
@@ -56,118 +61,81 @@ class Gate:
 
 AccessTree = Union[Leaf, Gate]
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<amp>&)|(?P<bar>\|)"
-                       r"|(?P<bang>!|~)|(?P<ident>[A-Za-z0-9_][A-Za-z0-9_.:\-]*))")
+# Each match is one token. Whitespace is skipped between matches, and any
+# other character no group names falls through to BAD.
+_TOKEN_RE = re.compile(r"(?P<AND>&)|(?P<OR>\|)|(?P<NOT>[!~])|(?P<LPAREN>\()|(?P<RPAREN>\))"
+                       r"|(?P<IDENT>[A-Za-z0-9_][A-Za-z0-9_.:\-]*)|(?P<BAD>\S)")
 
-_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT"}
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token; raises the first lexical error in the text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolicySyntaxError(f"unexpected character {stripped[0]!r}",
-                                    len(text) - len(stripped))
-        kind = match.lastgroup
-        value = match.group(kind)
-        at = match.start(kind)
-        if kind == "ident":
-            keyword = _KEYWORDS.get(value.lower())
-            if keyword == "NOT":
-                raise PolicySyntaxError("negation is not supported in monotone policies", at)
-            if keyword:
-                tokens.append((keyword, value, at))
-            else:
-                tokens.append(("IDENT", value, at))
-        elif kind == "amp":
-            tokens.append(("AND", value, at))
-        elif kind == "bar":
-            tokens.append(("OR", value, at))
-        elif kind == "bang":
+    for match in _TOKEN_RE.finditer(text):
+        kind, value, at = match.lastgroup, match.group(), match.start()
+        if kind == "IDENT" and value.upper() in ("AND", "OR", "NOT"):
+            kind = value.upper()
+        if kind == "NOT":
             raise PolicySyntaxError("negation is not supported in monotone policies", at)
-        else:
-            tokens.append((kind.upper(), value, at))
-        pos = match.end()
+        if kind == "BAD":
+            raise PolicySyntaxError(f"unexpected character {value!r}", at)
+        tokens.append((kind, value, at))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def _eof_position(self) -> int:
-        return self.tokens[-1][2] if self.tokens else 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise PolicySyntaxError("unexpected end of policy", self._eof_position())
-        self.i += 1
-        return token
-
-    def parse(self) -> AccessTree:
-        tree = self.parse_or()
-        extra = self.peek()
-        if extra is not None:
-            raise PolicySyntaxError(f"unexpected {extra[1]!r}", extra[2])
-        return tree
-
-    def parse_or(self) -> AccessTree:
-        node = self.parse_and()
-        while (tok := self.peek()) is not None and tok[0] == "OR":
-            self.advance()
-            node = Gate("OR", node, self.parse_and())
-        return node
-
-    def parse_and(self) -> AccessTree:
-        node = self.parse_atom()
-        while (tok := self.peek()) is not None and tok[0] == "AND":
-            self.advance()
-            node = Gate("AND", node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> AccessTree:
-        token = self.peek()
-        if token is None:
-            raise PolicySyntaxError("expected an attribute or '('", self._eof_position())
-        kind, value, at = token
-        if kind == "IDENT":
-            self.advance()
-            return Leaf(value)
-        if kind == "LPAREN":
-            self.advance()
-            node = self.parse_or()
-            closing = self.peek()
-            if closing is None or closing[0] != "RPAREN":
-                raise PolicySyntaxError("missing ')'",
-                                        closing[2] if closing else self._eof_position())
-            self.advance()
-            return node
-        raise PolicySyntaxError(f"unexpected {value!r}", at)
-
-
 def parse_policy(text: str) -> AccessTree:
-    """Parse a policy expression; n-ary chains binarize left-associatively."""
-    tokens = _tokenize(text)
+    """Parse a policy expression; n-ary chains binarize left-associatively.
+
+    One operator-precedence pass over an explicit stack, so neither nesting
+    depth nor length is bounded by the interpreter's recursion limit. Where
+    a token cannot follow an operand, the error is "missing ')'" while a
+    parenthesis is open and "unexpected ..." otherwise; at the end of the
+    text the offset is the last token's.
+    """
+    tokens = _scan(text)
     if not tokens:
         raise PolicySyntaxError("empty policy", 0)
-    return _Parser(tokens).parse()
+    operands: list[AccessTree] = []
+    pending: list[str] = []  # "LPAREN", "AND" and "OR" tokens not yet applied
+    depth = 0  # open parentheses
+    want_operand = True
+    for kind, value, at in tokens + [("END", "", tokens[-1][2])]:
+        if want_operand:
+            if kind == "IDENT":
+                operands.append(Leaf(value))
+                want_operand = False
+            elif kind == "LPAREN":
+                pending.append(kind)
+                depth += 1
+            else:
+                raise PolicySyntaxError("expected an attribute or '('" if kind == "END"
+                                        else f"unexpected {value!r}", at)
+            continue
+        # after an operand: an operator, a ')' closing an open '(', or the end at depth 0
+        if kind not in ("AND", "OR", "RPAREN" if depth else "END"):
+            raise PolicySyntaxError("missing ')'" if depth else f"unexpected {value!r}", at)
+        # apply the pending operators that bind at least as tightly as this token
+        while pending and pending[-1] != "LPAREN" and (kind != "AND" or pending[-1] == "AND"):
+            right = operands.pop()
+            operands[-1] = Gate(pending.pop(), operands[-1], right)
+        if kind == "RPAREN":
+            pending.pop()
+            depth -= 1
+        elif kind != "END":
+            pending.append(kind)
+            want_operand = True
+    return operands[0]
 
 
 def tree_attributes(tree: AccessTree) -> list[str]:
     """Leaf attributes in depth-first order (duplicates preserved)."""
-    if isinstance(tree, Leaf):
-        return [tree.attribute]
-    return tree_attributes(tree.left) + tree_attributes(tree.right)
+    attributes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            attributes.append(node.attribute)
+        else:
+            stack += (node.right, node.left)
+    return attributes
 
 
 @dataclass(frozen=True, init=False)
@@ -311,25 +279,21 @@ def compile_lsss(tree: AccessTree, columns: str = "fresh") -> LsssProgram:
         raise ValueError("columns must be 'fresh' or 'shared'")
     leaves: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     unclaimed = 1  # fresh mode: the next column an AND claims
-
-    def walk(node: AccessTree, cols: tuple[int, ...], signs: tuple[int, ...]) -> None:
-        nonlocal unclaimed
+    stack = [(tree, (0,), (1,))]  # preorder: each left child pops before its sibling
+    while stack:
+        node, cols, signs = stack.pop()
         if isinstance(node, Leaf):
             leaves.append((node.attribute, cols, signs))
-            return
-        if node.op == "OR":
-            walk(node.left, cols, signs)
-            walk(node.right, cols, signs)
-            return
-        if columns == "fresh":
-            column = unclaimed
-            unclaimed += 1
+        elif node.op == "OR":
+            stack += ((node.right, cols, signs), (node.left, cols, signs))
         else:
-            column = cols[-1] + 1  # the column just past the parent's vector
-        walk(node.left, cols + (column,), signs + (1,))
-        walk(node.right, (column,), (-1,))
-
-    walk(tree, (0,), (1,))
+            if columns == "fresh":
+                column = unclaimed
+                unclaimed += 1
+            else:
+                column = cols[-1] + 1  # the column just past the parent's vector
+            stack += ((node.right, (column,), (-1,)),
+                      (node.left, cols + (column,), signs + (1,)))
     attrs, support, signs = zip(*leaves)
     return LsssProgram._sparse(1 + max(cols[-1] for cols in support), support, signs, attrs)
 

@@ -1,7 +1,9 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from gridseal.abe import (
     AbeCiphertext,
@@ -14,8 +16,8 @@ from gridseal.abe import (
     revoke,
     verify_user_key,
 )
-from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
-from gridseal.pairing import ctx_new
+from gridseal.lsss import LsssProgram, compile_lsss, parse_policy, solve_for_rows
+from gridseal.pairing import GroupElementGT, ctx_new
 from collusion import combine_keyrings_attack
 from lsss_oracles import evaluate_tree, solve_reconstruction
 from treegen import random_tree
@@ -492,6 +494,23 @@ def test_ciphertext_serialization_round_trip(ctx):
     assert restored == ciphertext
     user = build_user(ctx, (authority,), "u1", ["a", "b"])
     assert abe_decrypt(ctx, user, restored) == b"wire"
+
+
+def test_reference_backend_offers_zero_hardness(sec51, ctx):
+    # no keyring: the published shares and the stored record give up the payload
+    rng, authorities = sec51
+    shares = merged_shares(authorities)
+    program = compile_lsss(parse_policy("(D4 & E1) | (D3 & S1) | D1"))
+    ciphertext, _ = abe_encrypt(ctx, shares, program, b"feeder 7 telemetry", rng)
+    stored = AbeCiphertext.from_bytes(ciphertext.to_bytes(ctx), ctx)
+    # a reference element is its discrete log: C1 = lambda + alpha * rho, C2 = rho
+    lam = [(row.c1.data - shares[attribute].e_alpha.data * row.c2.data) % Q
+           for row, attribute in zip(stored.rows, stored.program.attributes)]
+    coefficients = solve_for_rows(stored.program, range(stored.program.n), Q)
+    s = sum(k * lam[x] for x, k in coefficients.items()) % Q
+    seed = GroupElementGT(ctx.backend.ident, (stored.c0.data - s) % Q)  # C0 = M * e(g,g)^s
+    key = hashlib.sha256(ctx.element_to_bytes(seed)).digest()
+    assert AESGCM(key).decrypt(stored.kem_nonce, stored.kem_body, None) == b"feeder 7 telemetry"
 
 
 def test_kem_wire_layout_separates_nonce_body_tag(ctx):

@@ -203,6 +203,16 @@ def test_encrypt_decrypt_revoke_cycle(keyfiles, tmp_path, capsys):
     assert json.loads(out)["payload"] == "meter digest"
 
 
+def test_encrypt_takes_a_policy_of_1200_leaves(keyfiles, tmp_path, capsys):
+    kdc_a = keyfiles[0]
+    policy = " & ".join(("alpha", "beta")[i % 2] for i in range(1200))
+    code, out, _ = run_cli(capsys, "encrypt", "--policy", policy, "--payload", "x",
+                           "--kdc", str(kdc_a), "--out", str(tmp_path / "ct.json"),
+                           "--state", str(tmp_path / "state.json"))
+    assert code == 0
+    assert (json.loads(out)["rows"], json.loads(out)["columns"]) == (1200, 1200)
+
+
 def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
     kdc, ct, state = tmp_path / "kdc.json", tmp_path / "ct.json", tmp_path / "state.json"
     assert main(["kdc-setup", "--kdc-id", "K", "--attrs", "x,y,z,w", "--out", str(kdc),

@@ -209,6 +209,18 @@ def test_validation_rejects_payload_that_cannot_be_utf8():
     assert excinfo.value.path == "records[0].payload"
 
 
+def test_a_record_policy_of_1200_leaves_loads():
+    # deeper than the interpreter's recursion limit once binarized
+    policy = " & ".join(("a", "b")[i % 2] for i in range(1200))
+    plan = load_scenario({
+        "schema": SCHEMA,
+        "kdcs": [{"id": "A", "attributes": ["a", "b"]}],
+        "records": [{"id": "r", "policy": policy, "payload": "p"}],
+    })
+    [(_, program, _)] = plan.records
+    assert (program.n, program.h) == (1200, 1200)
+
+
 def test_validation_rejects_unresolved_references():
     base = {
         "schema": SCHEMA,

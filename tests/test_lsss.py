@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 import tracemalloc
 
@@ -56,30 +57,68 @@ def test_precedence_and_associativity():
     assert parse_policy("a | b | c") == Gate("OR", Gate("OR", Leaf("a"), Leaf("b")), Leaf("c"))
 
 
-def test_syntax_error_position():
+NEGATION = "negation is not supported in monotone policies"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    pytest.param("a ^ b", "unexpected character '^'", 2, id="unexpected-character"),
+    pytest.param("!a", NEGATION, 0, id="negation-bang"),
+    pytest.param("a | ~b", NEGATION, 4, id="negation-tilde"),
+    pytest.param("a & NOT b", NEGATION, 4, id="negation-keyword"),
+    pytest.param("a & not b", NEGATION, 4, id="negation-keyword-lowercase"),
+    pytest.param("", "empty policy", 0, id="empty"),
+    pytest.param("   ", "empty policy", 0, id="whitespace-only"),
+    pytest.param("a1 & (a2 |", "expected an attribute or '('", 9, id="operand-missing-at-end"),
+    pytest.param("(", "expected an attribute or '('", 0, id="lone-parenthesis"),
+    pytest.param("(a b)", "missing ')'", 3, id="missing-parenthesis-mid-text"),
+    pytest.param("(a & b", "missing ')'", 5, id="missing-parenthesis-at-end"),
+    pytest.param("a b", "unexpected 'b'", 2, id="extra-token"),
+    pytest.param("(a) (b)", "unexpected '('", 4, id="extra-parenthesis"),
+    pytest.param("a)", "unexpected ')'", 1, id="unexpected-closing-parenthesis"),
+    pytest.param("a & & b", "unexpected '&'", 4, id="operator-for-operand"),
+    pytest.param("a OR or b", "unexpected 'or'", 5, id="word-operator-for-operand"),
+    pytest.param("a b ^", "unexpected character '^'", 4, id="lexical-error-beats-grammar-error"),
+])
+def test_syntax_error_position(text, message, position):
     with pytest.raises(PolicySyntaxError) as excinfo:
-        parse_policy("a1 & (a2 |")
-    assert excinfo.value.position == 9
+        parse_policy(text)
+    assert str(excinfo.value) == f"{message} at offset {position}"
+    assert excinfo.value.position == position
 
 
-def test_negation_rejected():
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("!a")
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("a & NOT b")
+SPELLINGS = {"AND": ("&", "AND", "and"), "OR": ("|", "OR", "or")}
 
 
-def test_empty_and_garbage_rejected():
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("")
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("   ")
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("a ^ b")
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("a b")
-    with pytest.raises(PolicySyntaxError):
-        parse_policy("(a & b")
+@given(tree=policy_trees(), data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_rendered_trees_parse_back(tree, data):
+    # fully parenthesized, random spacing, any operator spelling
+    def gap(word=False):  # a word operator needs a separator from its operands
+        return (" " if word else "") + data.draw(st.sampled_from(("", " ", "  ", "\t", "\n")))
+
+    def render(node):
+        if isinstance(node, Leaf):
+            return node.attribute
+        op = data.draw(st.sampled_from(SPELLINGS[node.op]))
+        word = op.isalpha()
+        return f"({gap()}{render(node.left)}{gap(word)}{op}{gap(word)}{render(node.right)}{gap()})"
+
+    assert parse_policy(gap() + render(tree) + gap()) == tree
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(" & ".join(f"a{i % 7}" for i in range(5000)), id="and-chain-of-5000"),
+    pytest.param("(" * 2000 + "a0" + ")" * 2000, id="leaf-in-2000-parentheses"),
+    pytest.param("".join(f"a{i % 7} {'&|'[i % 2]} (" for i in range(2000)) + "a0" + ")" * 2000,
+                 id="right-nested-2000-deep"),
+])
+def test_deep_policies_parse_and_compile(text):
+    # nesting depth and length are bounded by memory, not the recursion limit
+    tree = parse_policy(text)
+    program = compile_lsss(tree)
+    leaves = re.findall(r"a\d", text)
+    assert tree_attributes(tree) == list(program.attributes) == leaves
+    assert program.h == 1 + text.count("&")
 
 
 def test_identifiers_with_separators():
