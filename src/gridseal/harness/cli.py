@@ -63,7 +63,16 @@ def _add_group_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _ctx_from_args(args, rng: random.Random) -> PairingContext:
-    return ctx_new(backend=args.backend, q=args.q, q_bits=args.q_bits, rng=rng)
+    ctx = ctx_new(backend=args.backend, q=args.q, q_bits=args.q_bits, rng=rng)
+    _warn_backend(args.backend)
+    return ctx
+
+
+def _warn_backend(backend: str) -> None:
+    """The one stderr line of a command working in a reference-backend group."""
+    if backend == "reference":
+        sys.stderr.write("warning: the reference backend offers no hardness; "
+                         "its public shares reveal every attribute secret \u03b1\n")
 
 
 def _save(path: str, kind: str, header: dict[str, str] | None, body: dict[str, Any]) -> None:
@@ -78,11 +87,14 @@ def _save(path: str, kind: str, header: dict[str, str] | None, body: dict[str, A
 
 
 def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]], Any],
-          expect: dict[str, str] | None = None) -> tuple[PairingContext, dict[str, str], Any]:
+          first: tuple[PairingContext, dict[str, str]] | None = None,
+          ) -> tuple[PairingContext, dict[str, str], Any]:
     """Read a CLI file of `kind`: (its group's context, its group header, its decoded body).
 
-    With `expect`, the header of a command's first file, the file must name the
-    same group. Anything malformed raises ValueError naming the file.
+    With `first`, the context and header of a command's first file, the file
+    must name the same group and is decoded under that context, so a command
+    builds its group, and proves its order, once. Anything malformed raises
+    ValueError naming the file.
     """
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -93,10 +105,14 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
     if document.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind} file, found kind {document.get('kind')!r}")
     header = {field: document.get(field) for field in _GROUP_FIELDS}
-    if expect is not None and header != expect:
+    if first is not None and header != first[1]:
         raise ValueError(f"{path}: the command's files use different groups")
     try:
-        ctx = ctx_new(backend=header["backend"], q=_int(header["q"]), self_test=False)
+        if first is not None:
+            ctx = first[0]
+        else:
+            ctx = ctx_new(backend=header["backend"], q=_int(header["q"]), self_test=False)
+            _warn_backend(header["backend"])
         return ctx, header, decode(ctx, document)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from None
@@ -147,7 +163,10 @@ def bundled_scenarios() -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    report = run_scenario(_resolve_scenario(args.scenario), seed=args.seed,
+    scenario = _resolve_scenario(args.scenario)
+    if scenario.kdcs or scenario.records:  # the scenario runs in a pairing group
+        _warn_backend(args.backend)
+    report = run_scenario(scenario, seed=args.seed,
                           backend=args.backend, q=args.q, q_bits=args.q_bits)
     rendered = render_report(report)
     if args.out:
@@ -221,7 +240,7 @@ def _keyring(ctx: PairingContext, fields: dict[str, Any]) -> abe.UserKeyring:
 def _cmd_issue_key(args) -> int:
     ctx, header, kdc = _load(args.kdc, _KDC_KIND, _kdc)
     try:
-        _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, header)
+        _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, (ctx, header))
     except FileNotFoundError:
         keyring = abe.UserKeyring(args.user)
     if keyring.user_id != args.user:
@@ -269,7 +288,7 @@ def _cmd_encrypt(args) -> int:
     ctx, header, kdc = _load(args.kdc[0], _KDC_KIND, _kdc)
     shares = dict(kdc.shares)
     for kdc_path in args.kdc[1:]:
-        shares.update(_load(kdc_path, _KDC_KIND, _kdc, header)[2].shares)
+        shares.update(_load(kdc_path, _KDC_KIND, _kdc, (ctx, header))[2].shares)
     program = compile_lsss(parse_policy(args.policy))
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
@@ -281,12 +300,12 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
-    _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, header)
+    _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, (ctx, header))
     updates = {}
     for path in args.updates:
         updates.update(_load(path, _UPDATES_KIND, lambda ctx, fields: {
             _int(i): _element(ctx, e, group_t=True) for i, e in fields["rows"].items()},
-            header)[2])
+            (ctx, header))[2])
     try:
         payload = abe.abe_decrypt(ctx, keyring, ciphertext, updates)
     except abe.AccessDenied as exc:
@@ -299,11 +318,12 @@ def _cmd_decrypt(args) -> int:
 def _cmd_revoke(args) -> int:
     rng = _make_rng(args.seed)
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
-    _, _, state = _load(args.state, RTU_STATE_KIND, _state, header)
+    _, _, state = _load(args.state, RTU_STATE_KIND, _state, (ctx, header))
     shares: dict[str, abe.PublicShare] = {}
     for kdc_path in args.kdc:
-        shares.update(_load(kdc_path, _KDC_KIND, _kdc, header)[2].shares)
-    revoked = [_load(path, _KEYRING_KIND, _keyring, header)[2] for path in args.revoked]
+        shares.update(_load(kdc_path, _KDC_KIND, _kdc, (ctx, header))[2].shares)
+    revoked = [_load(path, _KEYRING_KIND, _keyring, (ctx, header))[2]
+               for path in args.revoked]
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
     _save(args.out_updates, _UPDATES_KIND, header,

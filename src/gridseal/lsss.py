@@ -33,7 +33,7 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, compress, pairwise, zip_longest
 from typing import Optional, Sequence, Union
 
 from .wire import decode_short_str, encode_short_str
@@ -47,19 +47,57 @@ class PolicySyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """Equality, hash and repr of a policy tree, each an explicit-stack walk."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(_preorder(self), _preorder(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif isinstance(node, Leaf):
+                parts.append(f"Leaf(attribute={node.attribute!r})")
+            else:
+                stack += (")", node.right, ", right=", node.left,
+                          f"Gate(op={node.op!r}, left=")
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Node):
     attribute: str
 
 
-@dataclass(frozen=True)
-class Gate:
+@dataclass(frozen=True, eq=False, repr=False)
+class Gate(_Node):
     op: str  # "AND" | "OR"
     left: "AccessTree"
     right: "AccessTree"
 
 
 AccessTree = Union[Leaf, Gate]
+
+
+def _preorder(tree: AccessTree):
+    """Each node's class and label in preorder: the same sequence exactly for equal trees."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield Leaf, node.attribute
+        else:
+            yield Gate, node.op
+            stack += (node.right, node.left)
+
 
 # Each match is one token. Whitespace is skipped between matches, and any
 # other character no group names falls through to BAD.

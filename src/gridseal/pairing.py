@@ -345,6 +345,13 @@ def ctx_new(
     Exactly one of `q` (explicit prime order) or `q_bits` (order size, prime
     drawn from `rng`) may be given; the pinned 160-bit default is used
     otherwise. Composite orders and unknown backends are rejected.
+
+    An order is proven once, where it enters the program. A supplied `q`
+    (a CLI `--q`, a file header) is tested at the adversarial bound of
+    `is_probable_prime`, unless it is the pinned default: that constant is
+    proven by the test suite, not on every call. A drawn order has already
+    passed `generate_prime`'s test for random candidates and is not tested
+    again.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -353,7 +360,7 @@ def ctx_new(
     rng = rng if rng is not None else random.Random(0x5EED)
     if q is None:
         q = DEFAULT_Q_160 if q_bits is None else generate_prime(q_bits, rng)
-    if not is_probable_prime(q):
+    elif q != DEFAULT_Q_160 and not is_probable_prime(q):
         raise ValueError("group order must be prime")
     _, factory = _BACKENDS[backend]
     instance = factory(q)

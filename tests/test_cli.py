@@ -1,11 +1,13 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
 from gridseal import abe, pairing
 from gridseal.harness.cli import bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
+from gridseal.harness.scenario import load_scenario, render_report, run_scenario
 from gridseal.lsss import compile_lsss, parse_policy
 from gridseal.paillier import (
     PaillierPublicKey,
@@ -15,6 +17,9 @@ from gridseal.paillier import (
     paillier_keygen,
 )
 from gridseal.pairing import ReferenceBackend
+from gridseal.primes import is_probable_prime
+
+REFERENCE_WARNING = "public shares reveal every attribute secret \u03b1"
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +66,26 @@ def test_run_writes_report_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["error"] is None
+
+
+def test_run_warns_once_about_the_reference_backend(capsys):
+    code, out, err = run_cli(capsys, "run", "full_demo", "--seed", "1")
+    assert code == 1  # the auditor is denied
+    assert err.count(REFERENCE_WARNING) == 1 and err.startswith("warning: ")
+    bundle = resources.files("gridseal.harness").joinpath("scenarios", "full_demo.json")
+    scenario = load_scenario(json.loads(bundle.read_text(encoding="utf-8")))
+    assert out == render_report(run_scenario(scenario, seed=1))
+    # no pairing group, no warning
+    code, _, err = run_cli(capsys, "run", "empty", "--seed", "1")
+    assert code == 0 and "warning" not in err
+
+
+def test_a_composite_group_order_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "kdc-setup", "--kdc-id", "A", "--attrs", "a", "--q", "15",
+                           "--out", str(tmp_path / "kdc.json"))
+    assert code == 2
+    assert "must be prime" in err
+    assert not (tmp_path / "kdc.json").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -213,10 +238,14 @@ def test_encrypt_takes_a_policy_of_1200_leaves(keyfiles, tmp_path, capsys):
     assert (json.loads(out)["rows"], json.loads(out)["columns"]) == (1200, 1200)
 
 
-def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
+def revoked_twice(tmp_path, *group):
+    """A record under "(x & y) | z" revoked from A (updates u1), then from B (u2).
+
+    Returns the argv of a decrypt by `user` with the named updates files.
+    """
     kdc, ct, state = tmp_path / "kdc.json", tmp_path / "ct.json", tmp_path / "state.json"
     assert main(["kdc-setup", "--kdc-id", "K", "--attrs", "x,y,z,w", "--out", str(kdc),
-                 "--seed", "1"]) == 0
+                 "--seed", "1", *group]) == 0
     for user, attrs in (("U", "x,y"), ("A", "y"), ("B", "z")):
         assert main(["issue-key", "--kdc", str(kdc), "--user", user, "--attrs", attrs,
                      "--keyring", str(tmp_path / f"{user}.json")]) == 0
@@ -226,13 +255,21 @@ def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
         assert main(["revoke", "--ciphertext", str(ct), "--state", str(state),
                      "--kdc", str(kdc), "--revoked", str(tmp_path / f"{user}.json"),
                      "--out-updates", str(tmp_path / f"u{n}.json"), "--seed", str(n)]) == 0
-    capsys.readouterr()
 
-    def decrypt(user, *updates):
+    def decrypt_argv(user, *updates):
         argv = ["decrypt", "--ciphertext", str(ct), "--keyring", str(tmp_path / f"{user}.json")]
         for name in updates:
             argv += ["--updates", str(tmp_path / f"{name}.json")]
-        code, out, _ = run_cli(capsys, *argv)
+        return argv
+    return decrypt_argv
+
+
+def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
+    decrypt_argv = revoked_twice(tmp_path)
+    capsys.readouterr()
+
+    def decrypt(user, *updates):
+        code, out, _ = run_cli(capsys, *decrypt_argv(user, *updates))
         return code, json.loads(out)["outcome"]
 
     assert decrypt("U", "u1", "u2") == (0, "ok")
@@ -241,6 +278,21 @@ def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
     for user, updates in (("U", ("u1",)), ("U", ("u2",)), ("U", ("u2", "u1")),
                           ("A", ("u1", "u2")), ("B", ("u1",))):
         assert decrypt(user, *updates) == (1, "denied"), (user, updates)
+
+
+@pytest.mark.parametrize("group, proofs", [([], 0), (["--q-bits", "64"], 1)],
+                         ids=["pinned-order", "drawn-order"])
+def test_a_command_builds_its_group_once(tmp_path, capsys, monkeypatch, group, proofs):
+    decrypt_argv = revoked_twice(tmp_path, *group)
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(pairing, "is_probable_prime",
+                        lambda n: calls.append(n) or is_probable_prime(n))
+    code, out, err = run_cli(capsys, *decrypt_argv("U", "u1", "u2"))
+    assert (code, json.loads(out)["outcome"]) == (0, "ok")
+    # four files, one group: a supplied order is proven once, the pinned one never
+    assert len(calls) == proofs
+    assert err.count(REFERENCE_WARNING) == 1
 
 
 def test_issue_key_guards_foreign_keyring(keyfiles, tmp_path, capsys):

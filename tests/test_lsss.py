@@ -121,6 +121,26 @@ def test_deep_policies_parse_and_compile(text):
     assert program.h == 1 + text.count("&")
 
 
+def test_deep_trees_compare_hash_and_print():
+    text = " & ".join(["a"] * 5000)
+    tree, again = parse_policy(text), parse_policy(text)
+    assert tree == again and not tree != again
+    assert hash(tree) == hash(again)
+    assert repr(tree).count("Leaf(attribute='a')") == 5000
+    last_leaf_differs = parse_policy(" & ".join(["a"] * 4999 + ["b"]))
+    assert tree != last_leaf_differs and not tree == last_leaf_differs
+
+
+def test_small_trees_print_as_dataclasses():
+    assert repr(parse_policy("a | b & c")) == (
+        "Gate(op='OR', left=Leaf(attribute='a'), "
+        "right=Gate(op='AND', left=Leaf(attribute='b'), right=Leaf(attribute='c')))")
+    assert {Leaf("a"): 1}[Leaf("a")] == 1
+    assert Leaf("AND") != Gate("AND", Leaf("a"), Leaf("a"))
+    assert Gate("OR", Leaf("a"), Leaf("b")) != Gate("AND", Leaf("a"), Leaf("b"))
+    assert Leaf("a") != "a"
+
+
 def test_identifiers_with_separators():
     tree = parse_policy("source:fossil & user:power_engineer")
     assert tree_attributes(tree) == ["source:fossil", "user:power_engineer"]

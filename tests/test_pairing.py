@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gridseal import pairing
 from gridseal.pairing import (
     DEFAULT_Q_160,
     BackendMismatchError,
@@ -10,6 +11,7 @@ from gridseal.pairing import (
     ctx_new,
     register_backend,
 )
+from gridseal.primes import is_probable_prime
 
 MERSENNE_61 = 2**61 - 1
 
@@ -26,8 +28,28 @@ def test_default_context_is_160_bit(ctx):
 
 
 def test_composite_order_rejected():
-    with pytest.raises(ValueError):
-        ctx_new(q=15)
+    # 561 is a Carmichael number; the last one is a multiple of the pinned order
+    for q in (15, 561, DEFAULT_Q_160 * 3):
+        with pytest.raises(ValueError, match="must be prime"):
+            ctx_new(q=q)
+
+
+def test_pinned_default_order_is_prime():
+    # ctx_new trusts the pinned order without testing it; this is its proof
+    assert is_probable_prime(DEFAULT_Q_160)
+
+
+def test_only_a_supplied_order_is_tested(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pairing, "is_probable_prime",
+                        lambda n: calls.append(n) or is_probable_prime(n))
+    ctx_new()
+    ctx_new(q=DEFAULT_Q_160)
+    # a drawn order has passed generate_prime's own test
+    assert ctx_new(q_bits=64, rng=random.Random(3)).q_bits == 64
+    assert calls == []
+    ctx_new(q=MERSENNE_61)
+    assert calls == [MERSENNE_61]
 
 
 def test_unknown_backend_rejected():
