@@ -147,7 +147,7 @@ class UserKeyring:
         self.keys[attribute] = element
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiphertextRow:
     """Per-row triple; c1 is None once revocation strips it from the stored record."""
 
@@ -300,14 +300,20 @@ def abe_encrypt(
     payload = bytes(payload)
     seed, c0, nonce, body = _seal(ctx, gt, blind, payload, rng)
 
+    g = ctx.g
     rows = []
-    for x in range(program.n):
-        lam = program.share(v, x, ctx.q)
-        omega = program.share(w, x, ctx.q)
-        share = shares[program.attributes[x]]
-        c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho[x]))
-        c2 = ctx.g_exp(ctx.g, rho[x])
-        c3 = ctx.g_mulexp([(share.g_y, rho[x]), (ctx.g, omega)])
+    for attribute, cols, signs, rho_x in zip(program.attributes, program.support,
+                                             program.signs, rho):
+        # lambda_x and omega_x in one pass over the row's support; the
+        # metered operations reduce them mod q
+        lam = omega = 0
+        for c, sign in zip(cols, signs):
+            lam += sign * v[c]
+            omega += sign * w[c]
+        share = shares[attribute]
+        c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho_x))
+        c2 = ctx.g_exp(g, rho_x)
+        c3 = ctx.g_mulexp(((share.g_y, rho_x), (g, omega)))
         rows.append(CiphertextRow(c1, c2, c3))
 
     return (AbeCiphertext(program, c0, tuple(rows), nonce, body),

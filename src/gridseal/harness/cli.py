@@ -147,6 +147,11 @@ def _emit(document: dict[str, Any]) -> None:
     print(json.dumps(document, sort_keys=True, separators=(",", ":")))
 
 
+def bundled_scenarios() -> list[str]:
+    folder = resources.files(__package__).joinpath("scenarios")
+    return sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))
+
+
 def _resolve_scenario(name_or_path: str) -> Scenario:
     path = Path(name_or_path)
     if path.exists():
@@ -154,12 +159,8 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
     bundle = resources.files(__package__).joinpath("scenarios", f"{name_or_path}.json")
     if bundle.is_file():
         return load_scenario(json.loads(bundle.read_text(encoding="utf-8")))
-    raise ScenarioError("scenario", f"no file or bundled scenario named {name_or_path!r}")
-
-
-def bundled_scenarios() -> list[str]:
-    folder = resources.files(__package__).joinpath("scenarios")
-    return sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))
+    raise ScenarioError("scenario", f"no file or bundled scenario named {name_or_path!r}"
+                                    f" (bundled: {', '.join(bundled_scenarios())})")
 
 
 def _cmd_run(args) -> int:

@@ -9,19 +9,9 @@ depth or policy length, and every PolicySyntaxError carries a character
 offset into the text. Compilation turns the policy's binary tree into a
 share-generating matrix whose rows map to leaf attributes through pi; a set
 of rows is authorized exactly when (1, 0, ..., 0) lies in their span over
-Z_q.
-
-Two column layouts are offered:
-
-* "fresh" (default): every AND gate claims a new column. This is the standard
-  construction and the one with the exact guarantee that row-span membership
-  of (1, 0, ..., 0) coincides with boolean satisfaction; the matrix has
-  1 + #AND columns.
-* "shared": AND gates extend their parent's vector in place, so sibling AND
-  branches reuse columns. This reproduces the compact conformance layout,
-  but with parallel AND branches under an OR it can authorize sets the
-  formula rejects ((a & b) | (c & d) lets {a, d} through). Use it only to
-  interoperate with material in that layout.
+Z_q. Every AND gate claims a new column, the standard construction: the
+matrix has 1 + #AND columns, and row-span membership of (1, 0, ..., 0)
+coincides exactly with boolean satisfaction.
 
 Matrix entries stay in {-1, 0, 1}; arithmetic maps -1 to q - 1 when a field
 is chosen. Everything in this module is pure.
@@ -50,6 +40,8 @@ class PolicySyntaxError(ValueError):
 class _Node:
     """Equality, hash and repr of a policy tree, each an explicit-stack walk."""
 
+    __slots__ = ()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Node):
             return NotImplemented
@@ -72,12 +64,12 @@ class _Node:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Leaf(_Node):
     attribute: str
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Gate(_Node):
     op: str  # "AND" | "OR"
     left: "AccessTree"
@@ -302,21 +294,17 @@ class LsssProgram:
                            tuple(tuple(signs[a:b]) for a, b in spans), tuple(attrs)), offset
 
 
-def compile_lsss(tree: AccessTree, columns: str = "fresh") -> LsssProgram:
+def compile_lsss(tree: AccessTree) -> LsssProgram:
     """Compile an access tree to (R, pi).
 
     The root starts with vector (1); OR passes the vector to both children;
-    AND gives the left child (v | 1) and the right child (0, ..., 0, -1).
-    In "fresh" mode each AND appends into its own new column (the sound
-    construction, h = 1 + #AND); in "shared" mode an AND extends only its
-    parent's vector, reproducing the compact conformance layout. Vectors are
+    AND gives the left child (v | 1) and the right child (0, ..., 0, -1),
+    each AND appending into its own new column (h = 1 + #AND). Vectors are
     zero-padded at the end so column 1 carries the secret; each is carried
     as its nonzero columns and their signs.
     """
-    if columns not in ("fresh", "shared"):
-        raise ValueError("columns must be 'fresh' or 'shared'")
     leaves: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    unclaimed = 1  # fresh mode: the next column an AND claims
+    unclaimed = 1  # the next column an AND claims
     stack = [(tree, (0,), (1,))]  # preorder: each left child pops before its sibling
     while stack:
         node, cols, signs = stack.pop()
@@ -325,13 +313,9 @@ def compile_lsss(tree: AccessTree, columns: str = "fresh") -> LsssProgram:
         elif node.op == "OR":
             stack += ((node.right, cols, signs), (node.left, cols, signs))
         else:
-            if columns == "fresh":
-                column = unclaimed
-                unclaimed += 1
-            else:
-                column = cols[-1] + 1  # the column just past the parent's vector
-            stack += ((node.right, (column,), (-1,)),
-                      (node.left, cols + (column,), signs + (1,)))
+            stack += ((node.right, (unclaimed,), (-1,)),
+                      (node.left, cols + (unclaimed,), signs + (1,)))
+            unclaimed += 1
     attrs, support, signs = zip(*leaves)
     return LsssProgram._sparse(1 + max(cols[-1] for cols in support), support, signs, attrs)
 

@@ -33,13 +33,13 @@ class BackendMismatchError(ValueError):
     """Raised when elements from different backends (or group orders) are mixed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElementG:
     backend: str
     data: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElementGT:
     backend: str
     data: object
@@ -103,7 +103,11 @@ class PairingBackend(ABC):
     def element_gt_from_bytes(self, body: bytes) -> GroupElementGT: ...
 
     def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int]]) -> GroupElementG:
-        """Product of powers, the fused-evaluation form; backends may override."""
+        """Product of powers, the fused-evaluation form.
+
+        This generic form exponentiates and multiplies pair by pair; a backend
+        overrides it with a fused evaluation, as the reference backend does.
+        """
         acc = self.identity_g()
         for base, k in pairs:
             acc = self.g_mul(acc, self.g_exp(base, k))
@@ -146,7 +150,15 @@ class ReferenceBackend(PairingBackend):
 
     def g_exp(self, base, k):
         self._check_g(base)
-        return GroupElementG(self.ident, base.data * (k % self.q) % self.q)
+        return GroupElementG(self.ident, base.data * k % self.q)
+
+    def g_mulexp(self, pairs):
+        """Fused: one sum of exponent products, reduced once."""
+        total = 0
+        for base, k in pairs:
+            self._check_g(base)
+            total += base.data * k
+        return GroupElementG(self.ident, total % self.q)
 
     def gt_mul(self, a, b):
         self._check_gt(a, b)
@@ -158,7 +170,7 @@ class ReferenceBackend(PairingBackend):
 
     def gt_exp(self, base, k):
         self._check_gt(base)
-        return GroupElementGT(self.ident, base.data * (k % self.q) % self.q)
+        return GroupElementGT(self.ident, base.data * k % self.q)
 
     def pair(self, p, q):
         self._check_g(p, q)
@@ -250,30 +262,26 @@ class PairingContext:
     def measure(self) -> _CounterWindow:
         return _CounterWindow(self)
 
-    def _count_mul(self) -> None:
-        with self._lock:
-            self._scalar_muls += 1
-
-    def _count_pairing(self) -> None:
-        with self._lock:
-            self._pairings += 1
-
     # -- metered operations (exponentiations and pairings) ------------------
 
     def g_exp(self, base: GroupElementG, k: int) -> GroupElementG:
-        self._count_mul()
+        with self._lock:
+            self._scalar_muls += 1
         return self.backend.g_exp(base, k % self.q)
 
     def gt_exp(self, base: GroupElementGT, k: int) -> GroupElementGT:
-        self._count_mul()
+        with self._lock:
+            self._scalar_muls += 1
         return self.backend.gt_exp(base, k % self.q)
 
     def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int]]) -> GroupElementG:
-        self._count_mul()
+        with self._lock:
+            self._scalar_muls += 1
         return self.backend.g_mulexp([(b, k % self.q) for b, k in pairs])
 
     def pair(self, p: GroupElementG, q: GroupElementG) -> GroupElementGT:
-        self._count_pairing()
+        with self._lock:
+            self._pairings += 1
         return self.backend.pair(p, q)
 
     # -- unmetered group-law plumbing ---------------------------------------

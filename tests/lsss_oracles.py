@@ -1,5 +1,6 @@
 """Test-side oracles for policy programs: boolean satisfaction, solving over
-held attributes, and re-substitution of reconstruction coefficients."""
+held attributes, re-substitution of reconstruction coefficients, and the
+compact shared-column layout."""
 
 from typing import Iterable, Mapping, Optional
 
@@ -34,3 +35,31 @@ def verify_reconstruction(program: LsssProgram, coefficients: Mapping[int, int],
         for c, sign in zip(program.support[index], program.signs[index]):
             total[c] = (total.get(c, 0) + k * sign) % q
     return total.get(0, 0) == 1 % q and not any(v for c, v in total.items() if c)
+
+
+def compile_shared_lsss(tree: AccessTree) -> LsssProgram:
+    """The compact shared-column layout, the reference for the conformance matrix.
+
+    As in compile_lsss, OR passes its vector to both children and AND gives
+    the left child (v | 1) and the right child (0, ..., 0, -1); but an AND
+    claims the column just past its parent's vector, so sibling AND branches
+    reuse columns. That layout is unsound: with parallel ANDs under an OR it
+    authorizes sets the formula rejects ((a & b) | (c & d) lets {a, d} through).
+    """
+    rows: list[list[int]] = []
+    attributes: list[str] = []
+
+    def walk(node: AccessTree, vector: list[int]) -> None:
+        if isinstance(node, Leaf):
+            rows.append(vector)
+            attributes.append(node.attribute)
+        elif node.op == "OR":
+            walk(node.left, vector)
+            walk(node.right, vector)
+        else:
+            walk(node.left, vector + [1])
+            walk(node.right, [0] * len(vector) + [-1])
+
+    walk(tree, [1])
+    width = max(map(len, rows))
+    return LsssProgram([row + [0] * (width - len(row)) for row in rows], attributes)

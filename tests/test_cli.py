@@ -98,6 +98,16 @@ def test_missing_scenario_exits_2(capsys):
     assert "no_such_scenario" in err
 
 
+def test_unknown_scenario_lists_the_bundled_names(capsys):
+    code, _, err = run_cli(capsys, "run", "nope")
+    assert code == 2
+    assert "no file or bundled scenario named 'nope'" in err
+    listed = err[err.index("(bundled: ") + len("(bundled: "):err.rindex(")")].split(", ")
+    assert listed == bundled_scenarios()
+    assert {"empty", "fig2_aggregation", "full_demo", "revocation_demo",
+            "sec51_access"} <= set(listed)
+
+
 def test_invalid_scenario_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "gridseal-scenario/1", "zap": 1}))

@@ -31,19 +31,20 @@ from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
 from gridseal.paillier import PaillierCiphertext, paillier_keygen
 from gridseal.pairing import ctx_new
 from gridseal.wire import encode_short_str
+from lsss_oracles import compile_shared_lsss
 from treegen import policy_trees
 
 Q = 2**61 - 1
 ATTRS = [f"a{i}" for i in range(5)]
 CTX = ctx_new(q=Q)
 AUTHORITY = kdc_setup(CTX, "A", ATTRS, random.Random(1))
-LAYOUTS = st.sampled_from(("fresh", "shared"))
+LAYOUTS = st.sampled_from((compile_lsss, compile_shared_lsss))
 
 
 @st.composite
 def records(draw):
     """An encrypted record, after a revocation when the drawn revoked set is nonempty."""
-    program = compile_lsss(draw(policy_trees()), columns=draw(LAYOUTS))
+    program = draw(LAYOUTS)(draw(policy_trees()))
     revoked = draw(st.sets(st.sampled_from(ATTRS)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
@@ -83,7 +84,7 @@ def _program_from_bytes(blob: bytes) -> LsssProgram:
 @given(tree=policy_trees(), layout=LAYOUTS)
 @settings(deadline=None, max_examples=80)
 def test_program_round_trip(tree, layout):
-    program = compile_lsss(tree, columns=layout)
+    program = layout(tree)
     blob = program.to_bytes()
     assert LsssProgram.from_bytes(blob) == (program, len(blob))
     assert LsssProgram.from_bytes(b"xy" + blob + b"z", 2) == (program, len(blob) + 2)
@@ -92,7 +93,7 @@ def test_program_round_trip(tree, layout):
 @given(tree=policy_trees(), layout=LAYOUTS, seed=st.integers(min_value=0))
 @settings(deadline=None, max_examples=80)
 def test_support_and_share_match_the_dense_rows(tree, layout, seed):
-    program = compile_lsss(tree, columns=layout)
+    program = layout(tree)
     rng = random.Random(seed)
     vector = [rng.randrange(Q) for _ in range(program.h)]
     for x, row in enumerate(program.rows):
@@ -104,7 +105,7 @@ def test_support_and_share_match_the_dense_rows(tree, layout, seed):
 @given(tree=policy_trees(), layout=LAYOUTS, data=st.data())
 @settings(deadline=None, max_examples=150)
 def test_damaged_program_bytes_fail_or_decode_canonically(tree, layout, data):
-    blob = compile_lsss(tree, columns=layout).to_bytes()
+    blob = layout(tree).to_bytes()
     _decodes_canonically_or_fails(_program_from_bytes, LsssProgram.to_bytes,
                                   _damaged(data, blob))
 

@@ -18,7 +18,12 @@ from gridseal.lsss import (
     tree_attributes,
 )
 from dense_solver import dense_solve_for_rows
-from lsss_oracles import evaluate_tree, solve_reconstruction, verify_reconstruction
+from lsss_oracles import (
+    compile_shared_lsss,
+    evaluate_tree,
+    solve_reconstruction,
+    verify_reconstruction,
+)
 from treegen import policy_trees, random_tree
 
 Q = 2**61 - 1
@@ -155,7 +160,7 @@ def test_single_leaf_program():
 
 
 def test_conformance_matrix_in_shared_mode():
-    program = compile_lsss(parse_policy(FIG3_POLICY), columns="shared")
+    program = compile_shared_lsss(parse_policy(FIG3_POLICY))
     assert program.rows == CONFORMANCE_ROWS
     assert program.attributes == CONFORMANCE_PI
 
@@ -177,22 +182,17 @@ def test_fresh_mode_width_is_one_plus_and_count():
 
 
 def test_shared_mode_reuses_columns():
-    program = compile_lsss(parse_policy("(a & b) | (c & d)"), columns="shared")
+    program = compile_shared_lsss(parse_policy("(a & b) | (c & d)"))
     assert program.h == 2  # both AND branches land in the same column
     assert compile_lsss(parse_policy("(a & b) | (c & d)")).h == 3
 
 
 def test_shared_mode_over_authorizes_parallel_ands():
-    # the compact layout admits {a, d}; the default layout must not
-    shared = compile_lsss(parse_policy("(a & b) | (c & d)"), columns="shared")
+    # the compact layout admits {a, d}; the library's layout must not
+    shared = compile_shared_lsss(parse_policy("(a & b) | (c & d)"))
     fresh = compile_lsss(parse_policy("(a & b) | (c & d)"))
     assert solve_reconstruction(shared, {"a", "d"}, Q) is not None
     assert solve_reconstruction(fresh, {"a", "d"}, Q) is None
-
-
-def test_unknown_column_mode_rejected():
-    with pytest.raises(ValueError):
-        compile_lsss(Leaf("a"), columns="diagonal")
 
 
 def test_operand_swap_changes_rows_not_authorization():
@@ -257,12 +257,13 @@ def test_solve_for_rows_subset():
     assert solve_for_rows(program, [0, 3], Q) == {0: 1, 3: 1}
 
 
-@given(tree=policy_trees(), layout=st.sampled_from(("fresh", "shared")), data=st.data())
+@given(tree=policy_trees(), layout=st.sampled_from((compile_lsss, compile_shared_lsss)),
+       data=st.data())
 @settings(deadline=None, max_examples=200)
 def test_sparse_solver_matches_the_dense_oracle(tree, layout, data):
     # shuffled row subsets, with and without repeated indices: the same
     # coefficient dict as dense elimination, or None from both
-    program = compile_lsss(tree, columns=layout)
+    program = layout(tree)
     rows = data.draw(st.permutations(range(program.n)))
     rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
     rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1), max_size=3))

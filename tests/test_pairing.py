@@ -1,12 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
 from gridseal import pairing
+from gridseal.abe import CiphertextRow
+from gridseal.lsss import Gate, Leaf
 from gridseal.pairing import (
     DEFAULT_Q_160,
     BackendMismatchError,
     GroupElementG,
+    GroupElementGT,
+    PairingBackend,
     ReferenceBackend,
     ctx_new,
     register_backend,
@@ -127,6 +132,29 @@ def test_mulexp_matches_unfused(ctx):
     assert fused == unfused
 
 
+def test_reference_mulexp_equals_the_generic_form(ctx):
+    # exponents negative, zero, or q and above: the fused sum reduces them once
+    rng = random.Random(30)
+    backend = ctx.backend
+    for _ in range(200):
+        pairs = [(backend.g_exp(ctx.g, rng.randrange(ctx.q)),
+                  rng.choice((-rng.randrange(1, 3 * ctx.q), 0, ctx.q,
+                              rng.randrange(ctx.q, 3 * ctx.q))))
+                 for _ in range(rng.randrange(5))]
+        fused = backend.g_mulexp(pairs)
+        assert fused == PairingBackend.g_mulexp(backend, pairs)
+        assert type(fused) is GroupElementG and 0 <= fused.data < ctx.q
+
+
+def test_mulexp_refuses_bases_from_elsewhere(ctx):
+    other = ctx_new(q=2**61 + 15)
+    for bad in (other.g, ctx.pair(ctx.g, ctx.g)):
+        with pytest.raises(BackendMismatchError):
+            ctx.backend.g_mulexp([(ctx.g, 2), (bad, 3)])
+        with pytest.raises(BackendMismatchError):
+            ctx.g_mulexp([(bad, 1)])
+
+
 def test_hash_to_g_deterministic_and_distinct(ctx):
     assert ctx.hash_to_g("u3") == ctx.hash_to_g("u3")
     assert ctx.hash_to_g("u3") != ctx.hash_to_g("u4")
@@ -187,6 +215,25 @@ def test_group_elements_are_values(ctx):
     b = ctx.g_exp(ctx.g, 9)
     assert a == b and hash(a) == hash(b)
     assert isinstance(a, GroupElementG)
+
+
+def test_slotted_values_stay_frozen_values(ctx):
+    ident = ctx.backend.ident
+    # equality is class-strict: a G element never equals a G_T element
+    assert GroupElementG(ident, 5) != GroupElementGT(ident, 5)
+    assert hash(GroupElementGT(ident, 5)) == hash(GroupElementGT(ident, 5))
+    row = CiphertextRow(ctx.pair(ctx.g, ctx.g), ctx.g, ctx.g_exp(ctx.g, 2))
+    tree = Gate("AND", Leaf("a"), Leaf("b"))
+    for value in (ctx.g, row.c1, row, tree, tree.left):
+        assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.g.data = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.c2 = ctx.g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.op = "OR"
+    stripped = dataclasses.replace(row, c1=None)
+    assert stripped == CiphertextRow(None, row.c2, row.c3) != row
 
 
 def test_meters_are_thread_safe():
