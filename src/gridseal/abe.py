@@ -16,12 +16,19 @@ Revocation rotates the shared secret: the encrypting terminal keeps its
 sharing vectors and per-row randomizers sealed, recomputes the affected
 per-row components under the new secret, strips them from the stored record
 and hands them only to users still in good standing.
+
+A stored record is checked at decode and built on read: from_bytes checks
+every element body as bytes and refuses anything to_bytes would not emit,
+but builds a row's elements only when that row is first read. Decryption
+picks its rows from the C1 flags, so a denial builds no row, and a grant
+only the rows it pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -29,7 +36,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .lsss import LsssProgram, solve_for_rows
-from .pairing import GroupElementG, GroupElementGT, PairingContext
+from .pairing import GroupElementG, GroupElementGT, PairingBackend, PairingContext
 
 _KEM_NONCE_BYTES = 12
 _KEM_TAG_BYTES = 16
@@ -156,6 +163,64 @@ class CiphertextRow:
     c3: GroupElementG
 
 
+class _RowsOnRead(SequenceABC):
+    """A decoded record's rows, each built from the record's bytes when its
+    index is first read and kept from then on.
+
+    `starts` holds where each row's first element begins, just after its
+    flag byte, and `flags` each row's C1 flag. Equality and hash are those
+    of the tuple of the rows. Two threads reading one row at once may both
+    build it; the builds are equal.
+    """
+
+    __slots__ = ("_data", "_backend", "_starts", "flags", "_built")
+
+    def __init__(self, data: bytes, backend: PairingBackend, starts: list[int],
+                 flags: bytes):
+        self._data = data
+        self._backend = backend
+        self._starts = starts
+        self.flags = flags
+        self._built: list[Optional[CiphertextRow]] = [None] * len(starts)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[x] for x in range(len(self))[index])
+        row = self._built[index]
+        if row is None:
+            row = self._built[index] = self._build(index)
+        return row
+
+    def __iter__(self):
+        return (self[x] for x in range(len(self)))
+
+    def _build(self, index: int) -> CiphertextRow:
+        data, backend, at = self._data, self._backend, self._starts[index]
+        c1 = None
+        if self.flags[index]:
+            end = at + backend.gt_bytes
+            c1 = backend.element_gt_from_bytes(data[at:end])
+            at = end
+        mid = at + backend.g_bytes
+        end = mid + backend.g_bytes
+        return CiphertextRow(c1, backend.element_g_from_bytes(data[at:mid]),
+                             backend.element_g_from_bytes(data[mid:end]))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _RowsOnRead)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class AbeCiphertext:
     """A record under a compiled policy.
@@ -170,11 +235,15 @@ class AbeCiphertext:
       `gt_bytes` long in G_T and `g_bytes` long in G;
     * the 12-byte KEM nonce, then the AES-GCM output (body and 16-byte tag)
       to the end of the record.
+
+    `rows` is a tuple of CiphertextRow, or for a decoded record a read-only
+    sequence that builds each row on first read and compares and hashes as
+    the tuple of its rows.
     """
 
     program: LsssProgram
     c0: GroupElementGT
-    rows: tuple[CiphertextRow, ...]
+    rows: Sequence[CiphertextRow]
     kem_nonce: bytes
     kem_body: bytes
 
@@ -196,31 +265,57 @@ class AbeCiphertext:
         parts += (self.kem_nonce, self.kem_body)
         return b"".join(parts)
 
+    @property
+    def c1_stored(self) -> Sequence[int]:
+        """Per row, whether the record stores its C1 (revocation strips it);
+        reading this builds no row."""
+        if isinstance(self.rows, _RowsOnRead):
+            return self.rows.flags
+        return [row.c1 is not None for row in self.rows]
+
     @classmethod
     def from_bytes(cls, data: bytes, ctx: PairingContext) -> "AbeCiphertext":
-        """Strict inverse of to_bytes: anything it would not emit raises ValueError."""
+        """Strict inverse of to_bytes: anything it would not emit raises ValueError.
+
+        The check is complete here: the program, C0, every row flag and,
+        in one call to the backend's `check_bodies`, every element body. A
+        row's elements are built only when the row is first read. The
+        record keeps an immutable copy of data, so a caller's bytearray
+        cannot change a row later.
+        """
+        data = bytes(data)
+        backend = ctx.backend
         program, offset = LsssProgram.from_bytes(data)
         if offset >= len(data):
             raise ValueError("truncated ciphertext")
-        if data[offset] != ctx.backend.wire_id:
+        if data[offset] != backend.wire_id:
             raise ValueError("record from another backend")
         c0, offset = ctx.element_gt_from_bytes(data, offset + 1)
-        rows = []
+        g, gt, end = backend.g_bytes, backend.gt_bytes, len(data)
+        starts: list[int] = []
+        flags: list[int] = []
+        g_offsets: list[int] = []
+        gt_offsets: list[int] = []
         for _ in range(program.n):
-            if offset >= len(data):
+            if offset >= end:
                 raise ValueError("truncated ciphertext row")
             flag = data[offset]
-            if flag > 1:
-                raise ValueError("unknown row flag")
-            c1 = None
             offset += 1
+            starts.append(offset)
+            flags.append(flag)
             if flag:
-                c1, offset = ctx.element_gt_from_bytes(data, offset)
-            c2, offset = ctx.element_g_from_bytes(data, offset)
-            c3, offset = ctx.element_g_from_bytes(data, offset)
-            rows.append(CiphertextRow(c1, c2, c3))
+                if flag > 1:
+                    raise ValueError("unknown row flag")
+                gt_offsets.append(offset)
+                offset += gt
+            g_offsets += (offset, offset + g)
+            offset += 2 * g
+        if offset > end:
+            raise ValueError("truncated element")
+        backend.check_bodies(data, g_offsets, gt_offsets)
         nonce_end = offset + _KEM_NONCE_BYTES
-        return cls(program, c0, tuple(rows), data[offset:nonce_end], data[nonce_end:])
+        return cls(program, c0, _RowsOnRead(data, backend, starts, bytes(flags)),
+                   data[offset:nonce_end], data[nonce_end:])
 
 
 @dataclass(frozen=True)
@@ -336,11 +431,9 @@ def abe_decrypt(
     """
     updates = dict(row_updates or {})
     program = ciphertext.program
-    usable = [
-        x for x in range(program.n)
-        if program.attributes[x] in keyring.keys
-        and (ciphertext.rows[x].c1 is not None or x in updates)
-    ]
+    stored = ciphertext.c1_stored
+    usable = [x for x, attribute in enumerate(program.attributes)
+              if attribute in keyring.keys and (stored[x] or x in updates)]
     coefficients = solve_for_rows(program, usable, ctx.q)
     if coefficients is None:
         raise AccessDenied("attributes do not satisfy the access policy")

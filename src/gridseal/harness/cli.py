@@ -9,6 +9,7 @@ validation errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -37,9 +38,10 @@ from .scenario import (
 # (backend, q). The version suffixes name the record layout, the fixed-width
 # element bodies and the header without a hash field; a file of an older kind,
 # which may have been written under SHA-1 identity hashes, is refused by kind.
+# An updates file also carries the digest of the record it was made for.
 CIPHERTEXT_KIND = "gridseal-ciphertext-v4"
 RTU_STATE_KIND = "gridseal-rtu-state-v5"
-_UPDATES_KIND = "gridseal-updates-v4"
+_UPDATES_KIND = "gridseal-updates-v5"
 _KDC_KIND = "gridseal-kdc-v3"
 _KEYRING_KIND = "gridseal-keyring-v3"
 # The Paillier key files hold N, and the two primes of N.
@@ -284,6 +286,23 @@ def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
         _element(ctx, fields["seed"], group_t=True), bytes.fromhex(fields["payload"]))
 
 
+def _record_digest(ctx: PairingContext, ciphertext: abe.AbeCiphertext) -> str:
+    """SHA-256 of what revocation leaves alone: the program bytes, then each
+    row's C2 and C3. It binds an updates file to its record across every
+    revocation of that record."""
+    digest = hashlib.sha256(ciphertext.program.to_bytes())
+    for row in ciphertext.rows:
+        digest.update(ctx.element_to_bytes(row.c2) + ctx.element_to_bytes(row.c3))
+    return digest.hexdigest()
+
+
+def _updates(ctx: PairingContext, fields: dict[str, Any]
+             ) -> tuple[str, dict[int, GroupElementGT]]:
+    """An updates file's record digest and its rows."""
+    return fields["record"], {_int(i): _element(ctx, e, group_t=True)
+                              for i, e in fields["rows"].items()}
+
+
 def _cmd_encrypt(args) -> int:
     rng = _make_rng(args.seed)
     ctx, header, kdc = _load(args.kdc[0], _KDC_KIND, _kdc)
@@ -303,10 +322,12 @@ def _cmd_decrypt(args) -> int:
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
     _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, (ctx, header))
     updates = {}
+    digest = _record_digest(ctx, ciphertext) if args.updates else None
     for path in args.updates:
-        updates.update(_load(path, _UPDATES_KIND, lambda ctx, fields: {
-            _int(i): _element(ctx, e, group_t=True) for i, e in fields["rows"].items()},
-            (ctx, header))[2])
+        record, rows = _load(path, _UPDATES_KIND, _updates, (ctx, header))[2]
+        if record != digest:
+            raise ValueError(f"{path}: the updates belong to another record")
+        updates.update(rows)
     try:
         payload = abe.abe_decrypt(ctx, keyring, ciphertext, updates)
     except abe.AccessDenied as exc:
@@ -328,7 +349,8 @@ def _cmd_revoke(args) -> int:
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
     _save(args.out_updates, _UPDATES_KIND, header,
-          {"rows": {str(i): _hex(ctx, e) for i, e in sorted(updates.items())}})
+          {"record": _record_digest(ctx, new_ct),
+           "rows": {str(i): _hex(ctx, e) for i, e in sorted(updates.items())}})
     _emit({"updated_rows": sorted(updates), "updates": args.out_updates})
     return 0
 

@@ -102,6 +102,23 @@ class PairingBackend(ABC):
     @abstractmethod
     def element_gt_from_bytes(self, body: bytes) -> GroupElementGT: ...
 
+    def check_bodies(self, data: bytes, g_offsets: Iterable[int],
+                     gt_offsets: Iterable[int]) -> None:
+        """Raise ValueError unless every element body in data decodes.
+
+        A G body starts at each of `g_offsets` and a G_T body at each of
+        `gt_offsets`; the caller has checked that every body lies inside
+        data. This generic form decodes each body and drops the element, so
+        it is exactly as strict as the two decoders; a backend that can
+        judge a body from its bytes alone overrides it, as the reference
+        backend does.
+        """
+        g, gt = self.g_bytes, self.gt_bytes
+        for offset in g_offsets:
+            self.element_g_from_bytes(data[offset:offset + g])
+        for offset in gt_offsets:
+            self.element_gt_from_bytes(data[offset:offset + gt])
+
     def g_mulexp(self, pairs: Iterable[tuple[GroupElementG, int]]) -> GroupElementG:
         """Product of powers, the fused-evaluation form.
 
@@ -124,6 +141,7 @@ class ReferenceBackend(PairingBackend):
         self.ident = f"reference:{q}"
         # both groups hold an exponent below q
         self.g_bytes = self.gt_bytes = (q.bit_length() + 7) // 8
+        self._q_body = q.to_bytes(self.g_bytes, "big")
 
     def _check_g(self, *elements: GroupElementG) -> None:
         for e in elements:
@@ -196,6 +214,19 @@ class ReferenceBackend(PairingBackend):
         if value >= self.q:
             raise ValueError("element value out of range")
         return value
+
+    def check_bodies(self, data, g_offsets, gt_offsets):
+        """Compare each body with q's fixed-width big-endian bytes.
+
+        Bytes of one length order as the numbers they encode, so a body is
+        below q exactly when it sorts below q's body: this accepts what
+        `_exponent` accepts, with no integer built.
+        """
+        width, bound = self.g_bytes, self._q_body
+        for offsets in (g_offsets, gt_offsets):
+            for offset in offsets:
+                if data[offset:offset + width] >= bound:
+                    raise ValueError("element value out of range")
 
     def element_g_from_bytes(self, body: bytes) -> GroupElementG:
         return GroupElementG(self.ident, self._exponent(body))

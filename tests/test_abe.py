@@ -617,3 +617,63 @@ def test_record_operations_never_build_the_dense_matrix(ctx):
     assert "rows" not in vars(program) and "rows" not in vars(restored.program)
     assert restored.program.rows == program.rows
     assert "rows" in vars(restored.program)
+
+
+def _count_element_decodes(monkeypatch, backend):
+    """Count the backend's element decoder calls, per group, from now on."""
+    calls = {"g": 0, "gt": 0}
+    for group in calls:
+        decode = getattr(backend, f"element_{group}_from_bytes")
+
+        def spy(body, group=group, decode=decode):
+            calls[group] += 1
+            return decode(body)
+        monkeypatch.setattr(backend, f"element_{group}_from_bytes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("revoked", [False, True], ids=["stored", "revoked"])
+def test_a_decoded_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch, revoked):
+    rng = random.Random(33)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c", "d", "e"], rng)
+    program = compile_lsss(parse_policy("(a & b) | (c & d) | e"))
+    ciphertext, state = abe_encrypt(ctx, authority.shares, program, b"lazy", rng)
+    updates = {}
+    if revoked:
+        gone = build_user(ctx, (authority,), "gone", ["e"])
+        ciphertext, updates, _ = revoke(ctx, authority.shares, ciphertext, state, [gone], rng)
+    blob = ciphertext.to_bytes(ctx)
+    calls = _count_element_decodes(monkeypatch, ctx.backend)
+    record = AbeCiphertext.from_bytes(blob, ctx)
+    assert calls == {"g": 0, "gt": 1}  # C0 only: the rows' bodies are checked as bytes
+    calls["gt"] = 0
+
+    outsider = build_user(ctx, (authority,), "outsider", ["a", "c"])
+    with pytest.raises(AccessDenied):
+        abe_decrypt(ctx, outsider, record, updates)
+    assert calls == {"g": 0, "gt": 0}
+
+    reader = build_user(ctx, (authority,), "reader", ["c", "d", "a"])
+    assert abe_decrypt(ctx, reader, record, updates) == b"lazy"
+    stored = [x for x in range(program.n) if ciphertext.rows[x].c1 is not None]
+    usable = [x for x in range(program.n) if program.attributes[x] in reader.keys
+              and (x in stored or x in updates)]
+    picked = solve_for_rows(program, usable, ctx.q)
+    assert calls == {"g": 2 * len(picked), "gt": len(set(picked) & set(stored))}
+    # a row is built once and kept
+    assert abe_decrypt(ctx, reader, record, updates) == b"lazy"
+    assert calls == {"g": 2 * len(picked), "gt": len(set(picked) & set(stored))}
+
+
+def test_an_out_of_range_body_in_the_last_row_fails_the_decode(ctx):
+    rng = random.Random(34)
+    authority = kdc_setup(ctx, "A", ["a", "b"], rng)
+    ciphertext, _ = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a & b")),
+                                b"strict", rng)
+    blob = ciphertext.to_bytes(ctx)
+    c3_at = len(blob) - len(ciphertext.kem_nonce) - len(ciphertext.kem_body) - ctx.backend.g_bytes
+    assert blob[c3_at:c3_at + ctx.backend.g_bytes] == ctx.element_to_bytes(ciphertext.rows[-1].c3)
+    for bad in (ctx.q, 2 ** (8 * ctx.backend.g_bytes) - 1):
+        damaged = blob[:c3_at] + bad.to_bytes(ctx.backend.g_bytes, "big") + blob[c3_at + 8:]
+        with pytest.raises(ValueError, match="out of range"):
+            AbeCiphertext.from_bytes(damaged, ctx)

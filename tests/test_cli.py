@@ -290,6 +290,42 @@ def test_decrypt_merges_the_updates_of_successive_revocations(tmp_path, capsys):
         assert decrypt(user, *updates) == (1, "denied"), (user, updates)
 
 
+def test_decrypt_refuses_the_updates_of_another_record(keyfiles, tmp_path, capsys):
+    """Two records under "alpha | beta", each revoked from the full keyring once."""
+    kdc_a, _, user_full, _ = keyfiles
+    survivor = tmp_path / "survivor.json"
+    assert main(["issue-key", "--kdc", str(kdc_a), "--user", "survivor", "--attrs", "beta",
+                 "--keyring", str(survivor)]) == 0
+    for n in (1, 2):
+        ct, state = tmp_path / f"record{n}.json", tmp_path / f"state{n}.json"
+        assert main(["encrypt", "--policy", "alpha | beta", "--payload", f"record {n}",
+                     "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
+                     "--seed", str(n)]) == 0
+        assert main(["revoke", "--ciphertext", str(ct), "--state", str(state),
+                     "--kdc", str(kdc_a), "--revoked", str(user_full),
+                     "--out-updates", str(tmp_path / f"updates{n}.json"),
+                     "--seed", str(10 + n)]) == 0
+    capsys.readouterr()
+
+    def decrypt(record, updates):
+        return run_cli(capsys, "decrypt", "--ciphertext", str(tmp_path / f"record{record}.json"),
+                       "--keyring", str(survivor),
+                       "--updates", str(tmp_path / f"updates{updates}.json"))
+
+    code, out, _ = decrypt(1, 1)
+    assert (code, json.loads(out)) == (0, {"outcome": "ok", "payload": "record 1"})
+    code, out, err = decrypt(1, 2)
+    assert (code, out) == (2, "")
+    assert f"{tmp_path / 'updates2.json'}: the updates belong to another record" in err
+
+
+def test_successive_updates_of_one_record_carry_its_digest(tmp_path, capsys):
+    revoked_twice(tmp_path)
+    first, second = (json.loads((tmp_path / f"u{n}.json").read_text()) for n in (1, 2))
+    assert first["record"] == second["record"]
+    assert len(bytes.fromhex(first["record"])) == 32
+
+
 @pytest.mark.parametrize("group, proofs", [([], 0), (["--q-bits", "64"], 1)],
                          ids=["pinned-order", "drawn-order"])
 def test_a_command_builds_its_group_once(tmp_path, capsys, monkeypatch, group, proofs):
@@ -432,7 +468,7 @@ def test_every_file_carries_its_group_header(record):
     assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160)}
     assert authority["kind"] == "gridseal-kdc-v3" and "hash" not in authority
     for name, kind in (("keyring", "gridseal-keyring-v3"), ("ciphertext", "gridseal-ciphertext-v4"),
-                       ("state", "gridseal-rtu-state-v5"), ("updates", "gridseal-updates-v4")):
+                       ("state", "gridseal-rtu-state-v5"), ("updates", "gridseal-updates-v5")):
         document = json.loads(record[name].read_text())
         assert document["kind"] == kind
         assert {field: document[field] for field in header} == header
@@ -464,8 +500,10 @@ def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, caps
                  id="ciphertext"),
     pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v5", revoke_argv,
                  id="state"),
-    pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v4", decrypt_argv,
+    pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v5", decrypt_argv,
                  id="updates"),
+    pytest.param("updates", "gridseal-updates-v4", "gridseal-updates-v5", decrypt_argv,
+                 id="updates-unbound"),
 ])
 def test_files_of_the_framed_element_layout_are_refused_by_kind(record, tmp_path, capsys,
                                                                 name, old_kind, kind, argv):
@@ -596,6 +634,7 @@ def _drop(field):
                  id="state-rho-short"),
     pytest.param("updates", _set("rows", None), decrypt_argv, id="updates-rows-null"),
     pytest.param("updates", _set("rows", {"x": "00"}), decrypt_argv, id="updates-bad-index"),
+    pytest.param("updates", _drop("record"), decrypt_argv, id="updates-no-record"),
 ])
 def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, damage, argv):
     damaged = damage(json.loads(record[name].read_text()))

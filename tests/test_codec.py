@@ -4,8 +4,11 @@ Properties, over random policies in both column layouts, random payloads,
 records with rows stripped by a revocation, and random tags and ciphertext
 values: decode(encode(x)) == x; decoding is canonical (whatever decodes
 re-encodes to exactly its input); truncated or single-byte-mutated input
-raises only ValueError. A size gate holds AND- and OR-chains within the
-paper's size estimate plus a stated per-row framing constant.
+raises only ValueError. The record decoder, which checks element bodies as
+bytes and builds rows on read, accepts and rejects exactly what the eager
+oracle in record_oracle.py does, in three groups. A size gate holds AND- and
+OR-chains within the paper's size estimate plus a stated per-row framing
+constant.
 """
 
 import math
@@ -32,6 +35,7 @@ from gridseal.paillier import PaillierCiphertext, paillier_keygen
 from gridseal.pairing import ctx_new
 from gridseal.wire import encode_short_str
 from lsss_oracles import compile_shared_lsss
+from record_oracle import oracle_from_bytes
 from treegen import policy_trees
 
 Q = 2**61 - 1
@@ -41,18 +45,30 @@ AUTHORITY = kdc_setup(CTX, "A", ATTRS, random.Random(1))
 LAYOUTS = st.sampled_from((compile_lsss, compile_shared_lsss))
 
 
+# The 160-bit default order, 2^61 - 1 and a one-byte order, each with its authority
+GROUPS = [(ctx, kdc_setup(ctx, "A", ATTRS, random.Random(1)))
+          for ctx in (ctx_new(), ctx_new(q=251))] + [(CTX, AUTHORITY)]
+
+
 @st.composite
-def records(draw):
-    """An encrypted record, after a revocation when the drawn revoked set is nonempty."""
+def group_records(draw, groups=st.sampled_from(GROUPS)):
+    """(context, record) in a drawn group, after a revocation when the drawn
+    revoked set is nonempty."""
+    ctx, authority = draw(groups)
     program = draw(LAYOUTS)(draw(policy_trees()))
     revoked = draw(st.sets(st.sampled_from(ATTRS)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
-    ciphertext, state = abe_encrypt(CTX, AUTHORITY.shares, program, payload, rng)
+    ciphertext, state = abe_encrypt(ctx, authority.shares, program, payload, rng)
     if revoked:
-        gone = UserKeyring("gone", {a: issue_key(AUTHORITY, CTX, "gone", a) for a in revoked})
-        ciphertext, _, _ = revoke(CTX, AUTHORITY.shares, ciphertext, state, [gone], rng)
-    return ciphertext
+        gone = UserKeyring("gone", {a: issue_key(authority, ctx, "gone", a) for a in revoked})
+        ciphertext, _, _ = revoke(ctx, authority.shares, ciphertext, state, [gone], rng)
+    return ctx, ciphertext
+
+
+def records():
+    """A record in the 2^61 - 1 group."""
+    return group_records(st.just((CTX, AUTHORITY))).map(lambda pair: pair[1])
 
 
 def _decodes_canonically_or_fails(decode, encode, blob: bytes) -> None:
@@ -170,6 +186,64 @@ def test_ciphertext_decoder_rejects_unknown_flags(which, value):
     blob[_flag_offsets(ciphertext)[which]] = value
     with pytest.raises(ValueError, match="backend|flag"):
         AbeCiphertext.from_bytes(bytes(blob), CTX)
+
+
+def _decode_or_none(decode, blob, ctx):
+    try:
+        return decode(blob, ctx)
+    except ValueError:
+        return None
+
+
+def _damaged_forms(blob: bytes, rng: random.Random):
+    """Every strict prefix of blob, and per position up to three single-byte
+    mutations: the low bit flipped, the high bit flipped and one other value
+    drawn from rng."""
+    for end in range(len(blob)):
+        yield blob[:end]
+    for position, byte in enumerate(blob):
+        for value in {byte ^ 0x01, byte ^ 0x80, (byte + rng.randrange(1, 256)) % 256}:
+            yield blob[:position] + bytes([value]) + blob[position + 1:]
+
+
+@given(group_record=group_records(), seed=st.integers(min_value=0))
+@settings(deadline=None, max_examples=40)
+def test_decoder_accepts_and_rejects_what_the_eager_oracle_does(group_record, seed):
+    ctx, record = group_record
+    blob = record.to_bytes(ctx)
+    assert AbeCiphertext.from_bytes(blob, ctx) == oracle_from_bytes(blob, ctx) == record
+    for damaged in _damaged_forms(blob, random.Random(seed)):
+        expected = _decode_or_none(oracle_from_bytes, damaged, ctx)
+        decoded = _decode_or_none(AbeCiphertext.from_bytes, damaged, ctx)
+        assert (decoded is None) == (expected is None), damaged.hex()
+        if expected is not None:
+            assert decoded == expected and hash(decoded) == hash(expected)
+            assert decoded.to_bytes(ctx) == expected.to_bytes(ctx) == damaged
+
+
+def test_decoded_rows_compare_and_hash_as_their_tuple():
+    ciphertext, state = abe_encrypt(CTX, AUTHORITY.shares,
+                                    compile_lsss(parse_policy("a0 & a1 | a2")), b"rows",
+                                    random.Random(4))
+    gone = UserKeyring("gone", {"a2": issue_key(AUTHORITY, CTX, "gone", "a2")})
+    stored, _, _ = revoke(CTX, AUTHORITY.shares, ciphertext, state, [gone], random.Random(5))
+    blob = bytearray(stored.to_bytes(CTX))
+    decoded = AbeCiphertext.from_bytes(blob, CTX)
+    # the record holds its own copy: changing the caller's buffer changes no row
+    blob[:] = bytes(len(blob))
+    rows = decoded.rows
+    assert isinstance(stored.rows, tuple) and rows == stored.rows and stored.rows == rows
+    assert hash(rows) == hash(stored.rows) and hash(decoded) == hash(stored)
+    assert len(rows) == 3 and list(rows) == list(stored.rows)
+    assert rows[-1] == stored.rows[2] and rows[1:] == stored.rows[1:]
+    assert rows[2] is rows[2] and rows[2].c1 is None
+    # revoking a2 strips its row and row 0, whose share moves with the secret
+    assert list(decoded.c1_stored) == [0, 1, 0]
+    assert list(stored.c1_stored) == [False, True, False]
+    assert rows != list(stored.rows) and rows != stored.rows[:2]
+    with pytest.raises(IndexError):
+        rows[3]
+    assert repr(rows) == repr(stored.rows)
 
 
 @pytest.mark.parametrize("short", [1, 16, 28])

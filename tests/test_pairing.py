@@ -252,3 +252,47 @@ def test_meters_are_thread_safe():
     for t in threads:
         t.join()
     assert fresh.counters == (2000, 2000)
+
+
+class DecodeEachBackend(ReferenceBackend):
+    """The reference group with the generic check_bodies, which decodes each body."""
+
+    check_bodies = PairingBackend.check_bodies
+
+
+@pytest.mark.parametrize("q, other", [(241, 251), (MERSENNE_61, 2**61 + 15),
+                                      (DEFAULT_Q_160, 2**160 - 47)],
+                         ids=["one-byte", "61-bit", "160-bit"])
+def test_reference_body_check_rejects_what_decoding_rejects(q, other):
+    # `other` is a larger prime whose bodies are as wide as q's, so a body
+    # can be valid in its group and too large in q's
+    assert is_probable_prime(other) and other > q
+    assert ReferenceBackend(other).g_bytes == ReferenceBackend(q).g_bytes
+    for order in (q, other):
+        override, generic = ReferenceBackend(order), DecodeEachBackend(order)
+        width = override.g_bytes
+        values = [0, 1, q - 1, q, other - 1, other, 2 ** (8 * width) - 1]
+        bodies = [v.to_bytes(width, "big") for v in values]
+        for v, body in zip(values, bodies):
+            data = b"\x07" + body + b"\x00"  # the body inside other bytes
+            for g_offsets, gt_offsets in (([1], []), ([], [1])):
+                outcomes = []
+                for backend in (override, generic):
+                    try:
+                        backend.check_bodies(data, g_offsets, gt_offsets)
+                        outcomes.append(True)
+                    except ValueError:
+                        outcomes.append(False)
+                assert outcomes == [v < order] * 2, (order, v)
+        # many bodies in one call: one bad body anywhere fails it
+        good = [v for v in values if v < order]
+        data = b"".join(v.to_bytes(width, "big") for v in good)
+        offsets = list(range(0, len(data), width))
+        for backend in (override, generic):
+            backend.check_bodies(data, offsets, offsets[::-1])
+            backend.check_bodies(data, [], [])
+            bad = data + order.to_bytes(width, "big")
+            with pytest.raises(ValueError):
+                backend.check_bodies(bad, offsets + [len(data)], [])
+            with pytest.raises(ValueError):
+                backend.check_bodies(bad, offsets, [len(data)])
