@@ -12,10 +12,11 @@ The payload travels under a KEM: C0 = M * e(g,g)^s blinds a random G_T
 seed M, the hash of M keys AES-GCM, and the record carries the payload
 authenticated, so a wrong key is a denial, never garbage.
 
-Revocation rotates the shared secret: the encrypting terminal keeps its
-sharing vectors and per-row randomizers sealed, recomputes the affected
-per-row components under the new secret, strips them from the stored record
-and hands them only to users still in good standing.
+Revocation rotates the shared secret: the encrypting terminal keeps the
+sharing vector v, the per-row randomizers rho and the payload sealed,
+recomputes the affected per-row components under the new secret, strips
+them from the stored record, re-seals the payload under a fresh seed and
+hands the new components only to users still in good standing.
 
 A stored record is checked at decode and built on read: from_bytes checks
 every element body as bytes and refuses anything to_bytes would not emit,
@@ -320,22 +321,20 @@ class AbeCiphertext:
 
 @dataclass(frozen=True)
 class EncryptionState:
-    """Sealed encrypting-terminal state that revocation needs: the sharing
-    vectors, per-row randomizers, the KEM seed and the payload."""
+    """Sealed encrypting-terminal state, exactly what revocation reads: the
+    sharing vector v, the per-row randomizers rho and the payload (it never
+    touches C3, so needs no w, and re-seals under a fresh seed)."""
 
     program: LsssProgram
     v: tuple[int, ...]
-    w: tuple[int, ...]
     rho: tuple[int, ...]
-    seed: GroupElementGT  # the G_T element whose hash keys the body
     payload: bytes
 
     def __post_init__(self):
-        h, n = self.program.h, self.program.n
-        if len(self.v) != h or len(self.w) != h or len(self.rho) != n:
-            raise ValueError("sharing vectors and randomizers must match the matrix")
-        if self.seed is None or self.payload is None:
-            raise ValueError("the state lacks its seed or payload")
+        if len(self.v) != self.program.h or len(self.rho) != self.program.n:
+            raise ValueError("the sharing vector and randomizers must match the matrix")
+        if self.payload is None:
+            raise ValueError("the state lacks its payload")
 
 
 def _kem_key(ctx: PairingContext, seed: GroupElementGT) -> bytes:
@@ -343,12 +342,12 @@ def _kem_key(ctx: PairingContext, seed: GroupElementGT) -> bytes:
 
 
 def _seal(ctx: PairingContext, gt: GroupElementGT, blind: GroupElementGT, payload: bytes,
-          rng: random.Random) -> tuple[GroupElementGT, GroupElementGT, bytes, bytes]:
-    """The KEM: a fresh seed M, C0 = M * blind, a nonce and AES-GCM over the payload."""
+          rng: random.Random) -> tuple[GroupElementGT, bytes, bytes]:
+    """The KEM: a fresh seed M, then (C0 = M * blind, a nonce, AES-GCM over the payload)."""
     seed = ctx.backend.gt_exp(gt, rng.randrange(1, ctx.q))
     nonce = rng.getrandbits(_KEM_NONCE_BYTES * 8).to_bytes(_KEM_NONCE_BYTES, "big")
     body = AESGCM(_kem_key(ctx, seed)).encrypt(nonce, payload, None)
-    return seed, ctx.backend.gt_mul(seed, blind), nonce, body
+    return ctx.backend.gt_mul(seed, blind), nonce, body
 
 
 def _require_shares(shares: Mapping[str, PublicShare], attributes: Iterable[str]) -> None:
@@ -393,7 +392,7 @@ def abe_encrypt(
     gt = ctx.pair(ctx.g, ctx.g)
     blind = ctx.backend.gt_exp(gt, v[0])  # unmetered: outside the 4m row budget
     payload = bytes(payload)
-    seed, c0, nonce, body = _seal(ctx, gt, blind, payload, rng)
+    c0, nonce, body = _seal(ctx, gt, blind, payload, rng)
 
     g = ctx.g
     rows = []
@@ -412,7 +411,7 @@ def abe_encrypt(
         rows.append(CiphertextRow(c1, c2, c3))
 
     return (AbeCiphertext(program, c0, tuple(rows), nonce, body),
-            EncryptionState(program, v, w, rho, seed, payload))
+            EncryptionState(program, v, rho, payload))
 
 
 def abe_decrypt(
@@ -503,7 +502,7 @@ def revoke(
         blind = ctx.gt_exp(gt, v_new[0])
     else:
         v_new, blind = state.v, ctx.backend.gt_exp(gt, state.v[0])
-    seed, c0, nonce, body = _seal(ctx, gt, blind, state.payload, rng)
+    c0, nonce, body = _seal(ctx, gt, blind, state.payload, rng)
 
     updates: dict[int, GroupElementGT] = {}
     stored_rows = list(ciphertext.rows)
@@ -515,4 +514,4 @@ def revoke(
         stored_rows[x] = replace(stored_rows[x], c1=None)
 
     new_ct = AbeCiphertext(program, c0, tuple(stored_rows), nonce, body)
-    return new_ct, updates, replace(state, v=v_new, seed=seed)
+    return new_ct, updates, replace(state, v=v_new)

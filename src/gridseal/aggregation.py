@@ -151,7 +151,8 @@ def run_pipeline(
     """Fold gateway aggregation from the HAN leaves up to the NAN root.
 
     Sibling subtrees are independent (the fold is a commutative product), so
-    any evaluation order gives identical packets.
+    any evaluation order gives identical packets. An explicit post-order stack
+    folds a tree of any depth; meters encrypt depth first, in children order.
     """
     leaf_ids = set(topology.leaves())
     for node_id in readings:
@@ -160,19 +161,20 @@ def run_pipeline(
         if node_id not in leaf_ids:
             raise ValueError(f"reading attached to non-HAN node {node_id!r}")
 
-    def collect(node_id: str) -> list[MeterPacket]:
-        node = topology.nodes[node_id]
-        if node.role == "HAN":
-            if node_id not in readings:
-                return []
-            tag, value = readings[node_id]
-            return [make_packet(pk, tag, value, rng)]
-        gathered: list[MeterPacket] = []
-        for child in topology.children[node_id]:
-            gathered.extend(collect(child))
-        return gateway_aggregate(gathered, pk)
-
-    return collect(topology.root)
+    packets: dict[str, list[MeterPacket]] = {}
+    stack = [(topology.root, False)]
+    while stack:
+        node_id, folding = stack.pop()
+        children = topology.children[node_id]
+        if folding:
+            packets[node_id] = gateway_aggregate(
+                [p for child in children for p in packets.pop(child)], pk)
+        elif children:
+            stack += [(node_id, True)] + [(child, False) for child in reversed(children)]
+        else:  # a HAN leaf, or a NAN root alone
+            reading = readings.get(node_id)
+            packets[node_id] = [] if reading is None else [make_packet(pk, *reading, rng)]
+    return packets[topology.root]
 
 
 def rtu_open(

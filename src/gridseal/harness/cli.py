@@ -34,22 +34,20 @@ from .scenario import (
 )
 
 
-# Every CLI file carries its kind and, but for the Paillier keys, the group header
-# (backend, q). The version suffixes name the record layout, the fixed-width
-# element bodies and the header without a hash field; a file of an older kind,
-# which may have been written under SHA-1 identity hashes, is refused by kind.
-# An updates file also carries the digest of the record it was made for.
+# Every CLI file carries its kind and the group header (backend, q). The version
+# suffixes name the record layout, the fixed-width element bodies and the header
+# without a hash field; a file of an older kind, which may have been written
+# under SHA-1 identity hashes, is refused by kind. An updates file also carries
+# the digest of the record it was made for, and the RTU state holds only what
+# revocation reads: the program, v, rho and the payload.
 CIPHERTEXT_KIND = "gridseal-ciphertext-v4"
-RTU_STATE_KIND = "gridseal-rtu-state-v5"
+RTU_STATE_KIND = "gridseal-rtu-state-v6"
 _UPDATES_KIND = "gridseal-updates-v5"
 _KDC_KIND = "gridseal-kdc-v3"
 _KEYRING_KIND = "gridseal-keyring-v3"
-# The Paillier key files hold N, and the two primes of N.
-_PAILLIER_PUBLIC_KIND = "gridseal-paillier-public-v2"
-_PAILLIER_SECRET_KIND = "gridseal-paillier-secret-v2"
 _GROUP_FIELDS = ("backend", "q")
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
-_SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND, _PAILLIER_SECRET_KIND}
+_SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND}
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -77,14 +75,14 @@ def _warn_backend(backend: str) -> None:
                          "its public shares reveal every attribute secret \u03b1\n")
 
 
-def _save(path: str, kind: str, header: dict[str, str] | None, body: dict[str, Any]) -> None:
-    """Write one CLI file: its kind, the group header (None for Paillier keys), the body."""
+def _save(path: str, kind: str, header: dict[str, str], body: dict[str, Any]) -> None:
+    """Write one CLI file: its kind, the group header, the body."""
     target = Path(path)
     if kind in _SECRET_KINDS:
         # created owner-only, or narrowed when rewritten, before the secret lands
         target.touch(mode=0o600)
         target.chmod(0o600)
-    document = {"kind": kind, **(header or {}), **body}
+    document = {"kind": kind, **header, **body}
     target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -121,7 +119,8 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
 
 
 def _int(text: str) -> int:
-    if not isinstance(text, str):  # a JSON number or boolean would pass int() silently
+    """Inverse of str(int): no '+', space, '_', leading zero or non-ASCII digit."""
+    if not isinstance(text, str) or str(int(text)) != text:  # int() takes JSON numbers too
         raise ValueError(f"expected a decimal integer string, found {text!r}")
     return int(text)
 
@@ -132,13 +131,20 @@ def _ints(texts: list[str]) -> tuple[int, ...]:
     return tuple(_int(text) for text in texts)
 
 
+def _bytes(text: str) -> bytes:
+    """Inverse of bytes.hex: lowercase digit pairs, no space."""
+    if not isinstance(text, str) or bytes.fromhex(text).hex() != text:
+        raise ValueError("expected a lowercase hex string")
+    return bytes.fromhex(text)
+
+
 def _hex(ctx: PairingContext, element: GroupElementG | GroupElementGT) -> str:
     return ctx.element_to_bytes(element).hex()
 
 
 def _element(ctx: PairingContext, text: str, group_t: bool = False):
     """Inverse of _hex: exactly one element of G (of G_T with group_t), no trailing bytes."""
-    data = bytes.fromhex(text)
+    data = _bytes(text)
     element, end = (ctx.element_gt_from_bytes if group_t else ctx.element_g_from_bytes)(data)
     if end != len(data):
         raise ValueError("trailing bytes after an element")
@@ -195,15 +201,8 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_keygen_paillier(args) -> int:
     pk, sk = paillier_keygen(args.bits, rng=_make_rng(args.seed))
-    public_hex = pk.to_bytes().hex()
-    secret_hex = sk.to_bytes().hex()
-    if args.out:
-        _save(f"{args.out}.pub.json", _PAILLIER_PUBLIC_KIND, None, {"data": public_hex})
-        _save(f"{args.out}.sec.json", _PAILLIER_SECRET_KIND, None, {"data": secret_hex})
-        _emit({"modulus_bits": pk.bit_length, "public": f"{args.out}.pub.json",
-               "secret": f"{args.out}.sec.json"})
-    else:
-        _emit({"modulus_bits": pk.bit_length, "public": public_hex, "secret": secret_hex})
+    _emit({"modulus_bits": pk.bit_length, "public": pk.to_bytes().hex(),
+           "secret": sk.to_bytes().hex()})
     return 0
 
 
@@ -265,25 +264,22 @@ def _save_record(path: str, state_path: str, ctx: PairingContext, header: dict[s
     _save(state_path, RTU_STATE_KIND, header, {
         "program": state.program.to_bytes().hex(),
         "v": [str(x) for x in state.v],
-        "w": [str(x) for x in state.w],
         "rho": [str(x) for x in state.rho],
-        "seed": _hex(ctx, state.seed),
         "payload": state.payload.hex(),
     })
 
 
 def _ciphertext(ctx: PairingContext, fields: dict[str, Any]) -> abe.AbeCiphertext:
-    return abe.AbeCiphertext.from_bytes(bytes.fromhex(fields["data"]), ctx)
+    return abe.AbeCiphertext.from_bytes(_bytes(fields["data"]), ctx)
 
 
 def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
-    data = bytes.fromhex(fields["program"])
+    data = _bytes(fields["program"])
     program, end = LsssProgram.from_bytes(data)
     if end != len(data):
         raise ValueError("trailing bytes after the program")
-    return abe.EncryptionState(
-        program, _ints(fields["v"]), _ints(fields["w"]), _ints(fields["rho"]),
-        _element(ctx, fields["seed"], group_t=True), bytes.fromhex(fields["payload"]))
+    return abe.EncryptionState(program, _ints(fields["v"]), _ints(fields["rho"]),
+                               _bytes(fields["payload"]))
 
 
 def _record_digest(ctx: PairingContext, ciphertext: abe.AbeCiphertext) -> str:
@@ -416,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     keygen = commands.add_parser("keygen-paillier", help="generate an aggregation keypair")
     keygen.add_argument("--bits", type=int, default=2048)
     keygen.add_argument("--seed", type=int, default=None)
-    keygen.add_argument("--out", default=None, help="file prefix for the key files")
     keygen.set_defaults(func=_cmd_keygen_paillier)
 
     kdc = commands.add_parser("kdc-setup", help="create an authority keyring file")

@@ -160,7 +160,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"topology.readings[{i}].tag", str(exc)) from None
             value = reading.get("value")
-            _require(isinstance(value, int) and value >= 0,
+            _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
                      f"topology.readings[{i}].value", "value must be a non-negative integer")
             readings[node_id] = (tag, value)
 

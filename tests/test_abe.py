@@ -208,13 +208,19 @@ def test_row_decryption_algebra(ctx):
     authority = kdc_setup(ctx, "A", ["a", "b"], rng)
     user = build_user(ctx, (authority,), "u9", ["a", "b"])
     program = compile_lsss(parse_policy("a & b"))
+    replay = random.Random()
+    replay.setstate(rng.getstate())
     ciphertext, state = abe_encrypt(ctx, authority.shares, program, b"x", rng)
+    # the masking vector w is not sealed: replay abe_encrypt's draws, v then w
+    v = tuple(replay.randrange(Q) for _ in range(program.h))
+    w = (0,) + tuple(replay.randrange(Q) for _ in range(program.h - 1))
+    assert v == state.v
     gt = ctx.backend.pair(ctx.g, ctx.g)
     h_u = ctx.hash_to_g("u9")
     for x in range(program.n):
         row = ciphertext.rows[x]
-        lam = sum(program.rows[x][c] * state.v[c] for c in range(program.h)) % Q
-        omega = sum(program.rows[x][c] * state.w[c] for c in range(program.h)) % Q
+        lam = sum(program.rows[x][c] * v[c] for c in range(program.h)) % Q
+        omega = sum(program.rows[x][c] * w[c] for c in range(program.h)) % Q
         dec = ctx.backend.gt_mul(row.c1, ctx.backend.pair(h_u, row.c3))
         dec = ctx.backend.gt_mul(dec, ctx.backend.gt_inv(
             ctx.backend.pair(user.keys[program.attributes[x]], row.c2)))
@@ -295,25 +301,26 @@ def _and_heavy_tree(rng, attributes, leaves):
                 _and_heavy_tree(rng, attributes, leaves - split))
 
 
-# sha256 of each record's bytes and its sealed state, one per (leaves, AND-heavy)
-# policy below, taken from the encryption code before its row loop was fused.
+# sha256 of each record's bytes and its sealed state (v, rho, payload), one per
+# (leaves, AND-heavy) policy below. The records are byte for byte those of the
+# encryption code before its row loop was fused.
 GOLDEN_RECORDS = (
     (1, False,
-     "bc3fcb930716b10e1d3eebc75a0a1a16d9a8d1f37dfb055588950b4f4a16e059"),
+     "01a54a316e373c945cb1fb6dda8cdfca5d584a04cfe93ba5d8c2356e409abeea"),
     (3, True,
-     "5a8652c90ccff993c5f39987edfb130b09d8c0ea64b407f4f8a7d2ca58770a98"),
+     "22486a961fa56055885a5a23e3b5ff97ba0a0aae821869a03af730dd2f6610cd"),
     (9, False,
-     "168739b00558042376083b115f6851a6eae88681f517e8abb9dd134cedc8f40c"),
+     "0fb0d33321162fc2e38b710f31dd01314091f2e8234ceb899c248ac25e877f3d"),
     (16, True,
-     "3179063bdc9cc5568f88a6761edc383003e5ae6db9b0d1f4067bf33b1de72724"),
+     "094331191772f5e734f839a6f3f05150c86b7cd33eaf6cfb7662f80a946a8f3a"),
     (40, False,
-     "ac77a4489cd23d8f84b21f9658f9b60a20a57e304ba046b8e67955de14dfecc7"),
+     "279076d17f1fa968181abf6d58f6e2c0e512e05298eebf32a55c038911d3b4b9"),
     (64, True,
-     "decfea4b34c850757c5a0adb8eb8680517c7f89c294d399802b293a1ec571357"),
+     "56dd835f69366b6ca358ab6b07738e4752b485e365056cea1b35b0ddc5ffa9f3"),
     (128, False,
-     "40cf76152bd50fbd4a9208cc2a0ea661caca3190e006cab4d94727f5ee1475e6"),
+     "f82f7ccea25042692324cf2ecbdc52f367f5daa1602801cd5b6a41375d5bfe2b"),
     (200, True,
-     "fdd3373a134db76fd0073bcb78f494f9a2198c6774c6d6d3fc6fa3ee95368381"),
+     "26dafea830c6bc9a411d73da30a8f9186e1780faaf2eeec230d3aa49c567ece9"),
 )
 
 
@@ -331,8 +338,9 @@ def test_encryption_output_is_pinned():
             ciphertext, state = abe_encrypt(ctx, authority.shares, program,
                                             rng.randbytes(64), rng)
         assert (window.pairings, window.scalar_muls) == (1, 4 * program.n)
-        sealed = (ciphertext.to_bytes(ctx) + repr((state.v, state.w, state.rho)).encode()
-                  + ctx.element_to_bytes(state.seed) + state.payload)
+        # the record bytes pin w through C3 and the KEM seed through C0
+        sealed = (ciphertext.to_bytes(ctx) + repr((state.v, state.rho)).encode()
+                  + state.payload)
         assert state.program == program
         assert hashlib.sha256(sealed).hexdigest() == digest, (leaves, and_heavy)
 
@@ -518,8 +526,7 @@ def test_encryption_state_must_fit_its_program(ctx):
     rng = random.Random(32)
     authority = kdc_setup(ctx, "A", ["a", "b"], rng)
     _, state = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a & b")), b"x", rng)
-    for changes in ({"rho": state.rho[:-1]}, {"v": state.v + (1,)}, {"w": ()},
-                    {"payload": None}, {"seed": None}):
+    for changes in ({"rho": state.rho[:-1]}, {"v": state.v + (1,)}, {"payload": None}):
         with pytest.raises(ValueError):
             replace(state, **changes)
 

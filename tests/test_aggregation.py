@@ -236,6 +236,45 @@ def test_multi_tier_ban_chain_allowed(keys):
     assert rtu_open(sk, pk, packets[0])[1] == 9
 
 
+def test_a_2000_tier_gateway_chain_folds(keys):
+    pk, sk = keys
+    nodes, parent = [node("nan", "NAN")], "nan"
+    for i in range(2000):
+        nodes.append(node(f"b{i}", "BAN", parent))
+        parent = f"b{i}"
+    nodes.append(node("deep", "HAN", parent))
+    nodes += [node(f"h{i}", "HAN", f"b{i}") for i in (0, 999, 1998)]
+    tag = AttributeTag(["x"])
+    readings = {"deep": (tag, 5), "h0": (tag, 7), "h999": (tag, 11), "h1998": (tag, 13)}
+    packets = run_pipeline(AggregationTopology(nodes), readings, pk, random.Random(13))
+    assert [rtu_open(sk, pk, p) for p in packets] == [(tag, 36)]
+
+
+def _recursive_fold(topology, readings, pk, rng, node_id):
+    """A recursive walk over the tree: the oracle for the order meters encrypt in."""
+    if topology.nodes[node_id].role == "HAN":
+        return [make_packet(pk, *readings[node_id], rng)] if node_id in readings else []
+    return gateway_aggregate([p for child in topology.children[node_id]
+                              for p in _recursive_fold(topology, readings, pk, rng, child)], pk)
+
+
+def test_meters_encrypt_in_depth_first_order(keys):
+    pk, _ = keys
+    rng = random.Random(14)
+    nodes, gateways = [node("nan", "NAN")], ["nan"]
+    for i in range(12):
+        nodes.append(node(f"b{i}", "BAN", rng.choice(gateways)))
+        gateways.append(f"b{i}")
+    readings = {}
+    for i in range(40):
+        nodes.append(node(f"h{i}", "HAN", f"b{i % 12}"))
+        if rng.random() < 0.8:
+            readings[f"h{i}"] = (AttributeTag([rng.choice("xyz")]), rng.randrange(1000))
+    topology = AggregationTopology(nodes)
+    assert (run_pipeline(topology, readings, pk, random.Random(15))
+            == _recursive_fold(topology, readings, pk, random.Random(15), "nan"))
+
+
 # --- gateway opacity -----------------------------------------------------------------
 
 def test_gateway_api_never_touches_secret_keys():

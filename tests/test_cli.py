@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from gridseal import abe, pairing
+from gridseal.harness import cli
 from gridseal.harness.cli import bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.harness.scenario import load_scenario, render_report, run_scenario
@@ -136,26 +137,29 @@ def test_aggregate_subcommand(capsys):
     assert report["records"] == []  # access phases stripped
 
 
-def test_keygen_paillier(capsys, tmp_path):
+def test_keygen_paillier(capsys):
     code, out, _ = run_cli(capsys, "keygen-paillier", "--bits", "128", "--seed", "3")
     assert code == 0
     summary = json.loads(out)
     assert summary["modulus_bits"] in (127, 128)
-    prefix = tmp_path / "keys"
-    code, out, _ = run_cli(capsys, "keygen-paillier", "--bits", "64", "--seed", "3",
-                           "--out", str(prefix))
-    assert code == 0
-    public = json.loads((tmp_path / "keys.pub.json").read_text())
-    secret = json.loads((tmp_path / "keys.sec.json").read_text())
-    assert (public["kind"], secret["kind"]) == ("gridseal-paillier-public-v2",
-                                                "gridseal-paillier-secret-v2")
-    # the public file holds N and the secret file its two primes
-    pk = PaillierPublicKey.from_bytes(bytes.fromhex(public["data"]))
-    sk = PaillierSecretKey.from_bytes(bytes.fromhex(secret["data"]))
-    assert (pk, sk) == paillier_keygen(64, rng=random.Random(3))
+    # the printed public hex holds N and the secret hex its two primes
+    pk = PaillierPublicKey.from_bytes(bytes.fromhex(summary["public"]))
+    sk = PaillierSecretKey.from_bytes(bytes.fromhex(summary["secret"]))
+    assert (pk, sk) == paillier_keygen(128, rng=random.Random(3))
     assert sk.q1 * sk.q2 == pk.modulus
     ct = paillier_encrypt(pk, 4242, rng=random.Random(1))
     assert paillier_decrypt(sk, pk, ct) == 4242
+    assert out == json.dumps({"modulus_bits": pk.bit_length, "public": pk.to_bytes().hex(),
+                              "secret": sk.to_bytes().hex()},
+                             sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_keygen_paillier_writes_no_key_files(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "keygen-paillier", "--bits", "64", "--seed", "3",
+                             "--out", str(tmp_path / "keys"))
+    assert (code, out) == (2, "")
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_reports_default_prediction(capsys):
@@ -405,7 +409,7 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
                  "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
                  "--seed", "3"]) == 0
     for path, old_kind, kind in ((ct, "gridseal-ciphertext", "gridseal-ciphertext-v4"),
-                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v5")):
+                                 (state, "gridseal-rtu-state", "gridseal-rtu-state-v6")):
         document = json.loads(path.read_text())
         assert document["kind"] == kind
         document["kind"] = old_kind
@@ -420,7 +424,7 @@ def test_files_in_the_dense_program_layout_are_refused_by_kind(keyfiles, tmp_pat
                            "--kdc", str(kdc_a), "--revoked", str(user_full),
                            "--out-updates", str(tmp_path / "updates.json"))
     assert code == 2
-    assert "expected a gridseal-rtu-state-v5 file" in err
+    assert "expected a gridseal-rtu-state-v6 file" in err
 
 
 @pytest.fixture()
@@ -468,11 +472,58 @@ def test_every_file_carries_its_group_header(record):
     assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160)}
     assert authority["kind"] == "gridseal-kdc-v3" and "hash" not in authority
     for name, kind in (("keyring", "gridseal-keyring-v3"), ("ciphertext", "gridseal-ciphertext-v4"),
-                       ("state", "gridseal-rtu-state-v5"), ("updates", "gridseal-updates-v5")):
+                       ("state", "gridseal-rtu-state-v6"), ("updates", "gridseal-updates-v5")):
         document = json.loads(record[name].read_text())
         assert document["kind"] == kind
         assert {field: document[field] for field in header} == header
         assert "hash" not in document
+
+
+def test_a_state_file_holds_only_what_revocation_reads(record):
+    document = json.loads(record["state"].read_text())
+    assert set(document) == {"kind", "backend", "q", "program", "v", "rho", "payload"}
+
+
+def test_a_state_file_of_the_previous_layout_exits_2_naming_it(record, tmp_path, capsys):
+    # a gridseal-rtu-state-v5 file also held the masking vector w and the KEM seed
+    document = json.loads(record["state"].read_text())
+    record["state"].write_text(json.dumps({**document, "kind": "gridseal-rtu-state-v5",
+                                           "w": ["0"] * len(document["v"]), "seed": "00"}))
+    before = record["ciphertext"].read_bytes()
+    code, out, err = run_cli(capsys, *revoke_argv(record, tmp_path))
+    assert (code, out) == (2, "")
+    assert f"{record['state']}: expected a gridseal-rtu-state-v6 file" in err
+    assert record["ciphertext"].read_bytes() == before
+
+
+def test_every_file_kind_the_cli_writes_is_read(tmp_path, capsys, monkeypatch):
+    written, read = set(), set()
+    save, load = cli._save, cli._load
+    monkeypatch.setattr(cli, "_save",
+                        lambda path, kind, *rest: written.add(kind) or save(path, kind, *rest))
+    monkeypatch.setattr(cli, "_load",
+                        lambda path, kind, *rest: read.add(kind) or load(path, kind, *rest))
+    kdc, user, survivor, ct, state, updates = (
+        str(tmp_path / f"{name}.json")
+        for name in ("kdc", "user", "survivor", "ct", "state", "updates"))
+    for argv in (["keygen-paillier", "--bits", "64", "--seed", "1"],
+                 ["kdc-setup", "--kdc-id", "A", "--attrs", "alpha,beta", "--out", kdc,
+                  "--seed", "1"],
+                 ["issue-key", "--kdc", kdc, "--user", "u", "--attrs", "alpha,beta",
+                  "--keyring", user],
+                 ["issue-key", "--kdc", kdc, "--user", "s", "--attrs", "beta",
+                  "--keyring", survivor],
+                 ["encrypt", "--policy", "alpha | beta", "--payload", "p", "--kdc", kdc,
+                  "--out", ct, "--state", state, "--seed", "2"],
+                 ["decrypt", "--ciphertext", ct, "--keyring", user],
+                 ["revoke", "--ciphertext", ct, "--state", state, "--kdc", kdc,
+                  "--revoked", user, "--out-updates", updates, "--seed", "3"],
+                 ["decrypt", "--ciphertext", ct, "--keyring", survivor, "--updates", updates]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert written == {"gridseal-kdc-v3", "gridseal-keyring-v3", "gridseal-ciphertext-v4",
+                       "gridseal-rtu-state-v6", "gridseal-updates-v5"}
+    assert written <= read
 
 
 def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, capsys):
@@ -498,7 +549,7 @@ def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, caps
     pytest.param("keyring", "gridseal-keyring", "gridseal-keyring-v3", issue_argv, id="keyring"),
     pytest.param("ciphertext", "gridseal-ciphertext-v2", "gridseal-ciphertext-v4", decrypt_argv,
                  id="ciphertext"),
-    pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v5", revoke_argv,
+    pytest.param("state", "gridseal-rtu-state-v3", "gridseal-rtu-state-v6", revoke_argv,
                  id="state"),
     pytest.param("updates", "gridseal-updates-v2", "gridseal-updates-v5", decrypt_argv,
                  id="updates"),
@@ -588,11 +639,7 @@ def test_revoke_names_an_attribute_no_authority_file_covers(keyfiles, tmp_path, 
 
 
 def test_secret_files_are_owner_only(record, tmp_path, capsys):
-    assert main(["keygen-paillier", "--bits", "64", "--seed", "3",
-                 "--out", str(tmp_path / "paillier")]) == 0
-    secret = [record["kdc"], record["keyring"], record["survivor"], record["state"],
-              tmp_path / "paillier.sec.json"]
-    for path in secret:
+    for path in (record["kdc"], record["keyring"], record["survivor"], record["state"]):
         assert path.stat().st_mode & 0o777 == 0o600, path
     # a rewrite narrows a file that was readable by others
     for path in (record["keyring"], record["state"]):
@@ -628,13 +675,36 @@ def _drop(field):
     pytest.param("survivor", _set("keys", ["beta"]), decrypt_argv, id="keyring-keys-list"),
     pytest.param("state", lambda d: {**d, "v": "".join(d["v"])}, revoke_argv,
                  id="state-v-string"),
-    pytest.param("state", _set("seed", None), revoke_argv, id="state-seed-null"),
     pytest.param("state", _set("payload", None), revoke_argv, id="state-payload-null"),
     pytest.param("state", lambda d: {**d, "rho": d["rho"][:1]}, revoke_argv,
                  id="state-rho-short"),
     pytest.param("updates", _set("rows", None), decrypt_argv, id="updates-rows-null"),
     pytest.param("updates", _set("rows", {"x": "00"}), decrypt_argv, id="updates-bad-index"),
     pytest.param("updates", _drop("record"), decrypt_argv, id="updates-no-record"),
+    # decimal and hex fields read only what the CLI writes: str(int) and lowercase .hex()
+    pytest.param("ciphertext", lambda d: {**d, "q": "0" + d["q"]}, decrypt_argv,
+                 id="header-q-leading-zero"),
+    pytest.param("ciphertext", lambda d: {**d, "data": d["data"].upper()}, decrypt_argv,
+                 id="ciphertext-data-uppercase"),
+    pytest.param("ciphertext", lambda d: {**d, "data": " " + d["data"]}, decrypt_argv,
+                 id="ciphertext-data-space"),
+    pytest.param("kdc", lambda d: {**d, "secrets": {a: {**s, "y": "+" + s["y"]}
+                                                    for a, s in d["secrets"].items()}},
+                 issue_argv, id="kdc-secret-plus"),
+    pytest.param("survivor", lambda d: {**d, "keys": {a: e.upper() for a, e in d["keys"].items()}},
+                 decrypt_argv, id="keyring-key-uppercase"),
+    pytest.param("state", lambda d: {**d, "v": [" " + x for x in d["v"]]}, revoke_argv,
+                 id="state-v-space"),
+    pytest.param("state", lambda d: {**d, "rho": [x[:1] + "_" + x[1:] for x in d["rho"]]},
+                 revoke_argv, id="state-rho-underscore"),
+    pytest.param("state", lambda d: {**d, "program": d["program"].upper()}, revoke_argv,
+                 id="state-program-uppercase"),
+    pytest.param("state", lambda d: {**d, "payload": d["payload"][:2] + " " + d["payload"][2:]},
+                 revoke_argv, id="state-payload-space"),
+    pytest.param("updates", lambda d: {**d, "rows": {"0" + i: e for i, e in d["rows"].items()}},
+                 decrypt_argv, id="updates-index-leading-zero"),
+    pytest.param("updates", lambda d: {**d, "rows": {i: e.upper() for i, e in d["rows"].items()}},
+                 decrypt_argv, id="updates-element-uppercase"),
 ])
 def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, damage, argv):
     damaged = damage(json.loads(record[name].read_text()))

@@ -151,6 +151,12 @@ def test_validation_paths_point_at_fields():
     pytest.param({"paillier": {"q1": 5.0, "q2": 7}}, "paillier.q1", id="q1-a-float"),
     pytest.param({"paillier": {"q1": 5, "q2": True}}, "paillier.q2", id="q2-a-boolean"),
     pytest.param({"paillier": {"q1": 5, "q2": 1}}, "paillier.q2", id="q2-below-2"),
+    pytest.param({"paillier": {"q1": 5, "q2": 7},
+                  "topology": {"nodes": [{"id": "nan", "role": "NAN"},
+                                         {"id": "b", "role": "BAN", "parent": "nan"},
+                                         {"id": "h", "role": "HAN", "parent": "b"}],
+                               "readings": [{"node": "h", "tag": ["x"], "value": True}]}},
+                 "topology.readings[0].value", id="reading-a-boolean"),
 ])
 def test_validation_rejects_malformed_shapes_with_a_path(patch, path):
     document = {"schema": SCHEMA, "kdcs": [{"id": "A", "attributes": ["a"]}],
