@@ -38,12 +38,13 @@ from .scenario import (
 # suffixes name the record layout, the fixed-width element bodies and the header
 # without a hash field; a file of an older kind, which may have been written
 # under SHA-1 identity hashes, is refused by kind. An updates file also carries
-# the digest of the record it was made for, and the RTU state holds only what
-# revocation reads: the program, v, rho and the payload.
+# the digest of the record it was made for, the RTU state holds only what
+# revocation reads (the program, v, rho and the payload), and a KDC file only
+# its id, secrets and shares, over one attribute set.
 CIPHERTEXT_KIND = "gridseal-ciphertext-v4"
 RTU_STATE_KIND = "gridseal-rtu-state-v6"
 _UPDATES_KIND = "gridseal-updates-v5"
-_KDC_KIND = "gridseal-kdc-v3"
+_KDC_KIND = "gridseal-kdc-v4"
 _KEYRING_KIND = "gridseal-keyring-v3"
 _GROUP_FIELDS = ("backend", "q")
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
@@ -214,7 +215,6 @@ def _cmd_kdc_setup(args) -> int:
     header = {"backend": args.backend, "q": str(ctx.q)}
     _save(args.out, _KDC_KIND, header, {
         "kdc_id": args.kdc_id,
-        "attributes": attributes,
         "secrets": {a: {"alpha": str(s.alpha), "y": str(s.y)}
                     for a, s in keyring.secrets.items()},
         "shares": {a: {"e_alpha": _hex(ctx, p.e_alpha), "g_y": _hex(ctx, p.g_y)}
@@ -229,6 +229,8 @@ def _kdc(ctx: PairingContext, fields: dict[str, Any]) -> abe.KdcKeyring:
                for a, s in fields["secrets"].items()}
     shares = {a: abe.PublicShare(_element(ctx, p["e_alpha"], True), _element(ctx, p["g_y"]))
               for a, p in fields["shares"].items()}
+    if secrets.keys() != shares.keys():
+        raise ValueError("secrets and shares name different attributes")
     return abe.KdcKeyring(fields["kdc_id"], secrets, shares)
 
 
@@ -410,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate.set_defaults(func=_cmd_aggregate)
 
     keygen = commands.add_parser("keygen-paillier", help="generate an aggregation keypair")
-    keygen.add_argument("--bits", type=int, default=2048)
+    keygen.add_argument("--bits", type=int, default=2048,
+                        help="size of N; N has this many bits or one fewer (default: 2048)")
     keygen.add_argument("--seed", type=int, default=None)
     keygen.set_defaults(func=_cmd_keygen_paillier)
 

@@ -173,6 +173,8 @@ def paillier_keygen(
 
     Args:
         bit_length: target size of N, at least 16 bits (2048 by default).
+            Each prime has its exact share of the bits, so N has
+            `bit_length` or `bit_length - 1` bits.
         rng: randomness source; the system CSPRNG when omitted.
         q1, q2: test hook injecting both primes for deterministic desk-scale
             vectors. Injected values are validated, never retried.

@@ -7,12 +7,26 @@ fewer rounds for the same 2^-80: the average-case count of Damgard, Landrock
 and Pomerance (Math. Comp. 1993), as tabulated in the Handbook of Applied
 Cryptography, Table 4.4. Both take a prefix of the same witness stream
 keyed on n, so a seed draws the same prime either way, unless a composite
-passes the shorter test, which has probability under 2^-80.
+passes the shorter test, which has probability under 2^-80. The table's rows
+are the smallest round counts that meet 2^-80 under the closed-form bounds
+of HAC Fact 4.48 (ii)-(iv), with two rows evaluated the same way for the
+128- and 256-bit primes of 256- and 512-bit keys.
+
+Before any round, a candidate is trial-divided by the primes below 2,000.
+A candidate of 512 bits or more then takes one gcd with the product of the
+primes in (2,000, 2^16), built on first use: about a third of the random
+composites that survive trial division have such a factor, and at 1,024
+bits the gcd costs about a twentieth of the modexp it saves. Below 512
+bits the gcd costs more than the rounds it saves, so smaller candidates
+never build or use the product. Both filters refuse only composites, so
+they change no prime a seed draws.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import random
 
 try:  # optional fast path for the witness exponentiations
@@ -34,6 +48,16 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
 
+# Candidates of at least this many bits take one gcd with the primes in
+# (_SMALL_PRIME_LIMIT, _SIEVE_LIMIT) before their first round.
+_SIEVE_FLOOR_BITS = 512
+_SIEVE_LIMIT = 1 << 16
+
+
+@functools.cache
+def _sieve_product() -> int:
+    return math.prod(_sieve(_SIEVE_LIMIT)[len(_SMALL_PRIMES):])
+
 # Deterministic Miller-Rabin witnesses valid for n < 3_317_044_064_679_887_385_961_981
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -42,7 +66,8 @@ _LARGE_ROUNDS = 48
 # (bits at least, rounds): error at most 2^-80 for a random candidate of that size
 _AVERAGE_CASE_ROUNDS = (
     (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
-    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
+    (350, 8), (300, 9), (256, 11), (250, 12), (200, 15), (150, 18),
+    (128, 21), (100, 27),
 )
 
 
@@ -83,6 +108,8 @@ def _passes_miller_rabin(n: int, rounds: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n.bit_length() >= _SIEVE_FLOOR_BITS and math.gcd(n, _sieve_product()) != 1:
+        return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

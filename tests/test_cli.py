@@ -466,17 +466,28 @@ def issue_argv(files, tmp_path):
             "--keyring", str(files["keyring"])]
 
 
+def issue_beta_argv(files, tmp_path):
+    return ["issue-key", "--kdc", str(files["kdc"]), "--user", "full", "--attrs", "beta",
+            "--keyring", str(files["keyring"])]
+
+
 def test_every_file_carries_its_group_header(record):
     authority = json.loads(record["kdc"].read_text())
     header = {field: authority[field] for field in ("backend", "q")}
     assert header == {"backend": "reference", "q": str(pairing.DEFAULT_Q_160)}
-    assert authority["kind"] == "gridseal-kdc-v3" and "hash" not in authority
+    assert authority["kind"] == "gridseal-kdc-v4" and "hash" not in authority
     for name, kind in (("keyring", "gridseal-keyring-v3"), ("ciphertext", "gridseal-ciphertext-v4"),
                        ("state", "gridseal-rtu-state-v6"), ("updates", "gridseal-updates-v5")):
         document = json.loads(record[name].read_text())
         assert document["kind"] == kind
         assert {field: document[field] for field in header} == header
         assert "hash" not in document
+
+
+def test_a_kdc_file_holds_only_what_its_reader_reads(record):
+    document = json.loads(record["kdc"].read_text())
+    assert set(document) == {"kind", "backend", "q", "kdc_id", "secrets", "shares"}
+    assert set(document["secrets"]) == set(document["shares"]) == {"alpha", "beta"}
 
 
 def test_a_state_file_holds_only_what_revocation_reads(record):
@@ -521,7 +532,7 @@ def test_every_file_kind_the_cli_writes_is_read(tmp_path, capsys, monkeypatch):
                  ["decrypt", "--ciphertext", ct, "--keyring", survivor, "--updates", updates]):
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert written == {"gridseal-kdc-v3", "gridseal-keyring-v3", "gridseal-ciphertext-v4",
+    assert written == {"gridseal-kdc-v4", "gridseal-keyring-v3", "gridseal-ciphertext-v4",
                        "gridseal-rtu-state-v6", "gridseal-updates-v5"}
     assert written <= read
 
@@ -545,7 +556,8 @@ def test_files_of_the_previous_header_are_refused_by_kind(record, tmp_path, caps
 
 
 @pytest.mark.parametrize("name, old_kind, kind, argv", [
-    pytest.param("kdc", "gridseal-kdc", "gridseal-kdc-v3", issue_argv, id="kdc"),
+    pytest.param("kdc", "gridseal-kdc", "gridseal-kdc-v4", issue_argv, id="kdc"),
+    pytest.param("kdc", "gridseal-kdc-v3", "gridseal-kdc-v4", issue_argv, id="kdc-attribute-list"),
     pytest.param("keyring", "gridseal-keyring", "gridseal-keyring-v3", issue_argv, id="keyring"),
     pytest.param("ciphertext", "gridseal-ciphertext-v2", "gridseal-ciphertext-v4", decrypt_argv,
                  id="ciphertext"),
@@ -669,6 +681,14 @@ def _drop(field):
     pytest.param("kdc", _drop("secrets"), issue_argv, id="kdc-no-secrets"),
     pytest.param("kdc", lambda d: {**d, "secrets": {"alpha": {"alpha": 5, "y": "7"}}},
                  issue_argv, id="kdc-secret-number"),
+    # an authority whose secrets and shares differ could issue a key for an
+    # attribute no record can be encrypted to, or publish a share it cannot serve
+    pytest.param("kdc", lambda d: {**d, "shares": {"alpha": d["shares"]["alpha"]}},
+                 issue_beta_argv, id="kdc-share-missing"),
+    pytest.param("kdc", lambda d: {**d, "secrets": {"alpha": d["secrets"]["alpha"]}},
+                 issue_argv, id="kdc-secret-missing"),
+    pytest.param("kdc", lambda d: {**d, "shares": {**d["shares"], "gamma": d["shares"]["beta"]}},
+                 issue_argv, id="kdc-share-extra"),
     pytest.param("keyring", _set("user", 5), issue_argv, id="keyring-user-number"),
     pytest.param("survivor", lambda d: {**d, "keys": {"beta": d["keys"]["beta"] + "00"}},
                  decrypt_argv, id="keyring-trailing-bytes"),

@@ -158,6 +158,22 @@ def test_seeded_secret_keys_are_pinned():
     assert digests == _SEEDED_SECRET_KEY_DIGESTS
 
 
+# SHA-256 of paillier_keygen(2048, rng=Random(s))[1].to_bytes() for s = 1, 2, 3,
+# computed before candidates of 512 bits or more took the gcd sieve
+_SEEDED_2048_BIT_SECRET_KEY_DIGESTS = {
+    1: "8c09cde7f3b1c4a2bf28243fb5d0cbf7e5dd78d90aedafc77953c2932b582387",
+    2: "d59476d3702975fa5248df91702c71dd7471a05ce0c13a3bd55b66a9429c6542",
+    3: "72342154423fa455d3c06d0f8c284d27e93b90fe8f04aa9d8a80208b67b8f9cc",
+}
+
+
+def test_seeded_2048_bit_secret_keys_are_pinned():
+    # the sieve refuses only composites and draws nothing, so a seed keeps its key
+    for seed, digest in _SEEDED_2048_BIT_SECRET_KEY_DIGESTS.items():
+        sk = paillier_keygen(2048, rng=random.Random(seed))[1]
+        assert hashlib.sha256(sk.to_bytes()).hexdigest() == digest, seed
+
+
 def test_keygen_size_and_primality():
     pk, sk = paillier_keygen(256, rng=random.Random(9))
     assert pk.bit_length in (255, 256)
