@@ -18,11 +18,12 @@ recomputes the affected per-row components under the new secret, strips
 them from the stored record, re-seals the payload under a fresh seed and
 hands the new components only to users still in good standing.
 
-A stored record is checked at decode and built on read: from_bytes checks
-every element body as bytes and refuses anything to_bytes would not emit,
-but builds a row's elements only when that row is first read. Decryption
-picks its rows from the C1 flags, so a denial builds no row, and a grant
-only the rows it pairs.
+A record is held as its wire bytes and its rows are built on read.
+from_bytes checks every element body as bytes and refuses anything to_bytes
+would not emit, but builds a row's elements only when that row is first
+read. Decryption picks its rows from the C1 flags, so a denial builds no row,
+and a grant only the rows it pairs. Revocation copies the bytes of the rows
+it keeps and builds none.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .lsss import LsssProgram, solve_for_rows
-from .pairing import GroupElementG, GroupElementGT, PairingBackend, PairingContext
+from .pairing import (BackendMismatchError, GroupElementG, GroupElementGT, PairingBackend,
+                      PairingContext)
 
 _KEM_NONCE_BYTES = 12
 _KEM_TAG_BYTES = 16
@@ -69,10 +71,6 @@ class KdcKeyring:
         self.kdc_id = kdc_id
         self.secrets = dict(secrets)
         self.shares = dict(shares)
-
-    @property
-    def attributes(self) -> list[str]:
-        return list(self.secrets)
 
     def owns(self, attribute: str) -> bool:
         return attribute in self.secrets
@@ -164,67 +162,52 @@ class CiphertextRow:
     c3: GroupElementG
 
 
-class _RowsOnRead(SequenceABC):
-    """A decoded record's rows, each built from the record's bytes when its
-    index is first read and kept from then on.
+@dataclass(eq=False, repr=False, slots=True)
+class _Rows(SequenceABC):
+    """A record's rows, each built from the record's bytes when its index is
+    first read and kept from then on.
 
-    `starts` holds where each row's first element begins, just after its
-    flag byte, and `flags` each row's C1 flag. Equality and hash are those
-    of the tuple of the rows. Two threads reading one row at once may both
-    build it; the builds are equal.
+    Row 0's flag byte lies at `first`, and `flags` holds each row's C1 flag.
+    A row is its flag byte, C1 if the flag is set, then C2 and C3, so the
+    flags place every row. `built` holds each row once built, None before. Two
+    threads reading one row at once may both build it; the builds are equal.
     """
 
-    __slots__ = ("_data", "_backend", "_starts", "flags", "_built")
-
-    def __init__(self, data: bytes, backend: PairingBackend, starts: list[int],
-                 flags: bytes):
-        self._data = data
-        self._backend = backend
-        self._starts = starts
-        self.flags = flags
-        self._built: list[Optional[CiphertextRow]] = [None] * len(starts)
+    data: bytes
+    backend: PairingBackend
+    first: int
+    flags: bytes
+    built: list[Optional[CiphertextRow]]
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.flags)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[x] for x in range(len(self))[index])
-        row = self._built[index]
+    def __getitem__(self, index: int) -> CiphertextRow:
+        row = self.built[index]
         if row is None:
-            row = self._built[index] = self._build(index)
+            row = self.built[index] = self._build(index)
         return row
 
-    def __iter__(self):
-        return (self[x] for x in range(len(self)))
+    def c2_at(self, index: int) -> int:
+        """Where row `index`'s C2 begins; its C3 follows. Up to there, each row
+        takes a flag byte and C1 where its flag is set, each row before it C2 and C3."""
+        x = range(len(self.flags))[index]
+        g, gt = self.backend.g_bytes, self.backend.gt_bytes
+        return self.first + 1 + x * (1 + 2 * g) + gt * self.flags.count(1, 0, x + 1)
 
     def _build(self, index: int) -> CiphertextRow:
-        data, backend, at = self._data, self._backend, self._starts[index]
+        data, backend, at = self.data, self.backend, self.c2_at(index)
         c1 = None
         if self.flags[index]:
-            end = at + backend.gt_bytes
-            c1 = backend.element_gt_from_bytes(data[at:end])
-            at = end
+            c1 = backend.element_gt_from_bytes(data[at - backend.gt_bytes:at])
         mid = at + backend.g_bytes
-        end = mid + backend.g_bytes
         return CiphertextRow(c1, backend.element_g_from_bytes(data[at:mid]),
-                             backend.element_g_from_bytes(data[mid:end]))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _RowsOnRead)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+                             backend.element_g_from_bytes(data[mid:mid + backend.g_bytes]))
 
 
 @dataclass(frozen=True)
 class AbeCiphertext:
-    """A record under a compiled policy.
+    """A record under a compiled policy, held as its wire bytes.
 
     Wire layout (to_bytes), every integer big-endian, with no length prefix
     outside the program:
@@ -237,42 +220,41 @@ class AbeCiphertext:
     * the 12-byte KEM nonce, then the AES-GCM output (body and 16-byte tag)
       to the end of the record.
 
-    `rows` is a tuple of CiphertextRow, or for a decoded record a read-only
-    sequence that builds each row on first read and compares and hashes as
-    the tuple of its rows.
+    Records come from abe_encrypt, revoke and from_bytes. Two records are
+    equal when their bytes and their group (which C0 names) are. `rows` is
+    a read-only sequence of CiphertextRow over the bytes that builds each row
+    on first read; a record abe_encrypt returns holds the rows it computed.
     """
 
-    program: LsssProgram
+    program: LsssProgram = field(compare=False)
     c0: GroupElementGT
-    rows: Sequence[CiphertextRow]
-    kem_nonce: bytes
-    kem_body: bytes
-
-    def __post_init__(self):
-        if len(self.rows) != self.program.n:
-            raise ValueError("row triple count must match the matrix")
-        if len(self.kem_nonce) != _KEM_NONCE_BYTES or len(self.kem_body) < _KEM_TAG_BYTES:
-            raise ValueError("the KEM part is shorter than its nonce and tag")
+    rows: _Rows = field(compare=False, repr=False)
+    kem_nonce: bytes = field(compare=False)
+    kem_body: bytes = field(compare=False)
+    _data: bytes = field(repr=False)
+    _program_end: int = field(compare=False, repr=False)
 
     def to_bytes(self, ctx: PairingContext) -> bytes:
-        encode = ctx.element_to_bytes
-        parts = [self.program.to_bytes(), bytes([ctx.backend.wire_id]), encode(self.c0)]
-        for row in self.rows:
-            if row.c1 is None:
-                parts.append(b"\x00")
-            else:
-                parts += (b"\x01", encode(row.c1))
-            parts += (encode(row.c2), encode(row.c3))
-        parts += (self.kem_nonce, self.kem_body)
-        return b"".join(parts)
+        """The held bytes; BackendMismatchError under another group's context."""
+        if self.c0.backend != ctx.backend.ident:
+            raise BackendMismatchError("record from another group")
+        return self._data
 
     @property
-    def c1_stored(self) -> Sequence[int]:
-        """Per row, whether the record stores its C1 (revocation strips it);
-        reading this builds no row."""
-        if isinstance(self.rows, _RowsOnRead):
-            return self.rows.flags
-        return [row.c1 is not None for row in self.rows]
+    def c1_stored(self) -> bytes:
+        """Per row, whether the record stores its C1; reading this builds no row."""
+        return self.rows.flags
+
+    def binding_digest(self) -> str:
+        """SHA-256 of what revocation leaves alone: the program bytes, then each
+        row's C2 and C3. It binds an updates file to its record across every
+        revocation of that record."""
+        data, rows, width = self._data, self.rows, 2 * self.rows.backend.g_bytes
+        digest = hashlib.sha256(data[:self._program_end])
+        for x in range(len(rows)):
+            at = rows.c2_at(x)
+            digest.update(data[at:at + width])
+        return digest.hexdigest()
 
     @classmethod
     def from_bytes(cls, data: bytes, ctx: PairingContext) -> "AbeCiphertext":
@@ -286,14 +268,13 @@ class AbeCiphertext:
         """
         data = bytes(data)
         backend = ctx.backend
-        program, offset = LsssProgram.from_bytes(data)
-        if offset >= len(data):
+        program, program_end = LsssProgram.from_bytes(data)
+        if program_end >= len(data):
             raise ValueError("truncated ciphertext")
-        if data[offset] != backend.wire_id:
+        if data[program_end] != backend.wire_id:
             raise ValueError("record from another backend")
-        c0, offset = ctx.element_gt_from_bytes(data, offset + 1)
-        g, gt, end = backend.g_bytes, backend.gt_bytes, len(data)
-        starts: list[int] = []
+        c0, offset = ctx.element_gt_from_bytes(data, program_end + 1)
+        g, gt, end, first = backend.g_bytes, backend.gt_bytes, len(data), offset
         flags: list[int] = []
         g_offsets: list[int] = []
         gt_offsets: list[int] = []
@@ -302,7 +283,6 @@ class AbeCiphertext:
                 raise ValueError("truncated ciphertext row")
             flag = data[offset]
             offset += 1
-            starts.append(offset)
             flags.append(flag)
             if flag:
                 if flag > 1:
@@ -314,9 +294,25 @@ class AbeCiphertext:
         if offset > end:
             raise ValueError("truncated element")
         backend.check_bodies(data, g_offsets, gt_offsets)
+        if end - offset < _KEM_NONCE_BYTES + _KEM_TAG_BYTES:
+            raise ValueError("the KEM part is shorter than its nonce and tag")
         nonce_end = offset + _KEM_NONCE_BYTES
-        return cls(program, c0, _RowsOnRead(data, backend, starts, bytes(flags)),
-                   data[offset:nonce_end], data[nonce_end:])
+        return cls(program, c0, _Rows(data, backend, first, bytes(flags),
+                                      [None] * program.n),
+                   data[offset:nonce_end], data[nonce_end:], data, program_end)
+
+
+def _write(ctx: PairingContext, program: LsssProgram, program_bytes: bytes,
+           sealed: tuple[GroupElementGT, bytes, bytes], flags: bytes, row_bytes: list[bytes],
+           built: list[Optional[CiphertextRow]]) -> AbeCiphertext:
+    """Lay out a record from its parts: the program and its bytes, the sealed
+    KEM part (C0, nonce, body), each row's C1 flag, the rows' wire bytes in
+    order (in pieces of any size) and each row already built, None for the others."""
+    c0, nonce, body = sealed
+    head = program_bytes + bytes([ctx.backend.wire_id]) + ctx.element_to_bytes(c0)
+    data = b"".join([head, *row_bytes, nonce, body])
+    return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags, built),
+                         nonce, body, data, len(program_bytes))
 
 
 @dataclass(frozen=True)
@@ -392,10 +388,10 @@ def abe_encrypt(
     gt = ctx.pair(ctx.g, ctx.g)
     blind = ctx.backend.gt_exp(gt, v[0])  # unmetered: outside the 4m row budget
     payload = bytes(payload)
-    c0, nonce, body = _seal(ctx, gt, blind, payload, rng)
+    sealed = _seal(ctx, gt, blind, payload, rng)
 
-    g = ctx.g
-    rows = []
+    g, encode = ctx.g, ctx.backend.element_bytes
+    rows, row_bytes = [], []
     for attribute, cols, signs, rho_x in zip(program.attributes, program.support,
                                              program.signs, rho):
         # lambda_x and omega_x in one pass over the row's support; the
@@ -409,9 +405,11 @@ def abe_encrypt(
         c2 = ctx.g_exp(g, rho_x)
         c3 = ctx.g_mulexp(((share.g_y, rho_x), (g, omega)))
         rows.append(CiphertextRow(c1, c2, c3))
+        row_bytes += (b"\x01", encode(c1), encode(c2), encode(c3))
 
-    return (AbeCiphertext(program, c0, tuple(rows), nonce, body),
-            EncryptionState(program, v, rho, payload))
+    record = _write(ctx, program, program.to_bytes(), sealed, b"\x01" * program.n, row_bytes,
+                    rows)
+    return record, EncryptionState(program, v, rho, payload)
 
 
 def abe_decrypt(
@@ -479,10 +477,10 @@ def revoke(
     revoked = list(revoked)
     if not revoked:
         raise ValueError("revoked set must not be empty")
-    program = ciphertext.program
+    program, rows, data = ciphertext.program, ciphertext.rows, ciphertext.to_bytes(ctx)
     # row 0 carries C2 = g^rho_0, so a state sealed for another record fails here (unmetered)
-    g_rho_0 = ctx.backend.g_exp(ctx.g, state.rho[0] % ctx.q)
-    if state.program != program or ciphertext.rows[0].c2 != g_rho_0:
+    g_rho_0 = ctx.element_to_bytes(ctx.backend.g_exp(ctx.g, state.rho[0] % ctx.q))
+    if state.program != program or not data.startswith(g_rho_0, rows.c2_at(0)):
         raise ValueError("the sealed state belongs to another record")
     revoked_attrs: set[str] = set()
     for keyring in revoked:
@@ -502,16 +500,21 @@ def revoke(
         blind = ctx.gt_exp(gt, v_new[0])
     else:
         v_new, blind = state.v, ctx.backend.gt_exp(gt, state.v[0])
-    c0, nonce, body = _seal(ctx, gt, blind, state.payload, rng)
+    sealed = _seal(ctx, gt, blind, state.payload, rng)
 
     updates: dict[int, GroupElementGT] = {}
-    stored_rows = list(ciphertext.rows)
     for x in affected:
         lam = program.share(v_new, x, ctx.q)
         share = shares[program.attributes[x]]
-        c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, state.rho[x]))
-        updates[x] = c1
-        stored_rows[x] = replace(stored_rows[x], c1=None)
+        updates[x] = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, state.rho[x]))
 
-    new_ct = AbeCiphertext(program, c0, tuple(stored_rows), nonce, body)
+    # each row's C2 and C3 bytes are copied; an affected row loses its flag and C1
+    flags = bytes(flag and x not in updates for x, flag in enumerate(rows.flags))
+    gt_bytes, width, row_bytes = ctx.backend.gt_bytes, 2 * ctx.backend.g_bytes, []
+    for x, keep in enumerate(flags):
+        at = rows.c2_at(x)  # a kept row keeps its flag byte and C1 before this
+        row_bytes.append(data[at - gt_bytes - 1:at + width] if keep
+                         else b"\x00" + data[at:at + width])
+    new_ct = _write(ctx, program, data[:ciphertext._program_end], sealed, flags, row_bytes,
+                    [None] * program.n)
     return new_ct, updates, replace(state, v=v_new)

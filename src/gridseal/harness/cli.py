@@ -9,7 +9,6 @@ validation errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -49,6 +48,7 @@ _KEYRING_KIND = "gridseal-keyring-v3"
 _GROUP_FIELDS = ("backend", "q")
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
 _SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND}
+MAX_BENCH_M = 1024  # bench's largest policy; its set-up issues one key per attribute
 
 
 def _make_rng(seed: int | None) -> random.Random:
@@ -284,16 +284,6 @@ def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
                                _bytes(fields["payload"]))
 
 
-def _record_digest(ctx: PairingContext, ciphertext: abe.AbeCiphertext) -> str:
-    """SHA-256 of what revocation leaves alone: the program bytes, then each
-    row's C2 and C3. It binds an updates file to its record across every
-    revocation of that record."""
-    digest = hashlib.sha256(ciphertext.program.to_bytes())
-    for row in ciphertext.rows:
-        digest.update(ctx.element_to_bytes(row.c2) + ctx.element_to_bytes(row.c3))
-    return digest.hexdigest()
-
-
 def _updates(ctx: PairingContext, fields: dict[str, Any]
              ) -> tuple[str, dict[int, GroupElementGT]]:
     """An updates file's record digest and its rows."""
@@ -320,7 +310,7 @@ def _cmd_decrypt(args) -> int:
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
     _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, (ctx, header))
     updates = {}
-    digest = _record_digest(ctx, ciphertext) if args.updates else None
+    digest = ciphertext.binding_digest() if args.updates else None
     for path in args.updates:
         record, rows = _load(path, _UPDATES_KIND, _updates, (ctx, header))[2]
         if record != digest:
@@ -347,16 +337,18 @@ def _cmd_revoke(args) -> int:
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
     _save(args.out_updates, _UPDATES_KIND, header,
-          {"record": _record_digest(ctx, new_ct),
+          {"record": new_ct.binding_digest(),
            "rows": {str(i): _hex(ctx, e) for i, e in sorted(updates.items())}})
     _emit({"updated_rows": sorted(updates), "updates": args.out_updates})
     return 0
 
 
 def _cmd_bench(args) -> int:
+    m = args.m
+    if m > MAX_BENCH_M:
+        raise ValueError(f"--m must be at most {MAX_BENCH_M}")
     rng = _make_rng(args.seed)
     ctx = _ctx_from_args(args, rng)
-    m = args.m
     attributes = [f"attr{i}" for i in range(m)]
     kdc = abe.kdc_setup(ctx, "bench-authority", attributes, rng)
     keyring = abe.UserKeyring("bench-user")

@@ -29,7 +29,7 @@ from ..aggregation import (
     run_pipeline,
 )
 from ..lsss import LsssProgram, compile_lsss, parse_policy, tree_attributes
-from ..paillier import paillier_keygen
+from ..paillier import MAX_KEY_BITS, MIN_KEY_BITS, paillier_keygen
 from ..pairing import PairingContext, ctx_new
 from .registry import Repository
 
@@ -110,8 +110,9 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         if "bits" in paillier:
             _require("q1" not in paillier and "q2" not in paillier,
                      "paillier", "give bits or injected primes, not both")
-            _require(isinstance(paillier["bits"], int) and paillier["bits"] >= 16,
-                     "paillier.bits", "need an integer of at least 16")
+            _require(isinstance(paillier["bits"], int)
+                     and MIN_KEY_BITS <= paillier["bits"] <= MAX_KEY_BITS,
+                     "paillier.bits", f"need an integer from {MIN_KEY_BITS} to {MAX_KEY_BITS}")
         else:
             _require("q1" in paillier and "q2" in paillier,
                      "paillier", "need bits or both q1 and q2")

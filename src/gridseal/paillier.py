@@ -36,6 +36,7 @@ except ImportError:  # pragma: no cover
     _powmod = pow
 
 MIN_KEY_BITS = 16
+MAX_KEY_BITS = 8192  # keygen time grows with about the fourth power of the size
 DEFAULT_KEY_BITS = 2048
 
 _ENCRYPT_R_ATTEMPTS = 128
@@ -172,7 +173,7 @@ def paillier_keygen(
     """Generate an aggregation keypair.
 
     Args:
-        bit_length: target size of N, at least 16 bits (2048 by default).
+        bit_length: target size of N, 16 to 8192 bits (2048 by default).
             Each prime has its exact share of the bits, so N has
             `bit_length` or `bit_length - 1` bits.
         rng: randomness source; the system CSPRNG when omitted.
@@ -189,8 +190,8 @@ def paillier_keygen(
             raise ValueError("injected factors must be prime")
         return PaillierPublicKey(q1 * q2), PaillierSecretKey(q1, q2)
 
-    if bit_length < MIN_KEY_BITS:
-        raise ValueError(f"bit_length must be at least {MIN_KEY_BITS}")
+    if not MIN_KEY_BITS <= bit_length <= MAX_KEY_BITS:
+        raise ValueError(f"bit_length must lie in {MIN_KEY_BITS}..{MAX_KEY_BITS}")
     rng = rng if rng is not None else random.SystemRandom()
     half = bit_length // 2
     for _ in range(64):

@@ -27,6 +27,7 @@ from .primes import generate_prime, is_probable_prime
 
 # 160-bit default order, matching the curve size the cost-model defaults assume.
 DEFAULT_Q_160 = 1096126227998177188652763624537212264741949407257
+MAX_Q_BITS = 1024  # the largest order ctx_new draws; a draw costs ~ the 4th power of its size
 
 
 class BackendMismatchError(ValueError):
@@ -381,9 +382,9 @@ def ctx_new(
 ) -> PairingContext:
     """Build a pairing context.
 
-    Exactly one of `q` (explicit prime order) or `q_bits` (order size, prime
-    drawn from `rng`) may be given; the pinned 160-bit default is used
-    otherwise. Composite orders and unknown backends are rejected.
+    Exactly one of `q` (explicit prime order) or `q_bits` (order size up to
+    MAX_Q_BITS, prime drawn from `rng`) may be given; else the pinned 160-bit
+    default. Composite orders and unknown backends are rejected.
 
     An order is proven once, where it enters the program. A supplied `q`
     (a CLI `--q`, a file header) is tested at the adversarial bound of
@@ -396,6 +397,8 @@ def ctx_new(
         raise ValueError(f"unknown backend {backend!r}")
     if q is not None and q_bits is not None:
         raise ValueError("give q or q_bits, not both")
+    if q_bits is not None and q_bits > MAX_Q_BITS:
+        raise ValueError(f"q_bits must be at most {MAX_Q_BITS}")
     rng = rng if rng is not None else random.Random(0x5EED)
     if q is None:
         q = DEFAULT_Q_160 if q_bits is None else generate_prime(q_bits, rng)

@@ -2,18 +2,33 @@
 
 It walks a record in wire order and decodes every element as it reaches it,
 through the context's element decoders, so a body is judged by building its
-element; every row is built before it returns.
+element; every row is built before it returns. It returns the record's parts,
+(program, C0, the tuple of rows, KEM nonce, KEM body), for comparison with
+those of a decoded record. Its encoder writes parts element by element, so
+a decode is canonical when encoding its parts gives back its input.
 """
 
-from gridseal.abe import AbeCiphertext, CiphertextRow
+from gridseal.abe import CiphertextRow
 from gridseal.lsss import LsssProgram
 from gridseal.pairing import PairingContext
 
 _KEM_NONCE_BYTES = 12
+_KEM_TAG_BYTES = 16
 
 
-def oracle_from_bytes(data: bytes, ctx: PairingContext) -> AbeCiphertext:
-    """Strict inverse of to_bytes: anything it would not emit raises ValueError."""
+def oracle_to_bytes(parts: tuple, ctx: PairingContext) -> bytes:
+    """The wire bytes of a record's parts, each element encoded in turn."""
+    program, c0, rows, nonce, body = parts
+    out = [program.to_bytes(), bytes([ctx.backend.wire_id]), ctx.element_to_bytes(c0)]
+    for row in rows:
+        out += [b"\x00"] if row.c1 is None else [b"\x01", ctx.element_to_bytes(row.c1)]
+        out += [ctx.element_to_bytes(row.c2), ctx.element_to_bytes(row.c3)]
+    return b"".join(out + [nonce, body])
+
+
+def oracle_from_bytes(data: bytes, ctx: PairingContext) -> tuple:
+    """The parts of the record data encodes; anything to_bytes would not emit
+    raises ValueError."""
     program, offset = LsssProgram.from_bytes(data)
     if offset >= len(data):
         raise ValueError("truncated ciphertext")
@@ -34,5 +49,7 @@ def oracle_from_bytes(data: bytes, ctx: PairingContext) -> AbeCiphertext:
         c2, offset = ctx.element_g_from_bytes(data, offset)
         c3, offset = ctx.element_g_from_bytes(data, offset)
         rows.append(CiphertextRow(c1, c2, c3))
+    if len(data) - offset < _KEM_NONCE_BYTES + _KEM_TAG_BYTES:
+        raise ValueError("the KEM part is shorter than its nonce and tag")
     nonce_end = offset + _KEM_NONCE_BYTES
-    return AbeCiphertext(program, c0, tuple(rows), data[offset:nonce_end], data[nonce_end:])
+    return program, c0, tuple(rows), data[offset:nonce_end], data[nonce_end:]

@@ -17,7 +17,7 @@ from gridseal.abe import (
     verify_user_key,
 )
 from gridseal.lsss import Gate, Leaf, LsssProgram, compile_lsss, parse_policy, solve_for_rows
-from gridseal.pairing import GroupElementGT, ctx_new
+from gridseal.pairing import BackendMismatchError, GroupElementGT, ctx_new
 from collusion import combine_keyrings_attack
 from lsss_oracles import evaluate_tree, solve_reconstruction
 from treegen import random_tree
@@ -88,7 +88,7 @@ def test_three_authorities_disjoint(sec51):
     _, authorities = sec51
     seen = set()
     for authority in authorities:
-        owned = set(authority.attributes)
+        owned = set(authority.secrets)
         assert not owned & seen
         seen |= owned
 
@@ -272,9 +272,9 @@ def test_kem_body_tamper_detected(ctx):
     user = build_user(ctx, (authority,), "u1", ["a"])
     program = compile_lsss(parse_policy("a"))
     ciphertext, _ = abe_encrypt(ctx, authority.shares, program, b"payload", rng)
-    tampered = AbeCiphertext(ciphertext.program, ciphertext.c0, ciphertext.rows,
-                             ciphertext.kem_nonce,
-                             bytes([ciphertext.kem_body[0] ^ 1]) + ciphertext.kem_body[1:])
+    blob = bytearray(ciphertext.to_bytes(ctx))
+    blob[-len(ciphertext.kem_body)] ^= 1  # the body's first byte
+    tampered = AbeCiphertext.from_bytes(blob, ctx)
     with pytest.raises(AccessDenied):
         abe_decrypt(ctx, user, tampered)
 
@@ -343,6 +343,42 @@ def test_encryption_output_is_pinned():
                   + state.payload)
         assert state.program == program
         assert hashlib.sha256(sealed).hexdigest() == digest, (leaves, and_heavy)
+
+
+# sha256 over seeded revocations, one per group: each round's stored record
+# bytes, its row updates (index, then C1 body, in index order) and its binding
+# digest. Computed with the code that rebuilt every row on revocation; a fresh
+# and a decoded input must give the same output.
+GOLDEN_REVOCATIONS = {
+    160: "c7a568289891a779317c51045acc9a719f714da4777d48d93829ae8b4d73356e",
+    61: "87feaef839773de6fe1212545e223e1b93b355081c9dbd21ecbe5eda9cfdb4c4",
+}
+
+
+@pytest.mark.parametrize("source", ["fresh", "decoded"])
+@pytest.mark.parametrize("bits", sorted(GOLDEN_REVOCATIONS))
+def test_revocation_output_is_pinned(bits, source):
+    ctx = ctx_new() if bits == 160 else ctx_new(q=Q)
+    attributes = [f"a{i}" for i in range(12)]
+    authority = kdc_setup(ctx, "A", attributes, random.Random(0x2E40))
+    pinned = hashlib.sha256()
+    for seed in range(12):
+        rng = random.Random(seed)
+        tree = (_and_heavy_tree if seed % 2 else random_tree)(rng, attributes, 1 + 3 * seed)
+        ciphertext, state = abe_encrypt(ctx, authority.shares, compile_lsss(tree),
+                                        rng.randbytes(32), rng)
+        for turn in range(1 + seed % 3):  # one to three successive revocations
+            if source == "decoded":
+                ciphertext = AbeCiphertext.from_bytes(ciphertext.to_bytes(ctx), ctx)
+            gone = UserKeyring(f"gone{turn}", {a: issue_key(authority, ctx, "gone", a)
+                                               for a in rng.sample(attributes, 2)})
+            ciphertext, updates, state = revoke(ctx, authority.shares, ciphertext, state,
+                                                [gone], rng)
+            pinned.update(ciphertext.to_bytes(ctx))
+            for x in sorted(updates):
+                pinned.update(x.to_bytes(4, "big") + ctx.element_to_bytes(updates[x]))
+            pinned.update(ciphertext.binding_digest().encode())
+    assert pinned.hexdigest() == GOLDEN_REVOCATIONS[bits]
 
 
 def test_decryption_counts_two_pairings_per_used_row(ctx):
@@ -662,7 +698,7 @@ def test_a_decoded_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch
 
     reader = build_user(ctx, (authority,), "reader", ["c", "d", "a"])
     assert abe_decrypt(ctx, reader, record, updates) == b"lazy"
-    stored = [x for x in range(program.n) if ciphertext.rows[x].c1 is not None]
+    stored = [x for x in range(program.n) if ciphertext.c1_stored[x]]
     usable = [x for x in range(program.n) if program.attributes[x] in reader.keys
               and (x in stored or x in updates)]
     picked = solve_for_rows(program, usable, ctx.q)
@@ -670,6 +706,39 @@ def test_a_decoded_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch
     # a row is built once and kept
     assert abe_decrypt(ctx, reader, record, updates) == b"lazy"
     assert calls == {"g": 2 * len(picked), "gt": len(set(picked) & set(stored))}
+
+
+def test_revoking_a_decoded_record_builds_no_element(ctx, monkeypatch):
+    rng = random.Random(35)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c"], rng)
+    program = compile_lsss(parse_policy("(a & b) | c"))
+    ciphertext, state = abe_encrypt(ctx, authority.shares, program, b"spliced", rng)
+    gone = build_user(ctx, (authority,), "gone", ["c"])
+    blob = ciphertext.to_bytes(ctx)
+    calls = _count_element_decodes(monkeypatch, ctx.backend)
+    record = AbeCiphertext.from_bytes(blob, ctx)
+    calls["gt"] = 0  # C0
+    for _ in range(2):  # a decoded record, then the record revocation wrote
+        record, updates, state = revoke(ctx, authority.shares, record, state, [gone], rng)
+        assert record.binding_digest() == ciphertext.binding_digest()
+    assert calls == {"g": 0, "gt": 0}
+    assert list(record.c1_stored) == [0, 1, 0] and sorted(updates) == [0, 2]
+
+
+def test_a_record_is_bound_to_its_group(ctx):
+    rng = random.Random(36)
+    authority = kdc_setup(ctx, "A", ["a"], rng)
+    ciphertext, _ = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a")),
+                                b"group", rng)
+    blob = ciphertext.to_bytes(ctx)
+    # the largest 64-bit prime: bodies of the same width, every body of Q's group valid
+    other = ctx_new(q=2**64 - 59)
+    with pytest.raises(BackendMismatchError):
+        ciphertext.to_bytes(other)
+    relabelled = AbeCiphertext.from_bytes(blob, other)
+    assert relabelled != ciphertext and relabelled.to_bytes(other) == blob
+    with pytest.raises(BackendMismatchError):
+        relabelled.to_bytes(ctx)
 
 
 def test_an_out_of_range_body_in_the_last_row_fails_the_decode(ctx):

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from gridseal import abe, pairing
+from gridseal import abe, paillier, pairing
 from gridseal.harness import cli
 from gridseal.harness.cli import bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
@@ -127,6 +127,49 @@ def test_malformed_scenario_shape_exits_2_with_its_path(tmp_path, capsys, patch,
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 2
     assert path in err and "Traceback" not in err
+
+
+@pytest.fixture()
+def no_keygen(monkeypatch):
+    """Fail the test if any prime is drawn, for Paillier or for a group order."""
+    def drawn(bits, rng):
+        raise AssertionError(f"a {bits}-bit prime was drawn")
+    for module in (paillier, pairing):
+        monkeypatch.setattr(module, "generate_prime", drawn)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["keygen-paillier", "--bits", "8193"], "16..8192"),
+    (["kdc-setup", "--kdc-id", "A", "--attrs", "a", "--out", "kdc.json", "--q-bits", "1025"],
+     "at most 1024"),
+    # with --q-bits a missing --m check would draw the group order first
+    (["bench", "--m", "1025", "--q-bits", "64"], "--m must be at most 1024"),
+])
+def test_oversized_requests_exit_2_before_any_keygen(no_keygen, tmp_path, monkeypatch, capsys,
+                                                     argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_over_the_order_limit_fails_before_any_keygen(no_keygen, capsys):
+    # as for an order below the lower bound, the run's report names the error
+    code, out, _ = run_cli(capsys, "run", "sec51_access", "--q-bits", "1025", "--seed", "1")
+    assert code == 1
+    assert "at most 1024" in json.loads(out)["error"]["message"]
+
+
+def test_an_oversized_scenario_key_exits_2_before_any_keygen(no_keygen, tmp_path, capsys):
+    scenario = json.loads(resources.files("gridseal.harness").joinpath(
+        "scenarios", "fig2_aggregation.json").read_text(encoding="utf-8"))
+    scenario["paillier"] = {"bits": 8193}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert "paillier.bits" in err and "16 to 8192" in err
 
 
 def test_aggregate_subcommand(capsys):

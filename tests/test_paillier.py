@@ -7,7 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridseal import paillier
 from gridseal.paillier import (
+    MAX_KEY_BITS,
     MalformedCiphertextError,
     PaillierCiphertext,
     PaillierPublicKey,
@@ -197,6 +199,20 @@ def test_distinct_seeds_distinct_moduli():
 def test_keygen_rejects_small_bit_length():
     with pytest.raises(ValueError):
         paillier_keygen(8)
+
+
+class _PrimeDrawn(Exception):
+    pass
+
+
+def test_keygen_refuses_a_size_over_the_limit_before_drawing_a_prime(monkeypatch):
+    def drawn(bits, rng):
+        raise _PrimeDrawn(bits)
+    monkeypatch.setattr(paillier, "generate_prime", drawn)
+    with pytest.raises(ValueError, match="16..8192"):
+        paillier_keygen(MAX_KEY_BITS + 1)
+    with pytest.raises(_PrimeDrawn):  # the limit itself is a valid size
+        paillier_keygen(MAX_KEY_BITS)
 
 
 def test_keygen_rejects_bad_injected_primes():

@@ -8,6 +8,7 @@ from gridseal.abe import CiphertextRow
 from gridseal.lsss import Gate, Leaf
 from gridseal.pairing import (
     DEFAULT_Q_160,
+    MAX_Q_BITS,
     BackendMismatchError,
     GroupElementG,
     GroupElementGT,
@@ -65,6 +66,20 @@ def test_unknown_backend_rejected():
 def test_q_bits_generation():
     generated = ctx_new(q_bits=64, rng=random.Random(3))
     assert generated.q_bits == 64
+
+
+class _PrimeDrawn(Exception):
+    pass
+
+
+def test_q_bits_over_the_limit_are_refused_before_drawing_a_prime(monkeypatch):
+    def drawn(bits, rng):
+        raise _PrimeDrawn(bits)
+    monkeypatch.setattr(pairing, "generate_prime", drawn)
+    with pytest.raises(ValueError, match="at most 1024"):
+        ctx_new(q_bits=MAX_Q_BITS + 1)
+    with pytest.raises(_PrimeDrawn):  # the limit itself is a valid size
+        ctx_new(q_bits=MAX_Q_BITS)
 
 
 def test_counters_start_zeroed(ctx):
