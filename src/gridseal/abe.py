@@ -106,7 +106,7 @@ def issue_key(kdc: KdcKeyring, ctx: PairingContext, user_id: str, attribute: str
     if not kdc.owns(attribute):
         raise ValueError(f"authority {kdc.kdc_id!r} does not own attribute {attribute!r}")
     secret = kdc.secrets[attribute]
-    h_u = ctx.hash_to_g(user_id)
+    h_u = ctx.backend.hash_to_g(user_id.encode("utf-8"))
     return ctx.backend.g_mul(
         ctx.backend.g_exp(ctx.g, secret.alpha),
         ctx.backend.g_exp(h_u, secret.y),
@@ -123,7 +123,7 @@ def verify_user_key(
     left = ctx.backend.pair(element, ctx.g)
     right = ctx.backend.gt_mul(
         share.e_alpha,
-        ctx.backend.pair(ctx.hash_to_g(user_id), share.g_y),
+        ctx.backend.pair(ctx.backend.hash_to_g(user_id.encode("utf-8")), share.g_y),
     )
     return left == right
 
@@ -139,17 +139,11 @@ class UserKeyring:
     def attributes(self) -> set[str]:
         return set(self.keys)
 
-    def add(
-        self,
-        attribute: str,
-        element: GroupElementG,
-        ctx: PairingContext | None = None,
-        share: PublicShare | None = None,
-    ) -> None:
-        """Store a key; verifies the pairing equation when ctx and share are given."""
-        if ctx is not None and share is not None:
-            if not verify_user_key(ctx, share, self.user_id, element):
-                raise ValueError(f"key for {attribute!r} fails verification")
+    def add(self, attribute: str, element: GroupElementG, ctx: PairingContext,
+            share: PublicShare) -> None:
+        """Store a key once it passes the pairing check against its published share."""
+        if not verify_user_key(ctx, share, self.user_id, element):
+            raise ValueError(f"key for {attribute!r} fails verification")
         self.keys[attribute] = element
 
 
@@ -273,8 +267,11 @@ class AbeCiphertext:
             raise ValueError("truncated ciphertext")
         if data[program_end] != backend.wire_id:
             raise ValueError("record from another backend")
-        c0, offset = ctx.element_gt_from_bytes(data, program_end + 1)
-        g, gt, end, first = backend.g_bytes, backend.gt_bytes, len(data), offset
+        g, gt, end = backend.g_bytes, backend.gt_bytes, len(data)
+        first = offset = program_end + 1 + gt
+        if first > end:
+            raise ValueError("truncated element")
+        c0 = backend.element_gt_from_bytes(data[program_end + 1:first])
         flags: list[int] = []
         g_offsets: list[int] = []
         gt_offsets: list[int] = []
@@ -309,7 +306,7 @@ def _write(ctx: PairingContext, program: LsssProgram, program_bytes: bytes,
     KEM part (C0, nonce, body), each row's C1 flag, the rows' wire bytes in
     order (in pieces of any size) and each row already built, None for the others."""
     c0, nonce, body = sealed
-    head = program_bytes + bytes([ctx.backend.wire_id]) + ctx.element_to_bytes(c0)
+    head = program_bytes + bytes([ctx.backend.wire_id]) + ctx.backend.element_bytes(c0)
     data = b"".join([head, *row_bytes, nonce, body])
     return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags, built),
                          nonce, body, data, len(program_bytes))
@@ -334,7 +331,7 @@ class EncryptionState:
 
 
 def _kem_key(ctx: PairingContext, seed: GroupElementGT) -> bytes:
-    return hashlib.sha256(ctx.element_to_bytes(seed)).digest()
+    return hashlib.sha256(ctx.backend.element_bytes(seed)).digest()
 
 
 def _seal(ctx: PairingContext, gt: GroupElementGT, blind: GroupElementGT, payload: bytes,
@@ -401,7 +398,7 @@ def abe_encrypt(
             lam += sign * v[c]
             omega += sign * w[c]
         share = shares[attribute]
-        c1 = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho_x))
+        c1 = ctx.backend.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho_x))
         c2 = ctx.g_exp(g, rho_x)
         c3 = ctx.g_mulexp(((share.g_y, rho_x), (g, omega)))
         rows.append(CiphertextRow(c1, c2, c3))
@@ -434,17 +431,19 @@ def abe_decrypt(
     coefficients = solve_for_rows(program, usable, ctx.q)
     if coefficients is None:
         raise AccessDenied("attributes do not satisfy the access policy")
-    h_u = ctx.hash_to_g(keyring.user_id)
-    blind = ctx.identity_gt()
+    backend = ctx.backend
+    h_u = backend.hash_to_g(keyring.user_id.encode("utf-8"))
+    blind = backend.identity_gt()
     for x, k in coefficients.items():
         row = ciphertext.rows[x]
         c1 = updates.get(x, row.c1)
-        dec = ctx.gt_mul(c1, ctx.pair(h_u, row.c3))
-        dec = ctx.gt_mul(dec, ctx.gt_inv(ctx.pair(keyring.keys[program.attributes[x]], row.c2)))
+        dec = backend.gt_mul(c1, ctx.pair(h_u, row.c3))
+        dec = backend.gt_mul(dec, backend.gt_inv(
+            ctx.pair(keyring.keys[program.attributes[x]], row.c2)))
         if k != 1:
             dec = ctx.gt_exp(dec, k)
-        blind = ctx.gt_mul(blind, dec)
-    seed = ctx.gt_mul(ciphertext.c0, ctx.gt_inv(blind))
+        blind = backend.gt_mul(blind, dec)
+    seed = backend.gt_mul(ciphertext.c0, backend.gt_inv(blind))
     try:
         return AESGCM(_kem_key(ctx, seed)).decrypt(
             ciphertext.kem_nonce, ciphertext.kem_body, None)
@@ -479,7 +478,7 @@ def revoke(
         raise ValueError("revoked set must not be empty")
     program, rows, data = ciphertext.program, ciphertext.rows, ciphertext.to_bytes(ctx)
     # row 0 carries C2 = g^rho_0, so a state sealed for another record fails here (unmetered)
-    g_rho_0 = ctx.element_to_bytes(ctx.backend.g_exp(ctx.g, state.rho[0] % ctx.q))
+    g_rho_0 = ctx.backend.element_bytes(ctx.backend.g_exp(ctx.g, state.rho[0] % ctx.q))
     if state.program != program or not data.startswith(g_rho_0, rows.c2_at(0)):
         raise ValueError("the sealed state belongs to another record")
     revoked_attrs: set[str] = set()
@@ -506,7 +505,8 @@ def revoke(
     for x in affected:
         lam = program.share(v_new, x, ctx.q)
         share = shares[program.attributes[x]]
-        updates[x] = ctx.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, state.rho[x]))
+        updates[x] = ctx.backend.gt_mul(ctx.gt_exp(gt, lam),
+                                        ctx.gt_exp(share.e_alpha, state.rho[x]))
 
     # each row's C2 and C3 bytes are copied; an affected row loses its flag and C1
     flags = bytes(flag and x not in updates for x, flag in enumerate(rows.flags))

@@ -140,16 +140,16 @@ def _bytes(text: str) -> bytes:
 
 
 def _hex(ctx: PairingContext, element: GroupElementG | GroupElementGT) -> str:
-    return ctx.element_to_bytes(element).hex()
+    return ctx.backend.element_bytes(element).hex()
 
 
 def _element(ctx: PairingContext, text: str, group_t: bool = False):
     """Inverse of _hex: exactly one element of G (of G_T with group_t), no trailing bytes."""
     data = _bytes(text)
-    element, end = (ctx.element_gt_from_bytes if group_t else ctx.element_g_from_bytes)(data)
-    if end != len(data):
-        raise ValueError("trailing bytes after an element")
-    return element
+    backend = ctx.backend
+    if len(data) != (backend.gt_bytes if group_t else backend.g_bytes):
+        raise ValueError("an element has the wrong length")
+    return (backend.element_gt_from_bytes if group_t else backend.element_g_from_bytes)(data)
 
 
 def _emit(document: dict[str, Any]) -> None:
@@ -225,6 +225,8 @@ def _cmd_kdc_setup(args) -> int:
 
 
 def _kdc(ctx: PairingContext, fields: dict[str, Any]) -> abe.KdcKeyring:
+    if not isinstance(fields["kdc_id"], str):
+        raise ValueError("the kdc_id must be a string")
     secrets = {a: abe.AttributeSecret(_int(s["alpha"]), _int(s["y"]))
                for a, s in fields["secrets"].items()}
     shares = {a: abe.PublicShare(_element(ctx, p["e_alpha"], True), _element(ctx, p["g_y"]))
@@ -251,7 +253,8 @@ def _cmd_issue_key(args) -> int:
         raise ValueError(f"{args.keyring} belongs to {keyring.user_id!r}")
     issued = []
     for attribute in [a.strip() for a in args.attrs.split(",") if a.strip()]:
-        keyring.add(attribute, abe.issue_key(kdc, ctx, args.user, attribute))
+        element = abe.issue_key(kdc, ctx, args.user, attribute)
+        keyring.add(attribute, element, ctx, kdc.shares[attribute])
         issued.append(attribute)
     _save(args.keyring, _KEYRING_KIND, header,
           {"user": args.user, "keys": {a: _hex(ctx, e) for a, e in keyring.keys.items()}})
@@ -353,7 +356,8 @@ def _cmd_bench(args) -> int:
     kdc = abe.kdc_setup(ctx, "bench-authority", attributes, rng)
     keyring = abe.UserKeyring("bench-user")
     for attribute in attributes:
-        keyring.add(attribute, abe.issue_key(kdc, ctx, "bench-user", attribute))
+        element = abe.issue_key(kdc, ctx, "bench-user", attribute)
+        keyring.add(attribute, element, ctx, kdc.shares[attribute])
     program = compile_lsss(parse_policy(" & ".join(attributes)))
     model = CostModel(args.tp, args.tm)
     payload = b"bench payload"
@@ -375,7 +379,7 @@ def _cmd_bench(args) -> int:
         "counter_ms": counters_cost(model, measured),
         "encrypt": {"pairings": enc_window.pairings, "scalar_muls": enc_window.scalar_muls},
         "decrypt": {"pairings": dec_window.pairings, "scalar_muls": dec_window.scalar_muls},
-        "comm_bits": estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2),
+        "comm_bits": estimate_comm_overhead(m, ctx.q.bit_length(), ctx.q.bit_length(), max(m, 2),
                                              8 * len(payload)),
         "wire_bytes": len(ciphertext.to_bytes(ctx)),
     }

@@ -158,14 +158,7 @@ def parse_policy(text: str) -> AccessTree:
 
 def tree_attributes(tree: AccessTree) -> list[str]:
     """Leaf attributes in depth-first order (duplicates preserved)."""
-    attributes, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            attributes.append(node.attribute)
-        else:
-            stack += (node.right, node.left)
-    return attributes
+    return [label for kind, label in _preorder(tree) if kind is Leaf]
 
 
 @dataclass(frozen=True, init=False)

@@ -1,9 +1,10 @@
 """Symmetric bilinear group abstraction with a swappable backend.
 
-A context bundles a prime-order group pair (G, G_T), the pairing map, a
-hash-to-group function and two operation meters: one for pairings, one for
-scalar multiplications (group exponentiations). Element products, inversions
-and hashing are group-law plumbing and stay off the meters; a fused
+A context bundles a backend for a prime-order group pair (G, G_T) with two
+operation meters: one for pairings, one for scalar multiplications (group
+exponentiations). The context exposes exactly the metered operations; element
+products, inversions, hashing and the element codecs are group-law plumbing,
+stay off the meters and are called on `ctx.backend`. A fused
 multi-exponentiation is metered as a single scalar multiplication, the usual
 cost model for shared-squaring evaluation.
 
@@ -274,7 +275,12 @@ class _CounterWindow:
 
 
 class PairingContext:
-    """A configured group pair with meters; create through ctx_new()."""
+    """A configured group pair with meters; create through ctx_new().
+
+    Its operations are exactly the metered ones: g_exp, gt_exp and g_mulexp
+    count a scalar multiplication each, pair counts a pairing. Everything
+    else, unmetered, is on `backend`.
+    """
 
     def __init__(self, backend: PairingBackend):
         self.backend = backend
@@ -315,46 +321,6 @@ class PairingContext:
         with self._lock:
             self._pairings += 1
         return self.backend.pair(p, q)
-
-    # -- unmetered group-law plumbing ---------------------------------------
-
-    def gt_mul(self, a: GroupElementGT, b: GroupElementGT) -> GroupElementGT:
-        return self.backend.gt_mul(a, b)
-
-    def gt_inv(self, a: GroupElementGT) -> GroupElementGT:
-        return self.backend.gt_inv(a)
-
-    def identity_gt(self) -> GroupElementGT:
-        return self.backend.identity_gt()
-
-    def hash_to_g(self, data: bytes | str) -> GroupElementG:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        return self.backend.hash_to_g(data)
-
-    @property
-    def q_bits(self) -> int:
-        return self.q.bit_length()
-
-    # -- serialization --------------------------------------------------------
-
-    def element_to_bytes(self, element: GroupElementG | GroupElementGT) -> bytes:
-        """The element's fixed-width body: g_bytes for G, gt_bytes for G_T."""
-        return self.backend.element_bytes(element)
-
-    def element_g_from_bytes(self, data: bytes, offset: int = 0) -> tuple[GroupElementG, int]:
-        """The G element in data[offset:offset + g_bytes], and the offset after it."""
-        end = offset + self.backend.g_bytes
-        if end > len(data):
-            raise ValueError("truncated element")
-        return self.backend.element_g_from_bytes(data[offset:end]), end
-
-    def element_gt_from_bytes(self, data: bytes, offset: int = 0) -> tuple[GroupElementGT, int]:
-        """The G_T element in data[offset:offset + gt_bytes], and the offset after it."""
-        end = offset + self.backend.gt_bytes
-        if end > len(data):
-            raise ValueError("truncated element")
-        return self.backend.element_gt_from_bytes(data[offset:end]), end
 
 
 def _self_test(backend: PairingBackend, rng: random.Random) -> None:

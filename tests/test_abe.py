@@ -216,7 +216,7 @@ def test_row_decryption_algebra(ctx):
     w = (0,) + tuple(replay.randrange(Q) for _ in range(program.h - 1))
     assert v == state.v
     gt = ctx.backend.pair(ctx.g, ctx.g)
-    h_u = ctx.hash_to_g("u9")
+    h_u = ctx.backend.hash_to_g(b"u9")
     for x in range(program.n):
         row = ciphertext.rows[x]
         lam = sum(program.rows[x][c] * v[c] for c in range(program.h)) % Q
@@ -376,7 +376,7 @@ def test_revocation_output_is_pinned(bits, source):
                                                 [gone], rng)
             pinned.update(ciphertext.to_bytes(ctx))
             for x in sorted(updates):
-                pinned.update(x.to_bytes(4, "big") + ctx.element_to_bytes(updates[x]))
+                pinned.update(x.to_bytes(4, "big") + ctx.backend.element_bytes(updates[x]))
             pinned.update(ciphertext.binding_digest().encode())
     assert pinned.hexdigest() == GOLDEN_REVOCATIONS[bits]
 
@@ -604,7 +604,7 @@ def test_reference_backend_offers_zero_hardness(sec51, ctx):
     coefficients = solve_for_rows(stored.program, range(stored.program.n), Q)
     s = sum(k * lam[x] for x, k in coefficients.items()) % Q
     seed = GroupElementGT(ctx.backend.ident, (stored.c0.data - s) % Q)  # C0 = M * e(g,g)^s
-    key = hashlib.sha256(ctx.element_to_bytes(seed)).digest()
+    key = hashlib.sha256(ctx.backend.element_bytes(seed)).digest()
     assert AESGCM(key).decrypt(stored.kem_nonce, stored.kem_body, None) == b"feeder 7 telemetry"
 
 
@@ -624,9 +624,9 @@ def test_kem_wire_layout_separates_nonce_body_tag(ctx):
     assert blob[kem:kem + 12] == ciphertext.kem_nonce
     assert blob[kem + 12:] == ciphertext.kem_body
     assert blob[head + 1:kem] == b"".join(
-        [ctx.element_to_bytes(ciphertext.c0), b"\x01"]
-        + [ctx.element_to_bytes(e) for e in (ciphertext.rows[0].c1, ciphertext.rows[0].c2,
-                                             ciphertext.rows[0].c3)])
+        [ctx.backend.element_bytes(ciphertext.c0), b"\x01"]
+        + [ctx.backend.element_bytes(e) for e in (ciphertext.rows[0].c1, ciphertext.rows[0].c2,
+                                                  ciphertext.rows[0].c3)])
 
 
 def test_post_revocation_serialization_keeps_holes(ctx):
@@ -748,7 +748,8 @@ def test_an_out_of_range_body_in_the_last_row_fails_the_decode(ctx):
                                 b"strict", rng)
     blob = ciphertext.to_bytes(ctx)
     c3_at = len(blob) - len(ciphertext.kem_nonce) - len(ciphertext.kem_body) - ctx.backend.g_bytes
-    assert blob[c3_at:c3_at + ctx.backend.g_bytes] == ctx.element_to_bytes(ciphertext.rows[-1].c3)
+    assert (blob[c3_at:c3_at + ctx.backend.g_bytes]
+            == ctx.backend.element_bytes(ciphertext.rows[-1].c3))
     for bad in (ctx.q, 2 ** (8 * ctx.backend.g_bytes) - 1):
         damaged = blob[:c3_at] + bad.to_bytes(ctx.backend.g_bytes, "big") + blob[c3_at + 8:]
         with pytest.raises(ValueError, match="out of range"):

@@ -397,6 +397,21 @@ def test_issue_key_guards_foreign_keyring(keyfiles, tmp_path, capsys):
     assert "belongs" in err
 
 
+def test_issue_key_refuses_keys_that_fail_their_published_share(keyfiles, tmp_path, capsys):
+    # with the two g_y shares swapped, no key the authority issues passes its pairing check
+    kdc_a = keyfiles[0]
+    document = json.loads(kdc_a.read_text())
+    shares = document["shares"]
+    shares["alpha"]["g_y"], shares["beta"]["g_y"] = shares["beta"]["g_y"], shares["alpha"]["g_y"]
+    kdc_a.write_text(json.dumps(document))
+    keyring = tmp_path / "newcomer.json"
+    code, _, err = run_cli(capsys, "issue-key", "--kdc", str(kdc_a), "--user", "newcomer",
+                           "--attrs", "alpha", "--keyring", str(keyring))
+    assert code == 2
+    assert "fails verification" in err
+    assert not keyring.exists()
+
+
 class _AltBackend(ReferenceBackend):
     wire_id = 0x5A
 
@@ -733,6 +748,8 @@ def _drop(field):
     pytest.param("kdc", lambda d: {**d, "shares": {**d["shares"], "gamma": d["shares"]["beta"]}},
                  issue_argv, id="kdc-share-extra"),
     pytest.param("keyring", _set("user", 5), issue_argv, id="keyring-user-number"),
+    pytest.param("kdc", _set("kdc_id", [1, 2]), issue_argv, id="kdc-id-list"),
+    pytest.param("kdc", _set("kdc_id", [1, 2]), encrypt_argv, id="kdc-id-list-encrypt"),
     pytest.param("survivor", lambda d: {**d, "keys": {"beta": d["keys"]["beta"] + "00"}},
                  decrypt_argv, id="keyring-trailing-bytes"),
     pytest.param("survivor", _set("keys", ["beta"]), decrypt_argv, id="keyring-keys-list"),

@@ -342,7 +342,7 @@ def test_record_size_stays_within_the_estimate(op, m):
     payload = b"metered load profile"
     ciphertext, _ = abe_encrypt(ctx, authority.shares, program, payload, rng)
     blob = ciphertext.to_bytes(ctx)
-    estimate_bytes = estimate_comm_overhead(m, ctx.q_bits, ctx.q_bits, max(m, 2),
+    estimate_bytes = estimate_comm_overhead(m, ctx.q.bit_length(), ctx.q.bit_length(), max(m, 2),
                                             8 * len(payload)) / 8
     assert len(blob) <= estimate_bytes + ROW_FRAMING_BYTES * m + RECORD_FRAMING_BYTES
     restored = AbeCiphertext.from_bytes(blob, ctx)

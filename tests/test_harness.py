@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 
@@ -16,6 +17,7 @@ from gridseal.harness import (
     report_has_denial,
     run_scenario,
 )
+from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
 from gridseal.lsss import compile_lsss, parse_policy
 from gridseal.pairing import ctx_new
 
@@ -401,6 +403,43 @@ def test_scenario_determinism_under_seed():
     assert first == second
     third = render_report(run_scenario(scenario, seed=100))
     assert third != first
+
+
+# SHA-256 of the rendered report of every bundled scenario at four seeds. A
+# change that moves a single report byte fails here; one that means to must
+# say why and re-pin.
+GOLDEN_REPORTS = {
+    ("empty", 1): "7ed5dde174b2d71a5781e658f264f412ed04cef30203818b8b4f36942c4ca3fd",
+    ("empty", 7): "738756498cf1cfb948501b00d530cf1e1313c94ea60cf469487bad77d541f987",
+    ("empty", 11): "d984e3dd03b34959ea1c71ddde20142b1bf0b8edf30d7a320a18b0ffe12498f6",
+    ("empty", 9001): "2505d5707bc2a880fcdaed52283fb3a044ac3d8ec30dcdd9d537080b170300b0",
+    ("fig2_aggregation", 1): "9e836e9c8aaaa237247e477481f1c435ee60aab2594fa1780cb5ac112401c985",
+    ("fig2_aggregation", 7): "61fa84b93e68c0ced799fc657e73bfaec1935855101cd0eb144eb264909e0a4e",
+    ("fig2_aggregation", 11): "14002ae7a4feb883734b7f8027c1a7db6a093a26f3677a911946b624e43bd411",
+    ("fig2_aggregation", 9001): "96a55f426265f5ad0dce6929e27ef591c434e0b690b03860f34ca83ce05826d5",
+    ("full_demo", 1): "f27ab0299e771cdc4a9f44041c5511b787bf3a0384b38f7718663d0642d3823c",
+    ("full_demo", 7): "214c89a0ae245275094b5107d6594a3053ee0305fda14c053950c095d6ff38a7",
+    ("full_demo", 11): "ce9fb26e94330308c30ba997a907b052e2abb8a49b3b861ab775432acc61e40b",
+    ("full_demo", 9001): "4cc437c6c2c566ab3ebde022a410088cf2063a3380e083db93f0b7343b1edd87",
+    ("revocation_demo", 1): "499aea5798f84ab47470fab57060f4e80574f3dc22a9c709d89b8d2f70cffa1f",
+    ("revocation_demo", 7): "77cba3c897fcef26676e110359a4490e092f9462c73cf714050b1ba9e3fa447d",
+    ("revocation_demo", 11): "9e660a658cd18f08884dc5f5d7561fe5cd5d7b3449c37130d367b7fd42da0c90",
+    ("revocation_demo", 9001): "d47fc8634e90c882a05ca43b79ae0995403f92e37ac21fa9d40c0223646e812f",
+    ("sec51_access", 1): "3b3f63a47a3cfaa4ca2168ea046199287ae257ce04fa6e2f9cb7a4582623ef9a",
+    ("sec51_access", 7): "000d341f99f3ee90bb8bf73c5e7c4e5feddd1d2677a2b7d8dc7dd4ce62a1f530",
+    ("sec51_access", 11): "49761946d2ae6415a176d2b13f4c44cbb42217412fd0d5506fea24a0d6d950dd",
+    ("sec51_access", 9001): "8755fc964227d8e3c1fb418e126cfd25f6e81a1fd19a2288e446e8f643fdc6de",
+}
+
+
+def test_seeded_reports_are_pinned():
+    digests = {}
+    for name in bundled_scenarios():
+        scenario = _resolve_scenario(name)
+        for seed in (1, 7, 11, 9001):
+            report = render_report(run_scenario(scenario, seed=seed))
+            digests[name, seed] = hashlib.sha256(report.encode("utf-8")).hexdigest()
+    assert digests == GOLDEN_REPORTS
 
 
 def test_attempt_level_failure_recorded_as_error(monkeypatch):
