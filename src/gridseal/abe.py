@@ -18,12 +18,13 @@ recomputes the affected per-row components under the new secret, strips
 them from the stored record, re-seals the payload under a fresh seed and
 hands the new components only to users still in good standing.
 
-A record is held as its wire bytes and its rows are built on read.
-from_bytes checks every element body as bytes and refuses anything to_bytes
-would not emit, but builds a row's elements only when that row is first
-read. Decryption picks its rows from the C1 flags, so a denial builds no row,
-and a grant only the rows it pairs. Revocation copies the bytes of the rows
-it keeps and builds none.
+A record is held as its wire bytes and builds rows on read, whether
+abe_encrypt, revoke or from_bytes made it: encryption lays out the bytes and
+keeps no row. from_bytes checks every element body as bytes and refuses
+anything to_bytes would not emit, but builds a row's elements only when that
+row is first read. Decryption picks its rows from the C1 flags, so a denial
+builds no row, and a grant only the rows it pairs. Revocation copies the
+bytes of the rows it keeps and builds none.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class AbeCiphertext:
     Records come from abe_encrypt, revoke and from_bytes. Two records are
     equal when their bytes and their group (which C0 names) are. `rows` is
     a read-only sequence of CiphertextRow over the bytes that builds each row
-    on first read; a record abe_encrypt returns holds the rows it computed.
+    on first read, whichever of the three made the record.
     """
 
     program: LsssProgram = field(compare=False)
@@ -300,15 +301,16 @@ class AbeCiphertext:
 
 
 def _write(ctx: PairingContext, program: LsssProgram, program_bytes: bytes,
-           sealed: tuple[GroupElementGT, bytes, bytes], flags: bytes, row_bytes: list[bytes],
-           built: list[Optional[CiphertextRow]]) -> AbeCiphertext:
+           sealed: tuple[GroupElementGT, bytes, bytes], flags: bytes,
+           row_bytes: list[bytes]) -> AbeCiphertext:
     """Lay out a record from its parts: the program and its bytes, the sealed
-    KEM part (C0, nonce, body), each row's C1 flag, the rows' wire bytes in
-    order (in pieces of any size) and each row already built, None for the others."""
+    KEM part (C0, nonce, body), each row's C1 flag and the rows' wire bytes in
+    order (in pieces of any size). Its rows are built on read."""
     c0, nonce, body = sealed
     head = program_bytes + bytes([ctx.backend.wire_id]) + ctx.backend.element_bytes(c0)
     data = b"".join([head, *row_bytes, nonce, body])
-    return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags, built),
+    return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags,
+                                            [None] * len(flags)),
                          nonce, body, data, len(program_bytes))
 
 
@@ -387,8 +389,7 @@ def abe_encrypt(
     payload = bytes(payload)
     sealed = _seal(ctx, gt, blind, payload, rng)
 
-    g, encode = ctx.g, ctx.backend.element_bytes
-    rows, row_bytes = [], []
+    g, gt_mul, encode, row_bytes = ctx.g, ctx.backend.gt_mul, ctx.backend.element_bytes, []
     for attribute, cols, signs, rho_x in zip(program.attributes, program.support,
                                              program.signs, rho):
         # lambda_x and omega_x in one pass over the row's support; the
@@ -398,14 +399,12 @@ def abe_encrypt(
             lam += sign * v[c]
             omega += sign * w[c]
         share = shares[attribute]
-        c1 = ctx.backend.gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho_x))
+        c1 = gt_mul(ctx.gt_exp(gt, lam), ctx.gt_exp(share.e_alpha, rho_x))
         c2 = ctx.g_exp(g, rho_x)
         c3 = ctx.g_mulexp(((share.g_y, rho_x), (g, omega)))
-        rows.append(CiphertextRow(c1, c2, c3))
         row_bytes += (b"\x01", encode(c1), encode(c2), encode(c3))
 
-    record = _write(ctx, program, program.to_bytes(), sealed, b"\x01" * program.n, row_bytes,
-                    rows)
+    record = _write(ctx, program, program.to_bytes(), sealed, b"\x01" * program.n, row_bytes)
     return record, EncryptionState(program, v, rho, payload)
 
 
@@ -515,6 +514,5 @@ def revoke(
         at = rows.c2_at(x)  # a kept row keeps its flag byte and C1 before this
         row_bytes.append(data[at - gt_bytes - 1:at + width] if keep
                          else b"\x00" + data[at:at + width])
-    new_ct = _write(ctx, program, data[:ciphertext._program_end], sealed, flags, row_bytes,
-                    [None] * program.n)
+    new_ct = _write(ctx, program, data[:ciphertext._program_end], sealed, flags, row_bytes)
     return new_ct, updates, replace(state, v=v_new)

@@ -251,6 +251,12 @@ def _cmd_issue_key(args) -> int:
         keyring = abe.UserKeyring(args.user)
     if keyring.user_id != args.user:
         raise ValueError(f"{args.keyring} belongs to {keyring.user_id!r}")
+    # the keys this authority could have issued are checked before any is rewritten
+    for attribute, element in keyring.keys.items():
+        if kdc.owns(attribute) and not abe.verify_user_key(ctx, kdc.shares[attribute],
+                                                           args.user, element):
+            raise ValueError(f"{args.keyring}: the key for {attribute!r} fails verification "
+                             f"against authority {kdc.kdc_id!r}")
     issued = []
     for attribute in [a.strip() for a in args.attrs.split(",") if a.strip()]:
         element = abe.issue_key(kdc, ctx, args.user, attribute)

@@ -11,8 +11,13 @@ cost model for shared-squaring evaluation.
 The bundled "reference" backend tracks discrete logs openly: a G element is
 the formal power g^a with a stored, and e(g^a, g^b) = gt^(ab). It satisfies
 every algebraic axiom exactly at any prime order, which makes the protocol
-layers testable at desk scale; it offers no cryptographic hardness. Curve
-providers can register real backends against the same interface.
+layers testable at desk scale; it offers no cryptographic hardness. Since each
+of its operations is one modular multiplication, the Python around it is most
+of the cost, so it builds its elements without the dataclass initializer
+(object.__new__ and the two slot descriptors; the value is the same frozen
+element) and checks each operand inline: its exact class, then its ident. Curve
+providers can register real backends against the same interface, and a
+registered backend may still build its elements as GroupElementG(ident, data).
 """
 
 from __future__ import annotations
@@ -45,6 +50,29 @@ class GroupElementG:
 class GroupElementGT:
     backend: str
     data: object
+
+
+# The reference backend's element constructors: the dataclass __init__ sets
+# each field through object.__setattr__, these write the two slots directly.
+_new = object.__new__
+_set_g_backend, _set_g_data = GroupElementG.backend.__set__, GroupElementG.data.__set__
+_set_gt_backend, _set_gt_data = GroupElementGT.backend.__set__, GroupElementGT.data.__set__
+_G_MISMATCH = "G element from a different backend"
+_GT_MISMATCH = "G_T element from a different backend"
+
+
+def _g_element(backend: str, data: object) -> GroupElementG:
+    element = _new(GroupElementG)
+    _set_g_backend(element, backend)
+    _set_g_data(element, data)
+    return element
+
+
+def _gt_element(backend: str, data: object) -> GroupElementGT:
+    element = _new(GroupElementGT)
+    _set_gt_backend(element, backend)
+    _set_gt_data(element, data)
+    return element
 
 
 class PairingBackend(ABC):
@@ -145,66 +173,72 @@ class ReferenceBackend(PairingBackend):
         self.g_bytes = self.gt_bytes = (q.bit_length() + 7) // 8
         self._q_body = q.to_bytes(self.g_bytes, "big")
 
-    def _check_g(self, *elements: GroupElementG) -> None:
-        for e in elements:
-            if not isinstance(e, GroupElementG) or e.backend != self.ident:
-                raise BackendMismatchError("G element from a different backend")
-
-    def _check_gt(self, *elements: GroupElementGT) -> None:
-        for e in elements:
-            if not isinstance(e, GroupElementGT) or e.backend != self.ident:
-                raise BackendMismatchError("G_T element from a different backend")
-
     def generator(self) -> GroupElementG:
-        return GroupElementG(self.ident, 1)
+        return _g_element(self.ident, 1)
 
     def identity_g(self) -> GroupElementG:
-        return GroupElementG(self.ident, 0)
+        return _g_element(self.ident, 0)
 
     def identity_gt(self) -> GroupElementGT:
-        return GroupElementGT(self.ident, 0)
+        return _gt_element(self.ident, 0)
 
     def g_mul(self, a, b):
-        self._check_g(a, b)
-        return GroupElementG(self.ident, (a.data + b.data) % self.q)
+        ident = self.ident
+        if (a.__class__ is not GroupElementG or a.backend != ident
+                or b.__class__ is not GroupElementG or b.backend != ident):
+            raise BackendMismatchError(_G_MISMATCH)
+        return _g_element(ident, (a.data + b.data) % self.q)
 
     def g_exp(self, base, k):
-        self._check_g(base)
-        return GroupElementG(self.ident, base.data * k % self.q)
+        ident = self.ident
+        if base.__class__ is not GroupElementG or base.backend != ident:
+            raise BackendMismatchError(_G_MISMATCH)
+        return _g_element(ident, base.data * k % self.q)
 
     def g_mulexp(self, pairs):
         """Fused: one sum of exponent products, reduced once."""
-        total = 0
+        ident, total = self.ident, 0
         for base, k in pairs:
-            self._check_g(base)
+            if base.__class__ is not GroupElementG or base.backend != ident:
+                raise BackendMismatchError(_G_MISMATCH)
             total += base.data * k
-        return GroupElementG(self.ident, total % self.q)
+        return _g_element(ident, total % self.q)
 
     def gt_mul(self, a, b):
-        self._check_gt(a, b)
-        return GroupElementGT(self.ident, (a.data + b.data) % self.q)
+        ident = self.ident
+        if (a.__class__ is not GroupElementGT or a.backend != ident
+                or b.__class__ is not GroupElementGT or b.backend != ident):
+            raise BackendMismatchError(_GT_MISMATCH)
+        return _gt_element(ident, (a.data + b.data) % self.q)
 
     def gt_inv(self, a):
-        self._check_gt(a)
-        return GroupElementGT(self.ident, -a.data % self.q)
+        ident = self.ident
+        if a.__class__ is not GroupElementGT or a.backend != ident:
+            raise BackendMismatchError(_GT_MISMATCH)
+        return _gt_element(ident, -a.data % self.q)
 
     def gt_exp(self, base, k):
-        self._check_gt(base)
-        return GroupElementGT(self.ident, base.data * k % self.q)
+        ident = self.ident
+        if base.__class__ is not GroupElementGT or base.backend != ident:
+            raise BackendMismatchError(_GT_MISMATCH)
+        return _gt_element(ident, base.data * k % self.q)
 
     def pair(self, p, q):
-        self._check_g(p, q)
-        return GroupElementGT(self.ident, p.data * q.data % self.q)
+        ident = self.ident
+        if (p.__class__ is not GroupElementG or p.backend != ident
+                or q.__class__ is not GroupElementG or q.backend != ident):
+            raise BackendMismatchError(_G_MISMATCH)
+        return _gt_element(ident, p.data * q.data % self.q)
 
     def hash_to_g(self, data: bytes) -> GroupElementG:
         digest = hashlib.sha256(data).digest()
-        return GroupElementG(self.ident, int.from_bytes(digest, "big") % self.q)
+        return _g_element(self.ident, int.from_bytes(digest, "big") % self.q)
 
     def element_bytes(self, element):
-        if isinstance(element, GroupElementG):
-            self._check_g(element)
-        else:
-            self._check_gt(element)
+        kind = element.__class__
+        if (kind is not GroupElementG and kind is not GroupElementGT
+                or element.backend != self.ident):
+            raise BackendMismatchError("element from a different backend")
         value: int = element.data
         return value.to_bytes(self.g_bytes, "big")
 
@@ -231,10 +265,10 @@ class ReferenceBackend(PairingBackend):
                     raise ValueError("element value out of range")
 
     def element_g_from_bytes(self, body: bytes) -> GroupElementG:
-        return GroupElementG(self.ident, self._exponent(body))
+        return _g_element(self.ident, self._exponent(body))
 
     def element_gt_from_bytes(self, body: bytes) -> GroupElementGT:
-        return GroupElementGT(self.ident, self._exponent(body))
+        return _gt_element(self.ident, self._exponent(body))
 
 
 _BACKENDS: dict[str, tuple[int, Callable[[int], PairingBackend]]] = {

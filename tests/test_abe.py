@@ -708,6 +708,41 @@ def test_a_decoded_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch
     assert calls == {"g": 2 * len(picked), "gt": len(set(picked) & set(stored))}
 
 
+def test_a_fresh_record_reads_the_rows_its_bytes_decode_to(ctx):
+    rng = random.Random(37)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c", "d"], rng)
+    program = compile_lsss(parse_policy("(a & b) | (c & d)"))
+    fresh, state = abe_encrypt(ctx, authority.shares, program, b"parity", rng)
+    gone = build_user(ctx, (authority,), "gone", ["c"])
+    revoked, updates, _ = revoke(ctx, authority.shares, fresh, state, [gone], rng)
+    for record in (fresh, revoked):
+        decoded = AbeCiphertext.from_bytes(record.to_bytes(ctx), ctx)
+        assert len(record.rows) == len(decoded.rows) == program.n
+        for x in range(program.n):
+            assert record.rows[x] == decoded.rows[x]
+    assert updates and [row.c1 is None for row in revoked.rows] == [
+        x in updates for x in range(program.n)]
+
+
+def test_a_fresh_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch):
+    rng = random.Random(38)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c", "d", "e"], rng)
+    program = compile_lsss(parse_policy("(a & b) | (c & d) | e"))
+    outsider = build_user(ctx, (authority,), "outsider", ["a", "c"])
+    reader = build_user(ctx, (authority,), "reader", ["c", "d", "a"])
+    calls = _count_element_decodes(monkeypatch, ctx.backend)
+    record, _ = abe_encrypt(ctx, authority.shares, program, b"fresh", rng)
+    assert calls == {"g": 0, "gt": 0}  # encryption builds no row
+    with pytest.raises(AccessDenied):
+        abe_decrypt(ctx, outsider, record)
+    assert calls == {"g": 0, "gt": 0}
+    assert abe_decrypt(ctx, reader, record) == b"fresh"
+    usable = [x for x, attribute in enumerate(program.attributes) if attribute in reader.keys]
+    picked = solve_for_rows(program, usable, ctx.q)
+    assert len(picked) < program.n
+    assert calls == {"g": 2 * len(picked), "gt": len(picked)}
+
+
 def test_revoking_a_decoded_record_builds_no_element(ctx, monkeypatch):
     rng = random.Random(35)
     authority = kdc_setup(ctx, "A", ["a", "b", "c"], rng)

@@ -412,6 +412,20 @@ def test_issue_key_refuses_keys_that_fail_their_published_share(keyfiles, tmp_pa
     assert not keyring.exists()
 
 
+def test_issue_key_refuses_a_keyring_holding_a_bad_key(keyfiles, capsys):
+    # full's key for alpha, planted in partial's keyring, fails partial's check
+    kdc_a, _, user_full, user_partial = keyfiles
+    planted = json.loads(user_partial.read_text())
+    planted["keys"]["alpha"] = json.loads(user_full.read_text())["keys"]["alpha"]
+    user_partial.write_text(json.dumps(planted))
+    before = user_partial.read_bytes()
+    code, out, err = run_cli(capsys, "issue-key", "--kdc", str(kdc_a), "--user", "partial",
+                             "--attrs", "beta", "--keyring", str(user_partial))
+    assert (code, out) == (2, "")
+    assert str(user_partial) in err and "'alpha' fails verification" in err
+    assert user_partial.read_bytes() == before
+
+
 class _AltBackend(ReferenceBackend):
     wire_id = 0x5A
 

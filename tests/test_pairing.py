@@ -254,6 +254,31 @@ def test_slotted_values_stay_frozen_values(ctx):
     assert stripped == CiphertextRow(None, row.c2, row.c3) != row
 
 
+def test_backend_built_elements_are_the_dataclass_values(ctx):
+    backend = ctx.backend
+    g = backend.generator()
+    gt = backend.pair(g, g)
+    built = {
+        GroupElementG: [g, backend.identity_g(), backend.g_exp(g, 5), backend.g_mul(g, g),
+                        backend.g_mulexp([(g, 2), (g, 3)]), backend.hash_to_g(b"u1"),
+                        backend.element_g_from_bytes(backend.element_bytes(g))],
+        GroupElementGT: [gt, backend.identity_gt(), backend.gt_exp(gt, 7),
+                         backend.gt_mul(gt, gt), backend.gt_inv(gt),
+                         backend.element_gt_from_bytes(backend.element_bytes(gt))],
+    }
+    for cls, elements in built.items():
+        for element in elements:
+            twin = cls(backend.ident, element.data)
+            assert type(element) is cls
+            assert element == twin and hash(element) == hash(twin)
+            assert repr(element) == repr(twin)
+            assert not hasattr(element, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                element.data = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                element.backend = backend.ident
+
+
 def test_meters_are_thread_safe():
     import threading
 
@@ -314,3 +339,40 @@ def test_reference_body_check_rejects_what_decoding_rejects(q, other):
                 backend.check_bodies(bad, offsets + [len(data)], [])
             with pytest.raises(ValueError):
                 backend.check_bodies(bad, offsets, [len(data)])
+
+
+# Each operation that checks its element operands, called with one operand per
+# entry of its signature; "g" or "gt" names the group each position takes.
+CHECKED_OPERATIONS = {
+    "g_mul": (("g", "g"), lambda backend, a, b: backend.g_mul(a, b)),
+    "g_exp": (("g",), lambda backend, a: backend.g_exp(a, 3)),
+    "g_mulexp": (("g", "g"), lambda backend, a, b: backend.g_mulexp([(a, 2), (b, 3)])),
+    "gt_mul": (("gt", "gt"), lambda backend, a, b: backend.gt_mul(a, b)),
+    "gt_inv": (("gt",), lambda backend, a: backend.gt_inv(a)),
+    "gt_exp": (("gt",), lambda backend, a: backend.gt_exp(a, 3)),
+    "pair": (("g", "g"), lambda backend, a, b: backend.pair(a, b)),
+    "element_bytes-g": (("g",), lambda backend, a: backend.element_bytes(a)),
+    "element_bytes-gt": (("gt",), lambda backend, a: backend.element_bytes(a)),
+}
+_OPERAND_CASES = [(name, position) for name, (groups, _) in CHECKED_OPERATIONS.items()
+                  for position in range(len(groups))]
+
+
+@pytest.mark.parametrize("name, position", _OPERAND_CASES,
+                         ids=[f"{name}-{position}" for name, position in _OPERAND_CASES])
+def test_every_operand_is_checked_for_its_group(ctx, name, position):
+    groups, call = CHECKED_OPERATIONS[name]
+    backend, other = ctx.backend, ctx_new(q=2**61 + 15).backend
+    valid = {"g": backend.g_exp(backend.generator(), 5),
+             "gt": backend.gt_exp(backend.pair(backend.generator(), backend.generator()), 7)}
+    operands = [valid[group] for group in groups]
+    call(backend, *operands)  # the valid call passes
+    group = groups[position]
+    classes = {"g": GroupElementG, "gt": GroupElementGT}
+    spoiled = [classes[group](other.ident, 5)]  # an element of another order
+    if not name.startswith("element_bytes"):  # it encodes either group
+        spoiled.append(classes["gt" if group == "g" else "g"](backend.ident, 5))
+    for bad in spoiled:
+        operands[position] = bad
+        with pytest.raises(BackendMismatchError):
+            call(backend, *operands)
