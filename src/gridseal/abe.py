@@ -47,7 +47,28 @@ _KEM_TAG_BYTES = 16
 
 
 class AccessDenied(Exception):
-    """The keyring cannot reconstruct the blinding secret, or authentication failed."""
+    """Decryption refused; `reason` says why, as one of three codes.
+
+    * ``policy-unsatisfied``: the keyring's attributes cannot satisfy the policy;
+    * ``rows-revoked``: they could, but with rows whose C1 revocation stripped
+      and no update supplies;
+    * ``auth-failed``: the rows reconstructed a seed under which the payload
+      fails authentication (a key that is not the keyring holder's own).
+    """
+
+    _MESSAGES = {
+        "policy-unsatisfied": "attributes do not satisfy the access policy",
+        "rows-revoked": "the rows these attributes satisfy were revoked and no update "
+                        "restores them",
+        "auth-failed": "payload authentication failed",
+    }
+
+    def __init__(self, reason: str):
+        super().__init__(self._MESSAGES[reason])
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.reason,)
 
 
 @dataclass(frozen=True)
@@ -420,16 +441,21 @@ def abe_decrypt(
     available (stored, or supplied out-of-band in `row_updates` after a
     revocation). The reconstruction coefficients come from the policy matrix;
     each used row costs exactly two pairings, and coefficients of one skip
-    their G_T exponentiation.
+    their G_T exponentiation. When the usable rows cannot reconstruct and
+    some held row is unusable, a second solve over every held row tells
+    `rows-revoked` from `policy-unsatisfied`; no other denial pays for it.
     """
     updates = dict(row_updates or {})
     program = ciphertext.program
     stored = ciphertext.c1_stored
-    usable = [x for x, attribute in enumerate(program.attributes)
-              if attribute in keyring.keys and (stored[x] or x in updates)]
+    keys = keyring.keys
+    held = [x for x, attribute in enumerate(program.attributes) if attribute in keys]
+    usable = [x for x in held if stored[x] or x in updates]
     coefficients = solve_for_rows(program, usable, ctx.q)
     if coefficients is None:
-        raise AccessDenied("attributes do not satisfy the access policy")
+        if len(usable) < len(held) and solve_for_rows(program, held, ctx.q) is not None:
+            raise AccessDenied("rows-revoked")
+        raise AccessDenied("policy-unsatisfied")
     backend = ctx.backend
     h_u = backend.hash_to_g(keyring.user_id.encode("utf-8"))
     blind = backend.identity_gt()
@@ -438,7 +464,7 @@ def abe_decrypt(
         c1 = updates.get(x, row.c1)
         dec = backend.gt_mul(c1, ctx.pair(h_u, row.c3))
         dec = backend.gt_mul(dec, backend.gt_inv(
-            ctx.pair(keyring.keys[program.attributes[x]], row.c2)))
+            ctx.pair(keys[program.attributes[x]], row.c2)))
         if k != 1:
             dec = ctx.gt_exp(dec, k)
         blind = backend.gt_mul(blind, dec)
@@ -447,7 +473,7 @@ def abe_decrypt(
         return AESGCM(_kem_key(ctx, seed)).decrypt(
             ciphertext.kem_nonce, ciphertext.kem_body, None)
     except InvalidTag as exc:
-        raise AccessDenied("payload authentication failed") from exc
+        raise AccessDenied("auth-failed") from exc
 
 
 def revoke(

@@ -328,7 +328,7 @@ def _cmd_decrypt(args) -> int:
     try:
         payload = abe.abe_decrypt(ctx, keyring, ciphertext, updates)
     except abe.AccessDenied as exc:
-        _emit({"outcome": "denied", "reason": str(exc)})
+        _emit({"outcome": "denied", "code": exc.reason, "reason": str(exc)})
         return 1
     _emit({"outcome": "ok", "payload": payload.decode("utf-8")})
     return 0

@@ -320,52 +320,61 @@ def solve_for_rows(
 ) -> Optional[dict[int, int]]:
     """Coefficients k over the given rows with sum(k_x * R_x) = (1, 0, ..., 0) in Z_q.
 
-    Returns only nonzero coefficients, or None when the rows do not span the
-    target (absence, not an error). Gauss-Jordan elimination on the
-    transposed system, kept sparse: each equation (a matrix column) is a
-    {unknown: value} dict built from the row supports, and an index from
-    each unknown to the equations holding it finds pivots and drives
-    elimination. Unknowns are taken in the caller's order, each pivoting on
-    the first equation at or after the current rank in the swap order; free
-    unknowns pin to zero, so the support is a set of pivot rows.
+    Returns only nonzero coefficients, in the caller's row order, or None
+    when the rows do not span the target (absence, not an error); a row index
+    outside 0..n-1 raises ValueError. The transposed system is solved sparse:
+    each equation (a matrix column) is a {unknown: value} dict built from the
+    row supports, and an index from each unknown to the equations not yet
+    pivoted that hold it drives elimination. Forward elimination takes the
+    unknowns in the caller's order; unknown j pivots on the equation holding
+    it with the fewest entries (Markowitz's rule, which keeps fill-in low on
+    the two-entries-a-row matrices compile_lsss emits) and is eliminated
+    only from the other equations not yet pivoted. Back substitution then
+    runs over the pivots in reverse, with free unknowns pinned to zero.
+
+    The pivot rule cannot change the result. Unknown j finds a pivot exactly
+    when its row lies outside the span of the rows before it, whichever
+    equation it pivots on, so the pivots are the greedy basis in the caller's
+    order and the coefficients are the unique expression of (1, 0, ..., 0)
+    in that basis: the same as dense Gauss-Jordan elimination gives.
     """
     indices = list(row_indices)
     if not indices:
         return None
-    h = program.h
+    if min(indices) < 0 or max(indices) >= program.n:
+        raise ValueError("row index outside the program")
     equations: dict[int, dict[int, int]] = {}
-    holders: list[set[int]] = []  # holders[j]: the equations where unknown j is nonzero
+    holders: list[set[int]] = []  # holders[j]: the unpivoted equations where unknown j is nonzero
     for j, x in enumerate(indices):
         cols = program.support[x]
         for c, sign in zip(cols, program.signs[x]):
             equations.setdefault(c, {})[j] = sign % q
         holders.append(set(cols))
-    rhs = {0: 1 % q}
-    slot = list(range(h))   # slot[p]: the equation at position p of the swap order
-    where = list(range(h))  # where[e]: the position of equation e
-    pivots: list[tuple[int, int]] = []
-    rank = 0
+    rhs = {0: 1 % q}  # right-hand sides of the unpivoted equations
+    pivots = []  # (unknown, its equation, the inverse of its entry there, right-hand side)
+
+    def entries(e: int) -> int:
+        return len(equations[e])
+
     for j, held in enumerate(holders):
-        candidates = [e for e in held if where[e] >= rank]
-        if not candidates:
-            continue
-        e = min(candidates, key=where.__getitem__)
-        displaced = slot[rank]
-        slot[rank], slot[where[e]] = e, displaced
-        where[e], where[displaced] = rank, where[e]
+        if not held:
+            continue  # free: no unpivoted equation holds j
+        if len(held) == 1:
+            (e,) = held
+        else:
+            e = min(held, key=entries)
         pivot = equations[e]
-        if pivot[j] != 1:
-            inv = pow(pivot[j], -1, q)
-            for k in pivot:
-                pivot[k] = pivot[k] * inv % q
-            rhs[e] = rhs.get(e, 0) * inv % q
-        target = rhs.get(e, 0)
-        for r in list(held):
-            if r == e:
-                continue
+        for k in pivot:
+            holders[k].discard(e)
+        entry = pivot[j]
+        inv = entry if entry == 1 or entry == q - 1 else pow(entry, -1, q)
+        target = rhs.pop(e, 0)
+        for r in held:
             equation = equations[r]
-            factor = equation[j]
+            factor = equation.pop(j) * inv % q
             for k, value in pivot.items():
+                if k == j:
+                    continue
                 value = (equation.get(k, 0) - factor * value) % q
                 if value:
                     equation[k] = value
@@ -375,9 +384,15 @@ def solve_for_rows(
                     holders[k].discard(r)
             if target:
                 rhs[r] = (rhs.get(r, 0) - factor * target) % q
-        pivots.append((j, e))
-        rank += 1
-    if any(rhs.get(e) for e in slot[rank:]):
+        pivots.append((j, pivot, inv, target))
+    if any(rhs.values()):
         return None  # inconsistent: target outside the span
-    solution = {indices[j]: rhs[e] for j, e in pivots if rhs.get(e)}
-    return solution or None
+    found: dict[int, int] = {}  # unknown -> nonzero value, in decreasing unknown
+    for j, pivot, inv, target in reversed(pivots):
+        for k, value in pivot.items():
+            if k in found:  # found holds only unknowns after j, so j's entry is skipped
+                target -= value * found[k]
+        target = target * inv % q
+        if target:
+            found[j] = target
+    return {indices[j]: found[j] for j in reversed(found)} or None

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -512,6 +513,42 @@ def test_double_revocation_only_latest_updates_work(ctx):
         abe_decrypt(ctx, second, ct2)
     with pytest.raises(AccessDenied):
         abe_decrypt(ctx, second, ct2, updates1)
+
+
+def test_each_denial_names_its_reason(ctx, monkeypatch):
+    rng = random.Random(28)
+    authority = kdc_setup(ctx, "A", ["a", "b"], rng)
+    ciphertext, state = abe_encrypt(ctx, authority.shares, compile_lsss(parse_policy("a & b")),
+                                    b"record", rng)
+    both = build_user(ctx, (authority,), "both", ["a", "b"])
+    only_a = build_user(ctx, (authority,), "only_a", ["a"])
+    other = build_user(ctx, (authority,), "other", ["b"])
+    planted = UserKeyring("both", {"a": both.keys["a"], "b": other.keys["b"]})
+    revoked_ct, _, _ = revoke(ctx, authority.shares, ciphertext, state, [both], rng)
+    solves = []
+    monkeypatch.setattr("gridseal.abe.solve_for_rows",
+                        lambda *args: solves.append(args[1]) or solve_for_rows(*args))
+
+    def denial(keyring, record):
+        solves.clear()
+        with pytest.raises(AccessDenied) as caught:
+            abe_decrypt(ctx, keyring, record)
+        return caught.value.reason, str(caught.value), len(solves)
+
+    assert denial(only_a, ciphertext) == (
+        "policy-unsatisfied", "attributes do not satisfy the access policy", 1)
+    assert denial(planted, ciphertext) == ("auth-failed", "payload authentication failed", 1)
+    # both attributes satisfy a & b, but their rows were stripped and no update is given
+    reason, message, count = denial(both, revoked_ct)
+    assert (reason, count) == ("rows-revoked", 2) and "satisfy the access policy" not in message
+    # a stripped row alone cannot satisfy the policy: still unsatisfied, after a second solve
+    assert denial(only_a, revoked_ct)[::2] == ("policy-unsatisfied", 2)
+    assert solves == [[], [0]]
+
+
+def test_an_access_denial_survives_pickling():
+    denied = pickle.loads(pickle.dumps(AccessDenied("rows-revoked")))
+    assert (denied.reason, str(denied)) == ("rows-revoked", str(AccessDenied("rows-revoked")))
 
 
 def test_revoke_requires_nonempty_set(ctx):

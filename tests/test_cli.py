@@ -285,6 +285,34 @@ def test_encrypt_decrypt_revoke_cycle(keyfiles, tmp_path, capsys):
     assert json.loads(out)["payload"] == "meter digest"
 
 
+def test_decrypt_prints_the_code_of_each_denial(keyfiles, tmp_path, capsys):
+    kdc_a, _, user_full, user_partial = keyfiles
+    ct, state = tmp_path / "record.json", tmp_path / "state.json"
+    assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x", "--kdc", str(kdc_a),
+                 "--out", str(ct), "--state", str(state), "--seed", "4"]) == 0
+    capsys.readouterr()
+
+    def denial(keyring):
+        code, out, _ = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
+                               "--keyring", str(keyring))
+        assert code == 1
+        document = json.loads(out)
+        assert document["outcome"] == "denied" and document["reason"]
+        return document["code"]
+
+    assert denial(user_partial) == "policy-unsatisfied"
+    planted = tmp_path / "planted.json"  # full's key for beta beside partial's for alpha
+    document = json.loads(user_partial.read_text())
+    document["keys"]["beta"] = json.loads(user_full.read_text())["keys"]["beta"]
+    planted.write_text(json.dumps(document))
+    assert denial(planted) == "auth-failed"
+    assert main(["revoke", "--ciphertext", str(ct), "--state", str(state), "--kdc", str(kdc_a),
+                 "--revoked", str(user_full), "--out-updates", str(tmp_path / "updates.json"),
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert denial(user_full) == "rows-revoked"
+
+
 def test_encrypt_takes_a_policy_of_1200_leaves(keyfiles, tmp_path, capsys):
     kdc_a = keyfiles[0]
     policy = " & ".join(("alpha", "beta")[i % 2] for i in range(1200))

@@ -272,6 +272,55 @@ def test_sparse_solver_matches_the_dense_oracle(tree, layout, data):
         assert solve_for_rows(program, rows, q) == dense_solve_for_rows(program, rows, q)
 
 
+@st.composite
+def literal_programs(draw):
+    """An arbitrary {-1, 0, 1} matrix of up to 8 rows and 5 columns, every column used."""
+    h = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=8))
+    cells = st.lists(st.sampled_from((-1, 0, 1)), min_size=h, max_size=h)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    for c in range(h):
+        if not any(row[c] for row in rows):
+            rows[draw(st.integers(min_value=0, max_value=n - 1))][c] = draw(st.sampled_from((-1, 1)))
+    return LsssProgram(rows, ["a"] * n)
+
+
+def assert_matches_the_dense_oracle(program, rows, q):
+    result = solve_for_rows(program, rows, q)
+    oracle = dense_solve_for_rows(program, rows, q)
+    assert result == oracle
+    assert result is None or list(result) == list(oracle)
+
+
+@given(program=literal_programs(), data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_sparse_solver_matches_the_dense_oracle_on_literal_matrices(program, data):
+    # any row sequence, repeated indices included; the coefficient dict in the same order
+    rows = data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1),
+                              max_size=program.n + 3))
+    for q in (2, 3, Q):
+        assert_matches_the_dense_oracle(program, rows, q)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       leaves=st.integers(min_value=8, max_value=40), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_sparse_solver_matches_the_dense_oracle_on_wide_policies(seed, leaves, data):
+    program = compile_lsss(random_tree(random.Random(seed), [f"a{i}" for i in range(12)], leaves))
+    rows = data.draw(st.permutations(range(program.n)))
+    rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
+    rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1), max_size=4))
+    for q in (Q, 3):
+        assert_matches_the_dense_oracle(program, data.draw(st.permutations(rows)), q)
+
+
+def test_solve_for_rows_refuses_indices_outside_the_program():
+    program = compile_lsss(parse_policy("a | b"))
+    for rows in ([-1], [5], [0, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            solve_for_rows(program, rows, 101)
+
+
 def test_span_satisfaction_equivalence_sampled():
     rng = random.Random(31337)
     attributes = [f"a{i}" for i in range(8)]
