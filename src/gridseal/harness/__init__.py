@@ -8,7 +8,6 @@ from .scenario import (
     ScenarioError,
     load_scenario,
     render_report,
-    report_has_denial,
     run_scenario,
     summarize_report,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "load_scenario",
     "predict_cost",
     "render_report",
-    "report_has_denial",
     "run_scenario",
     "summarize_report",
 ]

@@ -25,9 +25,9 @@ from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
     Scenario,
     ScenarioError,
+    _read_json,
     load_scenario,
     render_report,
-    report_has_denial,
     run_scenario,
     summarize_report,
 )
@@ -98,7 +98,7 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
     ValueError naming the file.
     """
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = _read_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(document, dict):
@@ -167,14 +167,18 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
         return load_scenario(path)
     bundle = resources.files(__package__).joinpath("scenarios", f"{name_or_path}.json")
     if bundle.is_file():
-        return load_scenario(json.loads(bundle.read_text(encoding="utf-8")))
+        with resources.as_file(bundle) as bundle_path:  # load_scenario reads it strictly
+            return load_scenario(bundle_path)
     raise ScenarioError("scenario", f"no file or bundled scenario named {name_or_path!r}"
                                     f" (bundled: {', '.join(bundled_scenarios())})")
 
 
 def _cmd_run(args) -> int:
+    """`run`, and `aggregate` of the aggregation section alone: the report and its summary."""
     scenario = _resolve_scenario(args.scenario)
-    if scenario.kdcs or scenario.records:  # the scenario runs in a pairing group
+    if args.command == "aggregate":
+        scenario = Scenario(scenario.paillier, scenario.topology, scenario.readings)
+    if scenario.kdcs:  # the scenario runs in a pairing group
         _warn_backend(args.backend)
     report = run_scenario(scenario, seed=args.seed,
                           backend=args.backend, q=args.q, q_bits=args.q_bits)
@@ -184,20 +188,8 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(rendered)
     sys.stderr.write(summarize_report(report))
-    outcomes = list(report.get("attempts", [])) + list(report.get("reattempts", []))
-    if report.get("error") or any(o.get("outcome") == "error" for o in outcomes):
-        return 1
-    return 1 if report_has_denial(report) else 0
-
-
-def _cmd_aggregate(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
-    report = run_scenario(Scenario(scenario.paillier, scenario.topology, scenario.readings),
-                          seed=args.seed)
-    rendered = render_report(report)
-    sys.stdout.write(rendered)
-    sys.stderr.write(summarize_report(report))
-    return 1 if report.get("error") else 0
+    opened = all(o["outcome"] == "ok" for o in report["attempts"] + report["reattempts"])
+    return 0 if report["error"] is None and opened else 1
 
 
 def _cmd_keygen_paillier(args) -> int:
@@ -411,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate = commands.add_parser("aggregate", help="run only the aggregation phase")
     aggregate.add_argument("scenario")
     aggregate.add_argument("--seed", type=int, default=None)
-    aggregate.set_defaults(func=_cmd_aggregate)
+    aggregate.set_defaults(func=_cmd_run, out=None, backend="reference", q=None, q_bits=None)
 
     keygen = commands.add_parser("keygen-paillier", help="generate an aggregation keypair")
     keygen.add_argument("--bits", type=int, default=2048,

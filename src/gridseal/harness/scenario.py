@@ -3,10 +3,13 @@
 A scenario is a JSON document with a schema id and the fixed top-level keys
 (paillier, topology, kdcs, users, records, attempts, revocations), all
 optional. `load_scenario` validates a document and compiles it into a
-`Scenario` plan; execution runs aggregate -> authority setup -> key issuance ->
-encrypt -> attempts -> revocations -> re-attempts and produces one report
-dictionary whose canonical rendering is byte-stable for a fixed seed: sorted
-keys, fixed separators, no wall-clock fields.
+`Scenario` plan. `run_scenario` runs the plan as one loop over `_PHASES`, a
+table of (name, function) pairs in run order: aggregate, kdc-setup (which
+builds the pairing group), issue-keys, encrypt, attempts, revoke, reattempts.
+Each phase fills its part of one report from a shared run state; the loop
+alone catches a phase's exception, names that phase in the report's `error`
+and stops. The report's canonical rendering is byte-stable for a fixed seed:
+sorted keys, fixed separators, no wall-clock fields.
 
 There is intentionally no scenario syntax for repository-side decryption;
 the store only ever handles ciphertexts and row updates.
@@ -48,6 +51,26 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _unique_members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    document: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"member {key!r} appears twice")
+        document[key] = value
+    return document
+
+
+def _no_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def _read_json(text: str) -> Any:
+    """The one JSON reader for every file gridseal reads: a duplicate member name
+    at any depth, or NaN or Infinity, raises ValueError rather than being read
+    as the last member or as a float. The caller names the file."""
+    return json.loads(text, object_pairs_hook=_unique_members, parse_constant=_no_constant)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -95,8 +118,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     and compile it into a `Scenario`; raises `ScenarioError` at the first bad
     field."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        try:
+            document = _read_json(Path(source).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ScenarioError(str(source), f"not a JSON document ({exc})") from None
     else:
         document = source
     _require(isinstance(document, Mapping), "", "scenario must be an object")
@@ -248,28 +273,134 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
                     tuple(records.values()), tuple(attempts), tuple(revocations))
 
 
-def _aggregation_phase(scenario: Scenario, rng) -> dict[str, Any]:
-    config = scenario.paillier
-    if "bits" in config:
-        pk, sk = paillier_keygen(config["bits"], rng=rng)
-    else:
-        pk, sk = paillier_keygen(rng=rng, q1=config["q1"], q2=config["q2"])
-    section: dict[str, Any] = {"modulus_bits": pk.bit_length, "tags": [], "meters": 0,
-                               "warnings": []}
-    if scenario.topology is None:
-        return section
-    readings = scenario.readings
-    section["meters"] = len(readings)
-    if readings:
-        worst = max(v for _, v in readings.values()) * len(readings)
-        if worst.bit_length() >= max(pk.bit_length - _HEADROOM_SHIFT, 1):
-            section["warnings"].append(
-                "aggregate headroom: max reading times meter count approaches the modulus")
-    packets = run_pipeline(scenario.topology, readings, pk, rng)
-    for packet in packets:
-        tag, total = rtu_open(sk, pk, packet)
-        section["tags"].append({"tag": list(tag.attributes), "sum": total})
-    return section
+@dataclass
+class _Run:
+    """One run's state; its methods are the phases, each filling its part of the report."""
+
+    scenario: Scenario
+    rng: random.Random
+    group: dict[str, Any]
+    report: dict[str, Any]
+    ctx: PairingContext | None = None
+    authorities: dict[str, abe.KdcKeyring] = field(default_factory=dict)
+    shares: dict[str, abe.PublicShare] = field(default_factory=dict)
+    users: dict[str, abe.UserKeyring] = field(default_factory=dict)
+    repository: Repository = field(default_factory=Repository)
+    states: dict[str, abe.EncryptionState] = field(default_factory=dict)
+
+    def aggregate(self) -> None:
+        scenario, config = self.scenario, self.scenario.paillier
+        if config is None:
+            return
+        if "bits" in config:
+            pk, sk = paillier_keygen(config["bits"], rng=self.rng)
+        else:
+            pk, sk = paillier_keygen(rng=self.rng, q1=config["q1"], q2=config["q2"])
+        section: dict[str, Any] = {"modulus_bits": pk.bit_length, "tags": [], "meters": 0,
+                                   "warnings": []}
+        self.report["aggregation"] = section
+        if scenario.topology is None:
+            return
+        readings = scenario.readings
+        section["meters"] = len(readings)
+        if readings:
+            worst = max(v for _, v in readings.values()) * len(readings)
+            if worst.bit_length() >= max(pk.bit_length - _HEADROOM_SHIFT, 1):
+                section["warnings"].append(
+                    "aggregate headroom: max reading times meter count approaches the modulus")
+        for packet in run_pipeline(scenario.topology, readings, pk, self.rng):
+            tag, total = rtu_open(sk, pk, packet)
+            section["tags"].append({"tag": list(tag.attributes), "sum": total})
+
+    def kdc_setup(self) -> None:
+        if self.scenario.kdcs:  # every record's attributes are owned, so records imply KDCs
+            self.ctx = ctx_new(**self.group, rng=self.rng)
+        for kdc_id, attributes in self.scenario.kdcs:
+            keyring = abe.kdc_setup(self.ctx, kdc_id, attributes, self.rng)
+            self.authorities[kdc_id] = keyring
+            self.shares.update(keyring.shares)
+            self.report["kdcs"].append({"id": kdc_id, "attributes": list(attributes)})
+
+    def issue_keys(self) -> None:
+        for user_id, attributes in self.scenario.users:
+            keyring = abe.UserKeyring(user_id)
+            for attribute in attributes:
+                authority = self.authorities[self.scenario.owners[attribute]]
+                element = abe.issue_key(authority, self.ctx, user_id, attribute)
+                keyring.add(attribute, element, self.ctx, self.shares[attribute])
+            self.users[user_id] = keyring
+            self.report["users"].append({"id": user_id, "attributes": sorted(keyring.attributes)})
+
+    def encrypt(self) -> None:
+        for record_id, program, payload in self.scenario.records:
+            with self.ctx.measure() as window:
+                ciphertext, state = abe.abe_encrypt(
+                    self.ctx, self.shares, program, payload, self.rng)
+            self.repository.store(record_id, ciphertext)
+            self.states[record_id] = state
+            self.report["records"].append({
+                "id": record_id,
+                "rows": program.n,
+                "columns": program.h,
+                "pairings": window.pairings,
+                "scalar_muls": window.scalar_muls,
+            })
+
+    def attempts(self, into: str = "attempts") -> None:
+        """Every attempt, in order; a failed decryption is its outcome, not the phase's."""
+        for user_id, record_id in self.scenario.attempts:
+            updates = self.repository.updates_for(record_id, user_id)
+            outcome: dict[str, Any] = {"user": user_id, "record": record_id, "payload": None}
+            with self.ctx.measure() as window:
+                try:
+                    payload = abe.abe_decrypt(
+                        self.ctx, self.users[user_id], self.repository.get(record_id), updates)
+                    outcome["outcome"] = "ok"
+                    outcome["payload"] = payload.decode("utf-8")
+                except abe.AccessDenied:
+                    outcome["outcome"] = "denied"
+                except Exception as exc:  # recorded, does not abort the phase
+                    outcome["outcome"] = "error"
+                    outcome["message"] = str(exc)
+            outcome["pairings"] = window.pairings
+            outcome["scalar_muls"] = window.scalar_muls
+            self.report[into].append(outcome)
+
+    def revoke(self) -> None:
+        revoked_so_far: set[str] = set()
+        for revoked in self.scenario.revocations:
+            revoked_keyrings = [self.users[u] for u in revoked]
+            revoked_so_far.update(revoked)
+            recipients = [u for u in self.users if u not in revoked_so_far]
+            revocation_report = {"revoked": list(revoked), "records": []}
+            for record_id in self.repository.record_ids():
+                new_ct, updates, self.states[record_id] = abe.revoke(
+                    self.ctx, self.shares, self.repository.get(record_id),
+                    self.states[record_id], revoked_keyrings, self.rng)
+                self.repository.apply_revocation(record_id, new_ct)
+                for user_id in recipients:
+                    self.repository.deliver_updates(record_id, user_id, updates)
+                revocation_report["records"].append({
+                    "id": record_id,
+                    "updated_rows": sorted(updates),
+                    "recipients": recipients if updates else [],
+                })
+            self.report["revocations"].append(revocation_report)
+
+    def reattempts(self) -> None:
+        if self.scenario.revocations:
+            self.attempts("reattempts")
+
+
+_PHASES = (
+    ("aggregate", _Run.aggregate),
+    ("kdc-setup", _Run.kdc_setup),
+    ("issue-keys", _Run.issue_keys),
+    ("encrypt", _Run.encrypt),
+    ("attempts", _Run.attempts),
+    ("revoke", _Run.revoke),
+    ("reattempts", _Run.reattempts),
+)
 
 
 def run_scenario(
@@ -280,7 +411,6 @@ def run_scenario(
     q_bits: int | None = None,
 ) -> dict[str, Any]:
     """Execute a scenario from `load_scenario` and return the report dictionary."""
-    rng: random.Random = random.Random(seed) if seed is not None else random.SystemRandom()
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA_ID,
         "seed": seed,
@@ -294,119 +424,23 @@ def run_scenario(
         "totals": {"pairings": 0, "scalar_muls": 0},
         "error": None,
     }
-
-    phase = "aggregate"
-    try:
-        if scenario.paillier is not None:
-            report["aggregation"] = _aggregation_phase(scenario, rng)
-
-        ctx: PairingContext | None = None
-        if scenario.kdcs or scenario.records:
-            ctx = ctx_new(backend=backend, q=q, q_bits=q_bits, rng=rng)
-
-        phase = "kdc-setup"
-        authorities: dict[str, abe.KdcKeyring] = {}
-        shares: dict[str, abe.PublicShare] = {}
-        for kdc_id, attributes in scenario.kdcs:
-            keyring = abe.kdc_setup(ctx, kdc_id, attributes, rng)
-            authorities[kdc_id] = keyring
-            shares.update(keyring.shares)
-            report["kdcs"].append({"id": kdc_id, "attributes": list(attributes)})
-
-        phase = "issue-keys"
-        users: dict[str, abe.UserKeyring] = {}
-        for user_id, attributes in scenario.users:
-            keyring = abe.UserKeyring(user_id)
-            for attribute in attributes:
-                authority = authorities[scenario.owners[attribute]]
-                element = abe.issue_key(authority, ctx, user_id, attribute)
-                keyring.add(attribute, element, ctx, shares[attribute])
-            users[user_id] = keyring
-            report["users"].append({"id": user_id, "attributes": sorted(keyring.attributes)})
-
-        phase = "encrypt"
-        repository = Repository()
-        states: dict[str, abe.EncryptionState] = {}
-        for record_id, program, payload in scenario.records:
-            with ctx.measure() as window:
-                ciphertext, state = abe.abe_encrypt(ctx, shares, program, payload, rng)
-            repository.store(record_id, ciphertext)
-            states[record_id] = state
-            report["records"].append({
-                "id": record_id,
-                "rows": program.n,
-                "columns": program.h,
-                "pairings": window.pairings,
-                "scalar_muls": window.scalar_muls,
-            })
-
-        def evaluate_attempts(into: list) -> None:
-            for user_id, record_id in scenario.attempts:
-                user = users[user_id]
-                updates = repository.updates_for(record_id, user_id)
-                outcome: dict[str, Any] = {"user": user_id, "record": record_id,
-                                           "payload": None}
-                with ctx.measure() as window:
-                    try:
-                        payload = abe.abe_decrypt(
-                            ctx, user, repository.get(record_id), updates)
-                        outcome["outcome"] = "ok"
-                        outcome["payload"] = payload.decode("utf-8")
-                    except abe.AccessDenied:
-                        outcome["outcome"] = "denied"
-                    except Exception as exc:  # recorded, does not abort the phase
-                        outcome["outcome"] = "error"
-                        outcome["message"] = str(exc)
-                outcome["pairings"] = window.pairings
-                outcome["scalar_muls"] = window.scalar_muls
-                into.append(outcome)
-
-        phase = "attempts"
-        evaluate_attempts(report["attempts"])
-
-        phase = "revoke"
-        revoked_so_far: set[str] = set()
-        for revoked in scenario.revocations:
-            revoked_keyrings = [users[u] for u in revoked]
-            revoked_so_far.update(revoked)
-            recipients = [u for u in users if u not in revoked_so_far]
-            revocation_report = {"revoked": list(revoked), "records": []}
-            for record_id in repository.record_ids():
-                ciphertext = repository.get(record_id)
-                new_ct, updates, new_state = abe.revoke(
-                    ctx, shares, ciphertext, states[record_id], revoked_keyrings, rng)
-                repository.apply_revocation(record_id, new_ct)
-                states[record_id] = new_state
-                for user_id in recipients:
-                    repository.deliver_updates(record_id, user_id, updates)
-                revocation_report["records"].append({
-                    "id": record_id,
-                    "updated_rows": sorted(updates),
-                    "recipients": recipients if updates else [],
-                })
-            report["revocations"].append(revocation_report)
-
-        if scenario.revocations:
-            phase = "reattempts"
-            evaluate_attempts(report["reattempts"])
-
-        if ctx is not None:
-            totals = ctx.counters
-            report["totals"] = {"pairings": totals.pairings,
-                                "scalar_muls": totals.scalar_muls}
-    except Exception as exc:  # phase failure: return the partial report
-        report["error"] = {"phase": phase, "message": str(exc)}
+    rng = random.Random(seed) if seed is not None else random.SystemRandom()
+    run = _Run(scenario, rng, {"backend": backend, "q": q, "q_bits": q_bits}, report)
+    for name, step in _PHASES:
+        try:
+            step(run)
+        except Exception as exc:  # phase failure: return the partial report
+            report["error"] = {"phase": name, "message": str(exc)}
+            return report
+    if run.ctx is not None:
+        totals = run.ctx.counters
+        report["totals"] = {"pairings": totals.pairings, "scalar_muls": totals.scalar_muls}
     return report
 
 
 def render_report(report: Mapping[str, Any]) -> str:
     """Canonical rendering: sorted keys, tight separators, trailing newline."""
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def report_has_denial(report: Mapping[str, Any]) -> bool:
-    outcomes = list(report.get("attempts", [])) + list(report.get("reattempts", []))
-    return any(entry.get("outcome") == "denied" for entry in outcomes)
 
 
 def summarize_report(report: Mapping[str, Any]) -> str:

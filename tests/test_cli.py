@@ -6,9 +6,9 @@ import pytest
 
 from gridseal import abe, paillier, pairing
 from gridseal.harness import cli
-from gridseal.harness.cli import bundled_scenarios, main
+from gridseal.harness.cli import _resolve_scenario, bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
-from gridseal.harness.scenario import load_scenario, render_report, run_scenario
+from gridseal.harness.scenario import Scenario, load_scenario, render_report, run_scenario
 from gridseal.lsss import compile_lsss, parse_policy
 from gridseal.paillier import (
     PaillierPublicKey,
@@ -834,3 +834,63 @@ def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, 
     code, _, err = run_cli(capsys, *argv(record, tmp_path))
     assert code == 2
     assert str(record[name]) in err
+
+
+def test_a_composite_run_order_is_blamed_on_kdc_setup(capsys):
+    # sec51_access has no aggregation section; the group is built at authority set-up
+    code, out, err = run_cli(capsys, "run", "sec51_access", "--seed", "1", "--q", "15")
+    assert code == 1
+    assert json.loads(out)["error"] == {"phase": "kdc-setup",
+                                        "message": "group order must be prime"}
+    assert "error in kdc-setup: group order must be prime" in err
+
+
+@pytest.mark.parametrize("name", ["fig2_aggregation", "full_demo"])
+@pytest.mark.parametrize("seed", [1, 7, 11, 9001])
+def test_aggregate_prints_the_report_of_the_aggregation_section(capsys, name, seed):
+    code, out, _ = run_cli(capsys, "aggregate", name, "--seed", str(seed))
+    scenario = _resolve_scenario(name)
+    alone = Scenario(scenario.paillier, scenario.topology, scenario.readings)
+    assert (code, out) == (0, render_report(run_scenario(alone, seed=seed)))
+
+
+def _record_under_alpha(kdc_a, tmp_path, capsys):
+    ct = tmp_path / "alpha_record.json"
+    assert main(["encrypt", "--policy", "alpha", "--payload", "x", "--kdc", str(kdc_a),
+                 "--out", str(ct), "--state", str(tmp_path / "alpha_state.json"),
+                 "--seed", "4"]) == 0
+    capsys.readouterr()
+    return ct
+
+
+def test_a_keyring_naming_an_attribute_twice_is_refused(keyfiles, tmp_path, capsys):
+    # full's key for alpha, then partial's own: read as the last member, partial's opened
+    kdc_a, _, user_full, user_partial = keyfiles
+    ct = _record_under_alpha(kdc_a, tmp_path, capsys)
+    planted = json.loads(user_full.read_text())["keys"]["alpha"]
+    user_partial.write_text(user_partial.read_text().replace(
+        '"keys": {', f'"keys": {{"alpha": "{planted}",', 1))
+    code, out, err = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
+                             "--keyring", str(user_partial))
+    assert (code, out) == (2, "")
+    assert f"{user_partial}: not a JSON document (member 'alpha' appears twice)" in err
+
+
+def test_a_keyring_with_a_second_kind_is_refused(keyfiles, tmp_path, capsys):
+    # read as the last member, the keyring's own kind hid the KDC kind before it
+    kdc_a, _, user_full, _ = keyfiles
+    ct = _record_under_alpha(kdc_a, tmp_path, capsys)
+    user_full.write_text(user_full.read_text().replace("{", '{"kind": "gridseal-kdc-v4",', 1))
+    code, out, err = run_cli(capsys, "decrypt", "--ciphertext", str(ct),
+                             "--keyring", str(user_full))
+    assert (code, out) == (2, "")
+    assert f"{user_full}: not a JSON document (member 'kind' appears twice)" in err
+
+
+def test_a_scenario_file_with_a_duplicate_member_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"schema": "gridseal-scenario/1", "schema": "gridseal-scenario/1"}')
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"validation error: {path}: not a JSON document " \
+                  "(member 'schema' appears twice)\n"

@@ -14,8 +14,8 @@ from gridseal.harness import (
     load_scenario,
     predict_cost,
     render_report,
-    report_has_denial,
     run_scenario,
+    summarize_report,
 )
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
 from gridseal.lsss import compile_lsss, parse_policy
@@ -23,6 +23,11 @@ from gridseal.pairing import ctx_new
 
 Q = 2**61 - 1
 SCHEMA = "gridseal-scenario/1"
+
+
+def report_has_denial(report):
+    outcomes = list(report.get("attempts", [])) + list(report.get("reattempts", []))
+    return any(entry.get("outcome") == "denied" for entry in outcomes)
 
 
 # --- repository ------------------------------------------------------------------
@@ -480,3 +485,94 @@ def test_phase_error_produces_partial_report():
     }
     report = run_scenario(load_scenario(document), seed=1)
     assert report["error"]["phase"] == "aggregate"
+
+
+# The report section each phase fills, in run order.
+PHASE_SECTIONS = [("aggregate", "aggregation"), ("kdc-setup", "kdcs"), ("issue-keys", "users"),
+                  ("encrypt", "records"), ("attempts", "attempts"), ("revoke", "revocations"),
+                  ("reattempts", "reattempts")]
+
+
+@pytest.mark.parametrize("name", ["sec51_access", "full_demo"])
+@pytest.mark.parametrize("group", [{"q": 15}, {"backend": "nope"}], ids=["composite-q", "backend"])
+def test_a_group_failure_is_blamed_on_kdc_setup(name, group):
+    scenario = _resolve_scenario(name)
+    report = run_scenario(scenario, seed=1, **group)
+    assert report["error"]["phase"] == "kdc-setup"
+    # the aggregation section, where the scenario has one, ran in full before the group
+    passed = run_scenario(scenario, seed=1)
+    assert report["aggregation"] == passed["aggregation"]
+    assert (report["aggregation"] is None) == (scenario.paillier is None)
+    assert report["kdcs"] == [] and report["totals"] == {"pairings": 0, "scalar_muls": 0}
+
+
+@pytest.mark.parametrize("target, phase", [
+    ("paillier_keygen", "aggregate"),
+    ("abe.kdc_setup", "kdc-setup"),
+    ("abe.issue_key", "issue-keys"),
+    ("abe.abe_encrypt", "encrypt"),
+    ("abe.revoke", "revoke"),
+])
+def test_the_loop_names_every_phase_that_fails(monkeypatch, target, phase):
+    import gridseal.harness.scenario as scenario_module
+
+    def boom(*args, **kwargs):
+        raise RuntimeError(f"{target} failed")
+
+    owner, _, attribute = target.rpartition(".")
+    monkeypatch.setattr(scenario_module.abe if owner else scenario_module, attribute, boom)
+    report = run_scenario(_resolve_scenario("full_demo"), seed=1)
+    assert report["error"] == {"phase": phase, "message": f"{target} failed"}
+    names = [name for name, _ in PHASE_SECTIONS]
+    assert [name for name, _ in scenario_module._PHASES] == names
+    for _, section in PHASE_SECTIONS[names.index(phase):]:
+        assert report[section] in (None, []), section
+    assert report["totals"] == {"pairings": 0, "scalar_muls": 0}
+
+
+def test_a_scenario_file_with_a_duplicate_member_is_refused(tmp_path):
+    # read as the last member, the duplicated value would aggregate to 2
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"schema": "gridseal-scenario/1", "paillier": {"bits": 64}, "topology": {"nodes": ['
+        '{"id": "nan", "role": "NAN"}, {"id": "ban", "role": "BAN", "parent": "nan"}, '
+        '{"id": "h1", "role": "HAN", "parent": "ban"}], '
+        '"readings": [{"node": "h1", "tag": ["t"], "value": 1, "value": 2}]}}')
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.path == str(path)
+    assert "'value' appears twice" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_scenario_file_with_a_non_standard_constant_is_refused(tmp_path, constant):
+    path = tmp_path / "constant.json"
+    path.write_text('{"schema": "gridseal-scenario/1", "paillier": {"bits": %s}}' % constant)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(str(path))
+    assert excinfo.value.path == str(path)
+    assert f"{constant} is not a JSON value" in str(excinfo.value)
+
+
+def test_summarize_report_lines_are_pinned():
+    report = {
+        "aggregation": {"tags": [{"tag": ["load:high", "zone:2"], "sum": 3100}],
+                        "warnings": ["aggregate headroom: max reading times meter count "
+                                     "approaches the modulus"]},
+        "records": [{"id": "r1", "rows": 2, "columns": 2, "pairings": 1, "scalar_muls": 8}],
+        "attempts": [{"user": "u3", "record": "r1", "outcome": "ok"},
+                     {"user": "auditor", "record": "r1", "outcome": "denied"}],
+        "reattempts": [{"user": "u3", "record": "r1", "outcome": "error"}],
+        "totals": {"pairings": 0, "scalar_muls": 0},
+        "error": {"phase": "reattempts", "message": "backend blew a fuse"},
+    }
+    assert summarize_report(report).splitlines() == [
+        "aggregate load:high+zone:2: 3100",
+        "warning: aggregate headroom: max reading times meter count approaches the modulus",
+        "stored r1: 2 rows, 1 pairings, 8 scalar muls",
+        "attempt u3 -> r1: ok",
+        "attempt auditor -> r1: denied",
+        "reattempt u3 -> r1: error",
+        "totals: 0 pairings, 0 scalar muls",
+        "error in reattempts: backend blew a fuse",
+    ]
