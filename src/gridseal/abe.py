@@ -21,8 +21,8 @@ hands the new components only to users still in good standing.
 A record is held as its wire bytes and builds rows on read, whether
 abe_encrypt, revoke or from_bytes made it: encryption lays out the bytes and
 keeps no row. from_bytes checks every element body as bytes and refuses
-anything to_bytes would not emit, but builds a row's elements only when that
-row is first read. Decryption picks its rows from the C1 flags, so a denial
+anything to_bytes would not emit, but builds a row's elements only when, and
+each time, that row is read. Decryption picks its rows from the C1 flags, so a denial
 builds no row, and a grant only the rows it pairs. Revocation copies the
 bytes of the rows it keeps and builds none.
 """
@@ -180,38 +180,23 @@ class CiphertextRow:
 
 @dataclass(eq=False, repr=False, slots=True)
 class _Rows(SequenceABC):
-    """A record's rows, each built from the record's bytes when its index is
-    first read and kept from then on.
+    """A record's rows, each built from the record's bytes whenever its index
+    is read; decryption reads each row it pairs once.
 
     Row 0's flag byte lies at `first`, and `flags` holds each row's C1 flag.
     A row is its flag byte, C1 if the flag is set, then C2 and C3, so the
-    flags place every row. `built` holds each row once built, None before. Two
-    threads reading one row at once may both build it; the builds are equal.
+    flags place every row.
     """
 
     data: bytes
     backend: PairingBackend
     first: int
     flags: bytes
-    built: list[Optional[CiphertextRow]]
 
     def __len__(self) -> int:
         return len(self.flags)
 
     def __getitem__(self, index: int) -> CiphertextRow:
-        row = self.built[index]
-        if row is None:
-            row = self.built[index] = self._build(index)
-        return row
-
-    def c2_at(self, index: int) -> int:
-        """Where row `index`'s C2 begins; its C3 follows. Up to there, each row
-        takes a flag byte and C1 where its flag is set, each row before it C2 and C3."""
-        x = range(len(self.flags))[index]
-        g, gt = self.backend.g_bytes, self.backend.gt_bytes
-        return self.first + 1 + x * (1 + 2 * g) + gt * self.flags.count(1, 0, x + 1)
-
-    def _build(self, index: int) -> CiphertextRow:
         data, backend, at = self.data, self.backend, self.c2_at(index)
         c1 = None
         if self.flags[index]:
@@ -219,6 +204,13 @@ class _Rows(SequenceABC):
         mid = at + backend.g_bytes
         return CiphertextRow(c1, backend.element_g_from_bytes(data[at:mid]),
                              backend.element_g_from_bytes(data[mid:mid + backend.g_bytes]))
+
+    def c2_at(self, index: int) -> int:
+        """Where row `index`'s C2 begins; its C3 follows. Up to there, each row
+        takes a flag byte and C1 where its flag is set, each row before it C2 and C3."""
+        x = range(len(self.flags))[index]
+        g, gt = self.backend.g_bytes, self.backend.gt_bytes
+        return self.first + 1 + x * (1 + 2 * g) + gt * self.flags.count(1, 0, x + 1)
 
 
 @dataclass(frozen=True)
@@ -238,8 +230,8 @@ class AbeCiphertext:
 
     Records come from abe_encrypt, revoke and from_bytes. Two records are
     equal when their bytes and their group (which C0 names) are. `rows` is
-    a read-only sequence of CiphertextRow over the bytes that builds each row
-    on first read, whichever of the three made the record.
+    a read-only sequence of CiphertextRow over the bytes that builds a row
+    on each read, whichever of the three made the record.
     """
 
     program: LsssProgram = field(compare=False)
@@ -278,7 +270,7 @@ class AbeCiphertext:
 
         The check is complete here: the program, C0, every row flag and,
         in one call to the backend's `check_bodies`, every element body. A
-        row's elements are built only when the row is first read. The
+        row's elements are built only when the row is read. The
         record keeps an immutable copy of data, so a caller's bytearray
         cannot change a row later.
         """
@@ -316,8 +308,7 @@ class AbeCiphertext:
         if end - offset < _KEM_NONCE_BYTES + _KEM_TAG_BYTES:
             raise ValueError("the KEM part is shorter than its nonce and tag")
         nonce_end = offset + _KEM_NONCE_BYTES
-        return cls(program, c0, _Rows(data, backend, first, bytes(flags),
-                                      [None] * program.n),
+        return cls(program, c0, _Rows(data, backend, first, bytes(flags)),
                    data[offset:nonce_end], data[nonce_end:], data, program_end)
 
 
@@ -330,8 +321,7 @@ def _write(ctx: PairingContext, program: LsssProgram, program_bytes: bytes,
     c0, nonce, body = sealed
     head = program_bytes + bytes([ctx.backend.wire_id]) + ctx.backend.element_bytes(c0)
     data = b"".join([head, *row_bytes, nonce, body])
-    return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags,
-                                            [None] * len(flags)),
+    return AbeCiphertext(program, c0, _Rows(data, ctx.backend, len(head), flags),
                          nonce, body, data, len(program_bytes))
 
 

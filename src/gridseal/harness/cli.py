@@ -19,12 +19,13 @@ from typing import Any, Callable
 
 from .. import abe
 from ..lsss import LsssProgram, compile_lsss, parse_policy
-from ..paillier import paillier_keygen
+from ..paillier import DEFAULT_KEY_BITS, paillier_keygen
 from ..pairing import GroupElementG, GroupElementGT, PairingContext, ctx_new
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
     Scenario,
     ScenarioError,
+    _make_rng,
     _read_json,
     load_scenario,
     render_report,
@@ -46,13 +47,17 @@ _UPDATES_KIND = "gridseal-updates-v5"
 _KDC_KIND = "gridseal-kdc-v4"
 _KEYRING_KIND = "gridseal-keyring-v3"
 _GROUP_FIELDS = ("backend", "q")
+# Each kind's members besides its kind and group header; a file with any other is refused.
+_MEMBERS = {
+    CIPHERTEXT_KIND: {"data"},
+    RTU_STATE_KIND: {"program", "v", "rho", "payload"},
+    _UPDATES_KIND: {"record", "rows"},
+    _KDC_KIND: {"kdc_id", "secrets", "shares"},
+    _KEYRING_KIND: {"user", "keys"},
+}
 # Kinds holding secret keys, sealed randomness or plaintext: written owner-only.
 _SECRET_KINDS = {_KDC_KIND, _KEYRING_KIND, RTU_STATE_KIND}
 MAX_BENCH_M = 1024  # bench's largest policy; its set-up issues one key per attribute
-
-
-def _make_rng(seed: int | None) -> random.Random:
-    return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
 def _add_group_args(parser: argparse.ArgumentParser) -> None:
@@ -76,13 +81,18 @@ def _warn_backend(backend: str) -> None:
                          "its public shares reveal every attribute secret \u03b1\n")
 
 
+def _owner_only(path: str) -> Path:
+    """Create the file at path owner-only, or narrow it when it exists, before a
+    secret lands in it."""
+    target = Path(path)
+    target.touch(mode=0o600)
+    target.chmod(0o600)
+    return target
+
+
 def _save(path: str, kind: str, header: dict[str, str], body: dict[str, Any]) -> None:
     """Write one CLI file: its kind, the group header, the body."""
-    target = Path(path)
-    if kind in _SECRET_KINDS:
-        # created owner-only, or narrowed when rewritten, before the secret lands
-        target.touch(mode=0o600)
-        target.chmod(0o600)
+    target = _owner_only(path) if kind in _SECRET_KINDS else Path(path)
     document = {"kind": kind, **header, **body}
     target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -105,6 +115,9 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
         raise ValueError(f"{path}: expected a {kind} file, found a JSON {type(document).__name__}")
     if document.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind} file, found kind {document.get('kind')!r}")
+    unknown = sorted(document.keys() - {"kind", *_GROUP_FIELDS, *_MEMBERS[kind]})
+    if unknown:
+        raise ValueError(f"{path}: unknown member {unknown[0]!r} in a {kind} file")
     header = {field: document.get(field) for field in _GROUP_FIELDS}
     if first is not None and header != first[1]:
         raise ValueError(f"{path}: the command's files use different groups")
@@ -112,7 +125,7 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
         if first is not None:
             ctx = first[0]
         else:
-            ctx = ctx_new(backend=header["backend"], q=_int(header["q"]), self_test=False)
+            ctx = ctx_new(backend=header["backend"], q=_int(header["q"]))
             _warn_backend(header["backend"])
         return ctx, header, decode(ctx, document)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -153,7 +166,7 @@ def _element(ctx: PairingContext, text: str, group_t: bool = False):
 
 
 def _emit(document: dict[str, Any]) -> None:
-    print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(render_report(document))
 
 
 def bundled_scenarios() -> list[str]:
@@ -183,8 +196,8 @@ def _cmd_run(args) -> int:
     report = run_scenario(scenario, seed=args.seed,
                           backend=args.backend, q=args.q, q_bits=args.q_bits)
     rendered = render_report(report)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+    if args.out:  # the report holds every granted payload
+        _owner_only(args.out).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
     sys.stderr.write(summarize_report(report))
@@ -406,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate.set_defaults(func=_cmd_run, out=None, backend="reference", q=None, q_bits=None)
 
     keygen = commands.add_parser("keygen-paillier", help="generate an aggregation keypair")
-    keygen.add_argument("--bits", type=int, default=2048,
-                        help="size of N; N has this many bits or one fewer (default: 2048)")
+    keygen.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS,
+                        help="size of N; N has this many bits or one fewer (default: %(default)s)")
     keygen.add_argument("--seed", type=int, default=None)
     keygen.set_defaults(func=_cmd_keygen_paillier)
 
@@ -457,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="meter an encrypt/decrypt round trip")
     bench.add_argument("--m", type=int, required=True, help="policy attribute count")
-    bench.add_argument("--tp", type=float, default=4.5, help="pairing cost, ms")
-    bench.add_argument("--tm", type=float, default=0.6, help="scalar multiplication cost, ms")
+    bench.add_argument("--tp", type=float, default=CostModel.t_pair_ms, help="pairing cost, ms")
+    bench.add_argument("--tm", type=float, default=CostModel.t_mul_ms,
+                       help="scalar multiplication cost, ms")
     bench.add_argument("--seed", type=int, default=None)
     _add_group_args(bench)
     bench.set_defaults(func=_cmd_bench)

@@ -73,6 +73,10 @@ def _read_json(text: str) -> Any:
     return json.loads(text, object_pairs_hook=_unique_members, parse_constant=_no_constant)
 
 
+def _make_rng(seed: int | None) -> random.Random:
+    return random.Random(seed) if seed is not None else random.SystemRandom()
+
+
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ScenarioError(path, message)
@@ -424,8 +428,7 @@ def run_scenario(
         "totals": {"pairings": 0, "scalar_muls": 0},
         "error": None,
     }
-    rng = random.Random(seed) if seed is not None else random.SystemRandom()
-    run = _Run(scenario, rng, {"backend": backend, "q": q, "q_bits": q_bits}, report)
+    run = _Run(scenario, _make_rng(seed), {"backend": backend, "q": q, "q_bits": q_bits}, report)
     for name, step in _PHASES:
         try:
             step(run)

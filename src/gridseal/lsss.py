@@ -247,17 +247,18 @@ class LsssProgram:
         ])
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["LsssProgram", int]:
-        """Strict inverse of to_bytes, linear in the input; returns (program, next offset).
+    def from_bytes(cls, data: bytes) -> tuple["LsssProgram", int]:
+        """Strict inverse of to_bytes, linear in the input: decodes the program at
+        the start of data and returns (program, the offset after it).
 
         Rejects with ValueError: n or h of zero, truncation, a row whose
         columns are not strictly increasing, a column outside 1..h, and a
         column no row uses.
         """
-        if offset + 8 > len(data):
+        if len(data) < 8:
             raise ValueError("truncated program dimensions")
-        n, h = struct.unpack_from(">II", data, offset)
-        offset += 8
+        n, h = struct.unpack_from(">II", data)
+        offset = 8
         if n == 0 or h == 0:
             raise ValueError("empty matrix")
         if offset + 4 * n > len(data):

@@ -27,13 +27,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .primes import generate_prime, is_probable_prime
+from .primes import _powmod, generate_prime, is_probable_prime
 from .wire import decode_uint, encode_uint
-
-try:  # optional fast path; big-integer modexp dominates every operation here
-    from gmpy2 import powmod as _powmod
-except ImportError:  # pragma: no cover
-    _powmod = pow
 
 MIN_KEY_BITS = 16
 MAX_KEY_BITS = 8192  # keygen time grows with about the fourth power of the size

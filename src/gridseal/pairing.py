@@ -378,7 +378,6 @@ def ctx_new(
     q: int | None = None,
     q_bits: int | None = None,
     rng: random.Random | None = None,
-    self_test: bool = True,
 ) -> PairingContext:
     """Build a pairing context.
 
@@ -391,7 +390,8 @@ def ctx_new(
     `is_probable_prime`, unless it is the pinned default: that constant is
     proven by the test suite, not on every call. A drawn order has already
     passed `generate_prime`'s test for random candidates and is not tested
-    again.
+    again. Every context then passes `_self_test`, off the meters, on draws
+    from `rng` (a fixed-seed generator when none is given).
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -406,6 +406,5 @@ def ctx_new(
         raise ValueError("group order must be prime")
     _, factory = _BACKENDS[backend]
     instance = factory(q)
-    if self_test:
-        _self_test(instance, rng)
+    _self_test(instance, rng)
     return PairingContext(instance)

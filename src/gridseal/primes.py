@@ -29,7 +29,7 @@ import hashlib
 import math
 import random
 
-try:  # optional fast path for the witness exponentiations
+try:  # optional fast path for modexp: the witness rounds here, every Paillier operation
     from gmpy2 import powmod as _powmod
 except ImportError:  # pragma: no cover
     _powmod = pow
@@ -85,14 +85,9 @@ def _miller_rabin_round(n: int, d: int, r: int, base: int) -> bool:
 def _derived_witnesses(n: int, count: int):
     """Deterministic witness stream keyed on n, so primality checks are reproducible."""
     seed = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    counter = 0
-    produced = 0
-    while produced < count:
+    for counter in range(count):
         digest = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
-        counter += 1
-        w = int.from_bytes(digest, "big") % (n - 3) + 2
-        produced += 1
-        yield w
+        yield int.from_bytes(digest, "big") % (n - 3) + 2
 
 
 def is_probable_prime(n: int) -> bool:
@@ -129,8 +124,6 @@ def generate_prime(bits: int, rng: random.Random) -> int:
     rounds = next((t for k, t in _AVERAGE_CASE_ROUNDS if bits >= k), _LARGE_ROUNDS)
     for _ in range(attempts):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if candidate.bit_length() != bits:
-            continue
         if _passes_miller_rabin(candidate, rounds):
             return candidate
     raise RuntimeError(f"prime generation exceeded retry budget ({attempts} attempts at {bits} bits)")

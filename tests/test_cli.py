@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from importlib import resources
 
@@ -67,6 +68,23 @@ def test_run_writes_report_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["error"] is None
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["created", "replaced"])
+def test_a_report_file_is_owner_only(tmp_path, capsys, existing):
+    # the report holds the payload of every granted attempt
+    target = tmp_path / "report.json"
+    if existing:
+        target.write_text("{}")
+        target.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        code, out, _ = run_cli(capsys, "run", "full_demo", "--seed", "1", "--out", str(target))
+    finally:
+        os.umask(umask)
+    assert (code, out) == (1, "")  # the auditor is denied
+    assert "ok" in [a["outcome"] for a in json.loads(target.read_text())["attempts"]]
+    assert target.stat().st_mode & 0o777 == 0o600
 
 
 def test_run_warns_once_about_the_reference_backend(capsys):
@@ -414,6 +432,16 @@ def test_a_command_builds_its_group_once(tmp_path, capsys, monkeypatch, group, p
     # four files, one group: a supplied order is proven once, the pinned one never
     assert len(calls) == proofs
     assert err.count(REFERENCE_WARNING) == 1
+
+
+def test_decrypt_self_tests_its_group_once(record, tmp_path, capsys, monkeypatch):
+    calls = []
+    self_test = pairing._self_test
+    monkeypatch.setattr(pairing, "_self_test",
+                        lambda backend, rng: calls.append(backend) or self_test(backend, rng))
+    code, out, _ = run_cli(capsys, *decrypt_argv(record, tmp_path))
+    assert (code, json.loads(out)["outcome"]) == (0, "ok")
+    assert len(calls) == 1  # three files, one group
 
 
 def test_issue_key_guards_foreign_keyring(keyfiles, tmp_path, capsys):
@@ -834,6 +862,17 @@ def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, 
     code, _, err = run_cli(capsys, *argv(record, tmp_path))
     assert code == 2
     assert str(record[name]) in err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ciphertext", decrypt_argv), ("state", revoke_argv), ("updates", decrypt_argv),
+    ("kdc", encrypt_argv), ("survivor", decrypt_argv)])
+def test_an_unknown_member_exits_2_naming_it(record, tmp_path, capsys, name, argv):
+    document = json.loads(record[name].read_text())
+    record[name].write_text(json.dumps({**document, "extra": 1}))
+    code, out, err = run_cli(capsys, *argv(record, tmp_path))
+    assert (code, out) == (2, "")
+    assert f"{record[name]}: unknown member 'extra' in a {document['kind']} file" in err
 
 
 def test_a_composite_run_order_is_blamed_on_kdc_setup(capsys):
