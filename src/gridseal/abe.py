@@ -196,7 +196,9 @@ class _Rows(SequenceABC):
     def __len__(self) -> int:
         return len(self.flags)
 
-    def __getitem__(self, index: int) -> CiphertextRow:
+    def __getitem__(self, index: int | slice) -> CiphertextRow | list[CiphertextRow]:
+        if isinstance(index, slice):
+            return [self[x] for x in range(len(self.flags))[index]]
         data, backend, at = self.data, self.backend, self.c2_at(index)
         c1 = None
         if self.flags[index]:

@@ -229,13 +229,25 @@ def _cmd_kdc_setup(args) -> int:
     return 0
 
 
+def _exact_members(entry: dict[str, Any], where: str, *names: str) -> list[Any]:
+    """The values of an object that holds exactly the members `names`."""
+    unknown = sorted(entry.keys() - set(names))
+    if unknown:
+        raise ValueError(f"unknown member {unknown[0]!r} in {where}")
+    return [entry[name] for name in names]
+
+
 def _kdc(ctx: PairingContext, fields: dict[str, Any]) -> abe.KdcKeyring:
     if not isinstance(fields["kdc_id"], str):
         raise ValueError("the kdc_id must be a string")
-    secrets = {a: abe.AttributeSecret(_int(s["alpha"]), _int(s["y"]))
-               for a, s in fields["secrets"].items()}
-    shares = {a: abe.PublicShare(_element(ctx, p["e_alpha"], True), _element(ctx, p["g_y"]))
-              for a, p in fields["shares"].items()}
+    secrets = {}
+    for a, s in fields["secrets"].items():
+        alpha, y = _exact_members(s, f"secrets.{a}", "alpha", "y")
+        secrets[a] = abe.AttributeSecret(_int(alpha), _int(y))
+    shares = {}
+    for a, p in fields["shares"].items():
+        e_alpha, g_y = _exact_members(p, f"shares.{a}", "e_alpha", "g_y")
+        shares[a] = abe.PublicShare(_element(ctx, e_alpha, True), _element(ctx, g_y))
     if secrets.keys() != shares.keys():
         raise ValueError("secrets and shares name different attributes")
     return abe.KdcKeyring(fields["kdc_id"], secrets, shares)

@@ -758,6 +758,22 @@ def test_a_fresh_record_reads_the_rows_its_bytes_decode_to(ctx):
         x in updates for x in range(program.n)]
 
 
+def test_a_slice_of_rows_reads_the_rows_the_list_gives(ctx):
+    rng = random.Random(39)
+    authority = kdc_setup(ctx, "A", ["a", "b", "c", "d", "e"], rng)
+    program = compile_lsss(parse_policy("(a & b) | (c & d) | e"))
+    fresh, state = abe_encrypt(ctx, authority.shares, program, b"slices", rng)
+    gone = build_user(ctx, (authority,), "gone", ["c"])
+    revoked, _, _ = revoke(ctx, authority.shares, fresh, state, [gone], rng)
+    slices = [slice(None), slice(0, 2), slice(1, None), slice(None, -1), slice(-2, None),
+              slice(None, None, 2), slice(None, None, -1), slice(4, 1, -2), slice(3, 3),
+              slice(7, 20), slice(-20, 2)]
+    for record in (fresh, revoked, AbeCiphertext.from_bytes(revoked.to_bytes(ctx), ctx)):
+        rows = list(record.rows)
+        for window in slices:
+            assert record.rows[window] == rows[window], window
+
+
 def test_a_fresh_record_builds_only_the_rows_decryption_pairs(ctx, monkeypatch):
     rng = random.Random(38)
     authority = kdc_setup(ctx, "A", ["a", "b", "c", "d", "e"], rng)

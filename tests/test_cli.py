@@ -875,6 +875,22 @@ def test_an_unknown_member_exits_2_naming_it(record, tmp_path, capsys, name, arg
     assert f"{record[name]}: unknown member 'extra' in a {document['kind']} file" in err
 
 
+@pytest.mark.parametrize("section, member", [("secrets", "alpha"), ("shares", "e_alpha")])
+@pytest.mark.parametrize("argv", [encrypt_argv, issue_argv, revoke_argv])
+def test_an_unknown_member_of_a_kdc_entry_exits_2_naming_it(record, tmp_path, capsys,
+                                                             section, member, argv):
+    document = json.loads(record["kdc"].read_text())
+    attribute = sorted(document[section])[-1]
+    document[section][attribute]["extra"] = 1
+    record["kdc"].write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv(record, tmp_path))
+    assert (code, out) == (2, "")
+    assert str(record["kdc"]) in err and f"unknown member 'extra' in {section}.{attribute}" in err
+    del document[section][attribute]["extra"], document[section][attribute][member]
+    record["kdc"].write_text(json.dumps(document))
+    assert run_cli(capsys, *argv(record, tmp_path))[0] == 2  # and a missing one
+
+
 def test_a_composite_run_order_is_blamed_on_kdc_setup(capsys):
     # sec51_access has no aggregation section; the group is built at authority set-up
     code, out, err = run_cli(capsys, "run", "sec51_access", "--seed", "1", "--q", "15")

@@ -352,6 +352,18 @@ def test_ciphertext_invariants(desk_keys):
         PaillierCiphertext(35, pk.modulus)  # shares a factor with N^2
 
 
+def test_a_ciphertext_is_refused_exactly_when_it_is_no_unit_modulo_n_squared():
+    for q1, q2 in ((5, 7), (11, 13), (3, 17)):
+        n = q1 * q2
+        for value in range(1, n * n):
+            try:
+                PaillierCiphertext(value, n)
+            except ValueError:
+                assert math.gcd(value, n * n) != 1, (n, value)
+            else:
+                assert math.gcd(value, n * n) == 1, (n, value)
+
+
 def test_serialization_round_trip(small_keys):
     pk, sk = small_keys
     assert PaillierPublicKey.from_bytes(pk.to_bytes()) == pk

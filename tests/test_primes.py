@@ -1,5 +1,8 @@
+import ctypes.util
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import sympy
@@ -54,7 +57,7 @@ def rounds(monkeypatch):
 
 
 def test_a_large_candidate_with_a_factor_below_2_16_costs_no_round(rounds):
-    n = 65521 * primes.generate_prime(1008, random.Random(15))
+    n = 65521 * primes.generate_prime(primes._SIEVE_FLOOR_BITS, random.Random(15))
     assert n.bit_length() >= primes._SIEVE_FLOOR_BITS
     rounds[0] = 0
     assert not primes._passes_miller_rabin(n, 3)
@@ -62,27 +65,108 @@ def test_a_large_candidate_with_a_factor_below_2_16_costs_no_round(rounds):
     assert rounds[0] == 0
 
 
-def test_the_sieve_cuts_the_rounds_of_a_seeded_2048_bit_keygen(rounds, monkeypatch):
-    # 29 of the 91 composites that pass trial division below 2,000 have a
-    # factor in (2,000, 2^16); 6 rounds prove the two kept primes
-    paillier_keygen(2048, random.Random(1))
-    assert rounds[0] == 68
+def test_the_sieve_cuts_the_rounds_of_a_seeded_4096_bit_keygen(rounds, monkeypatch):
+    # 37 of the 128 composites that pass trial division below 2,000 have a
+    # factor in (2,000, 2^16); 4 rounds prove the two kept primes
+    paillier_keygen(4096, random.Random(1))
+    assert rounds[0] == 95
     rounds[0] = 0
-    monkeypatch.setattr(primes, "_SIEVE_FLOOR_BITS", 2049)
-    paillier_keygen(2048, random.Random(1))
-    assert rounds[0] == 97
+    monkeypatch.setattr(primes, "_SIEVE_FLOOR_BITS", 4097)
+    paillier_keygen(4096, random.Random(1))
+    assert rounds[0] == 132
 
 
-def test_candidates_below_512_bits_never_touch_the_sieve(monkeypatch):
+def test_candidates_below_1300_bits_never_touch_the_sieve(monkeypatch):
     def refuse():
         raise AssertionError("the sieve product was used")
 
     monkeypatch.setattr(primes, "_sieve_product", refuse)
     for seed in range(3):
+        paillier_keygen(2048, random.Random(seed))
         paillier_keygen(512, random.Random(seed))
         paillier_keygen(256, random.Random(seed))
     for name in bundled_scenarios():
         assert run_scenario(_resolve_scenario(name), seed=1)["error"] is None, name
-    assert primes.is_probable_prime(primes.generate_prime(511, random.Random(4)))
+    assert primes.is_probable_prime(primes.generate_prime(1299, random.Random(4)))
     with pytest.raises(AssertionError, match="sieve product"):
-        primes.generate_prime(512, random.Random(4))
+        primes.generate_prime(1300, random.Random(4))
+
+
+needs_libcrypto = pytest.mark.skipif(
+    primes._powmod is pow, reason="libcrypto's BN_mod_exp cannot be loaded here")
+
+
+def _powmod_operands():
+    """Seeded (base, exponent, modulus) triples: moduli of 2 to 16,384 bits, odd
+    and even, bases above the modulus, exponent 0, and results of 0 and 1."""
+    rng = random.Random(24)
+    cases = []
+    for bits in (2, 3, 8, 63, 64, 65, 127, 512, 1023, 1024, 2048, 4096, 16384):
+        for parity in (0, 1):
+            modulus = (rng.getrandbits(bits) | 1 << (bits - 1)) & ~1 | parity
+            exponent = rng.getrandbits(min(bits, 512)) | 1
+            cases += [
+                (rng.randrange(modulus), exponent, modulus),
+                (modulus + rng.randrange(modulus), exponent, modulus),  # base above the modulus
+                (rng.getrandbits(3 * bits), exponent, modulus),
+                (rng.randrange(modulus), 0, modulus),  # exponent 0: result 1
+                (0, exponent, modulus),  # result 0
+                (3 * modulus, exponent, modulus),  # result 0
+                (1, exponent, modulus),  # result 1
+                (modulus - 1, 2 * exponent, modulus),  # result 1
+                (0, 0, modulus),
+            ]
+    # even moduli sharing the base's factors, with result 0
+    cases += [(2, 70, 2 ** 64), (6, 200, 2 ** 100 * 3 ** 20)]
+    return cases
+
+
+def test_powmod_agrees_with_pow_on_seeded_operands():
+    cases = _powmod_operands()
+    results = [primes._powmod(*case) for case in cases]
+    assert results == [pow(*case) for case in cases]
+    assert 0 in results and 1 in results
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("base, exponent, modulus", [
+    (-1, 5, 7), (-(2 ** 2048), 5, 2 ** 2048 + 1),  # a negative base
+    (3, -1, 7), (3, -(2 ** 100), 2 ** 127 - 1),  # a negative exponent
+    (3, 5, 1), (3, 5, 0), (3, 5, -7), (0, 0, 1),  # a modulus below 2
+])
+def test_powmod_refuses_operands_outside_its_domain(base, exponent, modulus):
+    with pytest.raises(ValueError):
+        primes._powmod(base, exponent, modulus)
+
+
+def test_powmod_gives_four_threads_the_same_answers():
+    cases = [case for case in _powmod_operands() if case[2].bit_length() <= 4096] * 3
+    expected = [pow(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = [pool.submit(lambda: [primes._powmod(*case) for case in cases])
+                       for _ in range(4)]
+            assert [answer.result(timeout=120) for answer in answers] == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_loader_falls_back_to_pow_without_the_library_or_a_symbol(monkeypatch):
+    find = ctypes.util.find_library
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    assert primes._load_powmod() is pow
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libgridseal-absent.so.0")
+    assert primes._load_powmod() is pow
+    if find("c") is not None:  # a library that loads but has no BN_mod_exp
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: find("c"))
+        assert primes._load_powmod() is pow
+
+
+@pytest.mark.skipif(ctypes.util.find_library("crypto") is None,
+                    reason="no libcrypto on this platform")
+def test_powmod_is_libcrypto_wherever_the_library_resolves():
+    # a wrong signature or a missing symbol must not quietly bring back pow, ten times slower
+    assert primes._powmod is not pow
+    assert primes._load_powmod() is not pow
