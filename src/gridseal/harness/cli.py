@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -132,6 +133,24 @@ def _load(path: str, kind: str, decode: Callable[[PairingContext, dict[str, Any]
         raise ValueError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from None
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file: one inode, or one resolved path where
+    either does not exist yet."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return Path(path).resolve() == Path(other).resolve()
+
+
+def _refuse_overwrites(outputs: list[tuple[str, str]], inputs: list[tuple[str, str]]) -> None:
+    """Before any write, refuse an output (option, path) that names the same file
+    as another output or an input, which the write would silently replace."""
+    for i, (option, path) in enumerate(outputs):
+        for other_option, other in outputs[:i] + inputs:
+            if _same_file(path, other):
+                raise ValueError(f"{option} {path} would overwrite {other_option} {other}")
+
+
 def _int(text: str) -> int:
     """Inverse of str(int): no '+', space, '_', leading zero or non-ASCII digit."""
     if not isinstance(text, str) or str(int(text)) != text:  # int() takes JSON numbers too
@@ -188,6 +207,8 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
 
 def _cmd_run(args) -> int:
     """`run`, and `aggregate` of the aggregation section alone: the report and its summary."""
+    if args.out and Path(args.scenario).exists():
+        _refuse_overwrites([("--out", args.out)], [("scenario", args.scenario)])
     scenario = _resolve_scenario(args.scenario)
     if args.command == "aggregate":
         scenario = Scenario(scenario.paillier, scenario.topology, scenario.readings)
@@ -261,6 +282,7 @@ def _keyring(ctx: PairingContext, fields: dict[str, Any]) -> abe.UserKeyring:
 
 
 def _cmd_issue_key(args) -> int:
+    _refuse_overwrites([("--keyring", args.keyring)], [("--kdc", args.kdc)])
     ctx, header, kdc = _load(args.kdc, _KDC_KIND, _kdc)
     try:
         _, _, keyring = _load(args.keyring, _KEYRING_KIND, _keyring, (ctx, header))
@@ -317,12 +339,29 @@ def _updates(ctx: PairingContext, fields: dict[str, Any]
                               for i, e in fields["rows"].items()}
 
 
+def _shares(paths: list[str], first: tuple[PairingContext, dict[str, str]] | None = None,
+            ) -> tuple[PairingContext, dict[str, str], dict[str, abe.PublicShare]]:
+    """The public shares of a command's --kdc files, read in order under `first`'s
+    group or the first file's. An attribute that two files publish with different
+    shares is refused, naming both files; the same share twice is read once."""
+    shares: dict[str, abe.PublicShare] = {}
+    publisher: dict[str, str] = {}
+    for path in paths:
+        ctx, header, kdc = _load(path, _KDC_KIND, _kdc, first)
+        first = (ctx, header)
+        for attribute, share in kdc.shares.items():
+            if shares.setdefault(attribute, share) != share:
+                raise ValueError(f"{publisher[attribute]} and {path} publish different "
+                                 f"shares for attribute {attribute!r}")
+            publisher.setdefault(attribute, path)
+    return first[0], first[1], shares
+
+
 def _cmd_encrypt(args) -> int:
+    _refuse_overwrites([("--out", args.out), ("--state", args.state)],
+                       [("--kdc", path) for path in args.kdc])
     rng = _make_rng(args.seed)
-    ctx, header, kdc = _load(args.kdc[0], _KDC_KIND, _kdc)
-    shares = dict(kdc.shares)
-    for kdc_path in args.kdc[1:]:
-        shares.update(_load(kdc_path, _KDC_KIND, _kdc, (ctx, header))[2].shares)
+    ctx, header, shares = _shares(args.kdc)
     program = compile_lsss(parse_policy(args.policy))
     ciphertext, state = abe.abe_encrypt(
         ctx, shares, program, args.payload.encode("utf-8"), rng)
@@ -352,12 +391,15 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_revoke(args) -> int:
+    # the record and its state are rewritten in place
+    _refuse_overwrites(
+        [("--ciphertext", args.ciphertext), ("--state", args.state),
+         ("--out-updates", args.out_updates)],
+        [("--kdc", path) for path in args.kdc] + [("--revoked", path) for path in args.revoked])
     rng = _make_rng(args.seed)
     ctx, header, ciphertext = _load(args.ciphertext, CIPHERTEXT_KIND, _ciphertext)
     _, _, state = _load(args.state, RTU_STATE_KIND, _state, (ctx, header))
-    shares: dict[str, abe.PublicShare] = {}
-    for kdc_path in args.kdc:
-        shares.update(_load(kdc_path, _KDC_KIND, _kdc, (ctx, header))[2].shares)
+    shares = _shares(args.kdc, (ctx, header))[2]
     revoked = [_load(path, _KEYRING_KIND, _keyring, (ctx, header))[2]
                for path in args.revoked]
     new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)

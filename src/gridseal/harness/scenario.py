@@ -102,11 +102,12 @@ class Scenario:
 
     Built by `load_scenario`; `run_scenario` runs it any number of times
     without validating again. Every field is optional, like the document's
-    top-level keys: `paillier` None skips aggregation, and `topology` None
-    keeps the aggregation section to key generation alone.
+    top-level keys: `paillier`, the RTU's Paillier key size in bits, None
+    skips aggregation, and `topology` None keeps the aggregation section to
+    key generation alone.
     """
 
-    paillier: Mapping[str, int] | None = None
+    paillier: int | None = None
     topology: AggregationTopology | None = None
     readings: Mapping[str, tuple[AttributeTag, int]] = field(default_factory=dict)
     kdcs: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -135,21 +136,10 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
 
     paillier = document.get("paillier")
     if paillier is not None:
-        _check_keys(paillier, ("bits", "q1", "q2"), "paillier")
-        if "bits" in paillier:
-            _require("q1" not in paillier and "q2" not in paillier,
-                     "paillier", "give bits or injected primes, not both")
-            _require(isinstance(paillier["bits"], int)
-                     and MIN_KEY_BITS <= paillier["bits"] <= MAX_KEY_BITS,
-                     "paillier.bits", f"need an integer from {MIN_KEY_BITS} to {MAX_KEY_BITS}")
-        else:
-            _require("q1" in paillier and "q2" in paillier,
-                     "paillier", "need bits or both q1 and q2")
-            for key in ("q1", "q2"):
-                value = paillier[key]
-                _require(isinstance(value, int) and not isinstance(value, bool) and value >= 2,
-                         f"paillier.{key}", "need an integer of at least 2")
-        paillier = dict(paillier)
+        _check_keys(paillier, ("bits",), "paillier")
+        paillier = paillier.get("bits")
+        _require(isinstance(paillier, int) and MIN_KEY_BITS <= paillier <= MAX_KEY_BITS,
+                 "paillier.bits", f"need an integer from {MIN_KEY_BITS} to {MAX_KEY_BITS}")
 
     topology = document.get("topology")
     built = None
@@ -293,13 +283,10 @@ class _Run:
     states: dict[str, abe.EncryptionState] = field(default_factory=dict)
 
     def aggregate(self) -> None:
-        scenario, config = self.scenario, self.scenario.paillier
-        if config is None:
+        scenario = self.scenario
+        if scenario.paillier is None:
             return
-        if "bits" in config:
-            pk, sk = paillier_keygen(config["bits"], rng=self.rng)
-        else:
-            pk, sk = paillier_keygen(rng=self.rng, q1=config["q1"], q2=config["q2"])
+        pk, sk = paillier_keygen(scenario.paillier, rng=self.rng)
         section: dict[str, Any] = {"modulus_bits": pk.bit_length, "tags": [], "meters": 0,
                                    "warnings": []}
         self.report["aggregation"] = section

@@ -26,17 +26,16 @@ seed draws.
 
 Every modular exponentiation of the package, here and in `paillier`, goes
 through `_powmod`: libcrypto's BN_mod_exp, bound through ctypes to the
-system's OpenSSL library, the one Python's ssl and hashlib modules normally
-link against, or the built-in pow where that library or one of its symbols
-cannot be loaded. At 2,048-bit N, r^N mod
-N^2 takes about 9-13 ms through libcrypto against 100-150 ms through pow, and
-a 1,024-bit Miller-Rabin round about 0.35 ms against 3.4-3.8 ms.
+OpenSSL library the interpreter's `_hashlib` module already loaded, or the
+built-in pow where that module, the library or one of its symbols cannot be
+loaded. At 2,048-bit N, r^N mod N^2 takes about 9-13 ms through libcrypto
+against 100-150 ms through pow, and a 1,024-bit Miller-Rabin round about
+0.35 ms against 3.4-3.8 ms.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import functools
 import hashlib
 import math
@@ -45,16 +44,15 @@ import random
 
 def _load_powmod():
     """libcrypto's BN_mod_exp behind pow's three-argument signature, or the
-    built-in pow where the library or one of its symbols cannot be loaded."""
-    path = ctypes.util.find_library("crypto")
-    if path is None:
-        return pow
+    built-in pow where the library or one of its symbols cannot be loaded.
+    A symbol looked up on `_hashlib`'s handle resolves in its libcrypto."""
     try:
-        lib = ctypes.CDLL(path)
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
         ctx_new, ctx_free = lib.BN_CTX_new, lib.BN_CTX_free
         bn_new, bn_free = lib.BN_new, lib.BN_free
         bin2bn, bn2binpad, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp
-    except (OSError, AttributeError):
+    except (ImportError, OSError, AttributeError):
         return pow
 
     def nonnull(result, func, args):

@@ -190,6 +190,17 @@ def test_an_oversized_scenario_key_exits_2_before_any_keygen(no_keygen, tmp_path
     assert "paillier.bits" in err and "16 to 8192" in err
 
 
+def test_a_scenario_with_injected_primes_exits_2_at_paillier_q1(no_keygen, tmp_path, capsys):
+    scenario = json.loads(resources.files("gridseal.harness").joinpath(
+        "scenarios", "fig2_aggregation.json").read_text(encoding="utf-8"))
+    scenario["paillier"] = {"q1": 5, "q2": 7}
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert "paillier.q1: unknown field" in err
+
+
 def test_aggregate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "aggregate", "full_demo", "--seed", "2")
     assert code == 0
@@ -949,3 +960,111 @@ def test_a_scenario_file_with_a_duplicate_member_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == f"validation error: {path}: not a JSON document " \
                   "(member 'schema' appears twice)\n"
+
+
+@pytest.fixture()
+def conflicting_kdcs(tmp_path, capsys):
+    """Authority A publishes d1 and d2, authority B its own, different share for d1."""
+    kdc_a, kdc_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["kdc-setup", "--kdc-id", "A", "--attrs", "d1,d2", "--out", str(kdc_a),
+                 "--seed", "1"]) == 0
+    assert main(["kdc-setup", "--kdc-id", "B", "--attrs", "d1", "--out", str(kdc_b),
+                 "--seed", "2"]) == 0
+    capsys.readouterr()
+    return kdc_a, kdc_b
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["a-then-b", "b-then-a"])
+def test_encrypt_refuses_authorities_that_publish_different_shares(conflicting_kdcs, tmp_path,
+                                                                   capsys, order):
+    # read in order, the later file's share silently replaced the earlier one's
+    first, second = (conflicting_kdcs[i] for i in order)
+    ct, state = tmp_path / "record.json", tmp_path / "state.json"
+    code, out, err = run_cli(capsys, "encrypt", "--policy", "d1", "--payload", "x",
+                             "--kdc", str(first), "--kdc", str(second),
+                             "--out", str(ct), "--state", str(state), "--seed", "3")
+    assert (code, out) == (2, "")
+    assert f"{first} and {second} publish different shares for attribute 'd1'" in err
+    assert not ct.exists() and not state.exists()
+
+
+def test_revoke_refuses_authorities_that_publish_different_shares(conflicting_kdcs, tmp_path,
+                                                                  capsys):
+    kdc_a, kdc_b = conflicting_kdcs
+    ct, state, keyring = (tmp_path / f"{name}.json" for name in ("record", "state", "user"))
+    # the same file given twice is one authority, read once
+    assert main(["encrypt", "--policy", "d1 | d2", "--payload", "x", "--kdc", str(kdc_a),
+                 "--kdc", str(kdc_a), "--out", str(ct), "--state", str(state),
+                 "--seed", "3"]) == 0
+    assert main(["issue-key", "--kdc", str(kdc_a), "--user", "u", "--attrs", "d1",
+                 "--keyring", str(keyring)]) == 0
+    capsys.readouterr()
+    before = ct.read_bytes(), state.read_bytes()
+    code, out, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
+                             "--kdc", str(kdc_a), "--kdc", str(kdc_b), "--revoked", str(keyring),
+                             "--out-updates", str(tmp_path / "updates.json"), "--seed", "4")
+    assert (code, out) == (2, "")
+    assert f"{kdc_a} and {kdc_b} publish different shares for attribute 'd1'" in err
+    assert (ct.read_bytes(), state.read_bytes()) == before
+    assert not (tmp_path / "updates.json").exists()
+
+
+def _scenario_over_itself(files, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(resources.files("gridseal.harness").joinpath(
+        "scenarios", "fig2_aggregation.json").read_text(encoding="utf-8"))
+    return (["run", str(scenario), "--seed", "1", "--out", str(scenario)],
+            f"--out {scenario} would overwrite scenario {scenario}")
+
+
+def _encrypt_out_over_state(files, tmp_path):
+    out, state = f"{tmp_path}/sub/../x.json", tmp_path / "x.json"
+    return (["encrypt", "--policy", "alpha", "--payload", "x", "--kdc", str(files["kdc"]),
+             "--out", out, "--state", str(state)], f"--state {state} would overwrite --out {out}")
+
+
+def _encrypt_state_over_a_hard_link_of_out(files, tmp_path):
+    out, state = tmp_path / "x.json", tmp_path / "y.json"
+    out.write_text("{}")
+    os.link(out, state)
+    return (["encrypt", "--policy", "alpha", "--payload", "x", "--kdc", str(files["kdc"]),
+             "--out", str(out), "--state", str(state)],
+            f"--state {state} would overwrite --out {out}")
+
+
+def _encrypt_out_over_kdc(files, tmp_path):
+    kdc = files["kdc"]
+    return (["encrypt", "--policy", "alpha", "--payload", "x", "--kdc", str(kdc),
+             "--out", str(kdc), "--state", str(tmp_path / "fresh_state.json")],
+            f"--out {kdc} would overwrite --kdc {kdc}")
+
+
+def _revoke_with(name, option, over):
+    def case(files, tmp_path):
+        path = files[over]
+        return (revoke_argv({**files, name: path}, tmp_path),
+                f"{option} {path} would overwrite")
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_encrypt_out_over_state, id="encrypt-out-is-state"),
+    pytest.param(_encrypt_state_over_a_hard_link_of_out, id="encrypt-state-links-to-out"),
+    pytest.param(_encrypt_out_over_kdc, id="encrypt-out-is-kdc"),
+    pytest.param(_revoke_with("updates", "--out-updates", "state"),
+                 id="revoke-out-updates-is-state"),
+    pytest.param(_revoke_with("updates", "--out-updates", "kdc"), id="revoke-out-updates-is-kdc"),
+    pytest.param(_revoke_with("state", "--state", "ciphertext"), id="revoke-state-is-ciphertext"),
+    pytest.param(_revoke_with("keyring", "--state", "state"), id="revoke-revoked-is-state"),
+    pytest.param(lambda f, t: (issue_argv({**f, "keyring": f["kdc"]}, t),
+                               f"--keyring {f['kdc']} would overwrite --kdc {f['kdc']}"),
+                 id="issue-key-keyring-is-kdc"),
+    pytest.param(_scenario_over_itself, id="run-out-is-scenario"),
+])
+def test_an_output_that_would_overwrite_another_file_exits_2(record, tmp_path, capsys, case):
+    argv, message = case(record, tmp_path)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before

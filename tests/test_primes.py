@@ -1,12 +1,18 @@
-import ctypes.util
+import _ctypes
+import ctypes
 import math
+import os
 import random
+import subprocess
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import sympy
 
+import gridseal
 from gridseal import primes
 from gridseal.harness import run_scenario
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
@@ -154,19 +160,34 @@ def test_powmod_gives_four_threads_the_same_answers():
 
 
 def test_the_loader_falls_back_to_pow_without_the_library_or_a_symbol(monkeypatch):
-    find = ctypes.util.find_library
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # the import raises ImportError
     assert primes._load_powmod() is pow
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libgridseal-absent.so.0")
+    # a handle that opens but has no BN_mod_exp: _ctypes links no libcrypto
+    monkeypatch.setitem(sys.modules, "_hashlib", types.SimpleNamespace(__file__=_ctypes.__file__))
     assert primes._load_powmod() is pow
-    if find("c") is not None:  # a library that loads but has no BN_mod_exp
-        monkeypatch.setattr(ctypes.util, "find_library", lambda name: find("c"))
-        assert primes._load_powmod() is pow
 
 
-@pytest.mark.skipif(ctypes.util.find_library("crypto") is None,
-                    reason="no libcrypto on this platform")
+def _hashlib_resolves_bn_mod_exp() -> bool:
+    try:
+        import _hashlib
+        return hasattr(ctypes.CDLL(_hashlib.__file__), "BN_mod_exp")
+    except (ImportError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _hashlib_resolves_bn_mod_exp(),
+                    reason="_hashlib's handle resolves no BN_mod_exp on this platform")
 def test_powmod_is_libcrypto_wherever_the_library_resolves():
     # a wrong signature or a missing symbol must not quietly bring back pow, ten times slower
     assert primes._powmod is not pow
     assert primes._load_powmod() is not pow
+
+
+def test_importing_gridseal_starts_no_child_process():
+    # ctypes.util.find_library runs ldconfig in a child process, through subprocess
+    env = dict(os.environ, PYTHONPATH=str(Path(gridseal.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, gridseal\n"
+         "print(sorted({'ctypes.util', 'subprocess'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert loaded.stdout == "[]\n"
