@@ -20,7 +20,6 @@ from typing import Any, Callable
 
 from .. import abe
 from ..lsss import LsssProgram, compile_lsss, parse_policy
-from ..paillier import DEFAULT_KEY_BITS, paillier_keygen
 from ..pairing import GroupElementG, GroupElementGT, PairingContext, ctx_new
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
@@ -158,10 +157,18 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _ints(texts: list[str]) -> tuple[int, ...]:
+def _scalar(ctx: PairingContext, text: str, low: int, where: str) -> int:
+    """_int of text, refused outside [low, q), the range its value is drawn from."""
+    value = _int(text)
+    if not low <= value < ctx.q:
+        raise ValueError(f"{where} must lie in [{low}, q), found {text}")
+    return value
+
+
+def _scalars(ctx: PairingContext, texts: list[str], low: int, name: str) -> tuple[int, ...]:
     if not isinstance(texts, list):
         raise ValueError("expected a list of decimal integer strings")
-    return tuple(_int(text) for text in texts)
+    return tuple(_scalar(ctx, text, low, f"{name}[{i}]") for i, text in enumerate(texts))
 
 
 def _bytes(text: str) -> bytes:
@@ -226,13 +233,6 @@ def _cmd_run(args) -> int:
     return 0 if report["error"] is None and opened else 1
 
 
-def _cmd_keygen_paillier(args) -> int:
-    pk, sk = paillier_keygen(args.bits, rng=_make_rng(args.seed))
-    _emit({"modulus_bits": pk.bit_length, "public": pk.to_bytes().hex(),
-           "secret": sk.to_bytes().hex()})
-    return 0
-
-
 def _cmd_kdc_setup(args) -> int:
     rng = _make_rng(args.seed)
     ctx = _ctx_from_args(args, rng)
@@ -264,7 +264,8 @@ def _kdc(ctx: PairingContext, fields: dict[str, Any]) -> abe.KdcKeyring:
     secrets = {}
     for a, s in fields["secrets"].items():
         alpha, y = _exact_members(s, f"secrets.{a}", "alpha", "y")
-        secrets[a] = abe.AttributeSecret(_int(alpha), _int(y))
+        secrets[a] = abe.AttributeSecret(_scalar(ctx, alpha, 1, f"secrets.{a}.alpha"),
+                                         _scalar(ctx, y, 1, f"secrets.{a}.y"))
     shares = {}
     for a, p in fields["shares"].items():
         e_alpha, g_y = _exact_members(p, f"shares.{a}", "e_alpha", "g_y")
@@ -328,8 +329,8 @@ def _state(ctx: PairingContext, fields: dict[str, Any]) -> abe.EncryptionState:
     program, end = LsssProgram.from_bytes(data)
     if end != len(data):
         raise ValueError("trailing bytes after the program")
-    return abe.EncryptionState(program, _ints(fields["v"]), _ints(fields["rho"]),
-                               _bytes(fields["payload"]))
+    return abe.EncryptionState(program, _scalars(ctx, fields["v"], 0, "v"),
+                               _scalars(ctx, fields["rho"], 1, "rho"), _bytes(fields["payload"]))
 
 
 def _updates(ctx: PairingContext, fields: dict[str, Any]
@@ -471,12 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate.add_argument("scenario")
     aggregate.add_argument("--seed", type=int, default=None)
     aggregate.set_defaults(func=_cmd_run, out=None, backend="reference", q=None, q_bits=None)
-
-    keygen = commands.add_parser("keygen-paillier", help="generate an aggregation keypair")
-    keygen.add_argument("--bits", type=int, default=DEFAULT_KEY_BITS,
-                        help="size of N; N has this many bits or one fewer (default: %(default)s)")
-    keygen.add_argument("--seed", type=int, default=None)
-    keygen.set_defaults(func=_cmd_keygen_paillier)
 
     kdc = commands.add_parser("kdc-setup", help="create an authority keyring file")
     kdc.add_argument("--kdc-id", required=True, dest="kdc_id")

@@ -25,6 +25,7 @@ from typing import Any, Mapping
 
 from .. import abe
 from ..aggregation import (
+    ROLES,
     AggregationTopology,
     AttributeTag,
     TopologyNode,
@@ -152,7 +153,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         for i, node in enumerate(nodes):
             _check_keys(node, ("id", "role", "parent"), f"topology.nodes[{i}]")
             _require(isinstance(node.get("id"), str), f"topology.nodes[{i}].id", "need a string id")
-            _require(node.get("role") in ("HAN", "BAN", "NAN"),
+            _require(node.get("role") in ROLES,
                      f"topology.nodes[{i}].role", "role must be HAN, BAN or NAN")
             _require(node.get("parent") is None or isinstance(node["parent"], str),
                      f"topology.nodes[{i}].parent", "need a string id or null")

@@ -62,11 +62,6 @@ class PaillierPublicKey:
             raise ValueError("modulus must exceed 1")
 
     @property
-    def generator(self) -> int:
-        """g = N + 1, the only generator decryption supports (h_p and h_q are derived for it)."""
-        return self.modulus + 1
-
-    @property
     def modulus_squared(self) -> int:
         return self.modulus * self.modulus
 
@@ -74,23 +69,13 @@ class PaillierPublicKey:
     def bit_length(self) -> int:
         return self.modulus.bit_length()
 
-    def to_bytes(self) -> bytes:
-        return encode_uint(self.modulus)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PaillierPublicKey":
-        modulus, off = decode_uint(data, 0)
-        if off != len(data):
-            raise ValueError("trailing bytes after public key")
-        return cls(modulus)
-
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
     """Secret half: the two primes of N, from which the decryption constants are derived.
 
-    Construction does not test the primes, because keygen draws them already
-    tested; `from_bytes`, which reads outside input, does.
+    Construction does not test the primes: keygen does, the injected ones
+    included.
     """
 
     q1: int
@@ -125,19 +110,6 @@ class PaillierSecretKey:
         """q2^-1 mod q1, the constant of Garner's recombination."""
         return pow(self.q2, -1, self.q1)
 
-    def to_bytes(self) -> bytes:
-        return encode_uint(self.q1) + encode_uint(self.q2)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PaillierSecretKey":
-        q1, off = decode_uint(data, 0)
-        q2, off = decode_uint(data, off)
-        if off != len(data):
-            raise ValueError("trailing bytes after secret key")
-        if not (is_probable_prime(q1) and is_probable_prime(q2)):
-            raise ValueError("secret key factors must be prime")
-        return cls(q1, q2)
-
 
 @dataclass(frozen=True)
 class PaillierCiphertext:
@@ -158,7 +130,7 @@ class PaillierCiphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes, pk: PaillierPublicKey) -> "PaillierCiphertext":
-        value, off = decode_uint(data, 0)
+        value, off = decode_uint(data)
         if off != len(data):
             raise ValueError("trailing bytes after ciphertext")
         return cls(value, pk.modulus)

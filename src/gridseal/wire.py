@@ -13,18 +13,18 @@ def encode_uint(value: int) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-def decode_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Return (value, next_offset); raises ValueError on truncation and on a
-    leading zero body byte, so each value has exactly one encoding."""
-    if offset + 4 > len(data):
+def decode_uint(data: bytes) -> tuple[int, int]:
+    """Return (value, end) of the integer at the start of data; raises ValueError
+    on truncation and on a leading zero body byte, so each value has exactly one encoding."""
+    if len(data) < 4:
         raise ValueError("truncated length prefix")
-    (length,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    if offset + length > len(data):
+    (length,) = struct.unpack_from(">I", data)
+    end = 4 + length
+    if end > len(data):
         raise ValueError("truncated integer body")
-    if length and data[offset] == 0:
+    if length and data[4] == 0:
         raise ValueError("integer body has a leading zero byte")
-    return int.from_bytes(data[offset:offset + length], "big"), offset + length
+    return int.from_bytes(data[4:end], "big"), end
 
 
 def encode_short_str(text: str) -> bytes:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -11,13 +12,6 @@ from gridseal.harness.cli import _resolve_scenario, bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.harness.scenario import Scenario, load_scenario, render_report, run_scenario
 from gridseal.lsss import compile_lsss, parse_policy
-from gridseal.paillier import (
-    PaillierPublicKey,
-    PaillierSecretKey,
-    paillier_decrypt,
-    paillier_encrypt,
-    paillier_keygen,
-)
 from gridseal.pairing import ReferenceBackend
 from gridseal.primes import is_probable_prime
 
@@ -157,11 +151,11 @@ def no_keygen(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["keygen-paillier", "--bits", "8193"], "16..8192"),
-    (["kdc-setup", "--kdc-id", "A", "--attrs", "a", "--out", "kdc.json", "--q-bits", "1025"],
-     "at most 1024"),
+    pytest.param(["kdc-setup", "--kdc-id", "A", "--attrs", "a", "--out", "kdc.json",
+                  "--q-bits", "1025"], "at most 1024", id="argv1-at most 1024"),
     # with --q-bits a missing --m check would draw the group order first
-    (["bench", "--m", "1025", "--q-bits", "64"], "--m must be at most 1024"),
+    pytest.param(["bench", "--m", "1025", "--q-bits", "64"], "--m must be at most 1024",
+                 id="argv2---m must be at most 1024"),
 ])
 def test_oversized_requests_exit_2_before_any_keygen(no_keygen, tmp_path, monkeypatch, capsys,
                                                      argv, message):
@@ -201,37 +195,24 @@ def test_a_scenario_with_injected_primes_exits_2_at_paillier_q1(no_keygen, tmp_p
     assert "paillier.q1: unknown field" in err
 
 
+def test_the_cli_offers_exactly_its_commands(capsys):
+    # a Paillier key pair lives only inside a run; no command prints one
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands.choices) == {"run", "aggregate", "kdc-setup", "issue-key", "encrypt",
+                                     "decrypt", "revoke", "bench"}
+    code, out, err = run_cli(capsys, "keygen-paillier", "--bits", "64")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'keygen-paillier'" in err
+
+
 def test_aggregate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "aggregate", "full_demo", "--seed", "2")
     assert code == 0
     report = json.loads(out)
     assert report["aggregation"]["meters"] == 5
     assert report["records"] == []  # access phases stripped
-
-
-def test_keygen_paillier(capsys):
-    code, out, _ = run_cli(capsys, "keygen-paillier", "--bits", "128", "--seed", "3")
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["modulus_bits"] in (127, 128)
-    # the printed public hex holds N and the secret hex its two primes
-    pk = PaillierPublicKey.from_bytes(bytes.fromhex(summary["public"]))
-    sk = PaillierSecretKey.from_bytes(bytes.fromhex(summary["secret"]))
-    assert (pk, sk) == paillier_keygen(128, rng=random.Random(3))
-    assert sk.q1 * sk.q2 == pk.modulus
-    ct = paillier_encrypt(pk, 4242, rng=random.Random(1))
-    assert paillier_decrypt(sk, pk, ct) == 4242
-    assert out == json.dumps({"modulus_bits": pk.bit_length, "public": pk.to_bytes().hex(),
-                              "secret": sk.to_bytes().hex()},
-                             sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def test_keygen_paillier_writes_no_key_files(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "keygen-paillier", "--bits", "64", "--seed", "3",
-                             "--out", str(tmp_path / "keys"))
-    assert (code, out) == (2, "")
-    assert "--out" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_reports_default_prediction(capsys):
@@ -656,8 +637,7 @@ def test_every_file_kind_the_cli_writes_is_read(tmp_path, capsys, monkeypatch):
     kdc, user, survivor, ct, state, updates = (
         str(tmp_path / f"{name}.json")
         for name in ("kdc", "user", "survivor", "ct", "state", "updates"))
-    for argv in (["keygen-paillier", "--bits", "64", "--seed", "1"],
-                 ["kdc-setup", "--kdc-id", "A", "--attrs", "alpha,beta", "--out", kdc,
+    for argv in (["kdc-setup", "--kdc-id", "A", "--attrs", "alpha,beta", "--out", kdc,
                   "--seed", "1"],
                  ["issue-key", "--kdc", kdc, "--user", "u", "--attrs", "alpha,beta",
                   "--keyring", user],
@@ -810,6 +790,21 @@ def _drop(field):
     return lambda document: {k: v for k, v in document.items() if k != field}
 
 
+def _secret(attribute, member, value):
+    """Set secrets.<attribute>.<member> to value(its old value, q)."""
+    def damage(document):
+        secret = document["secrets"][attribute]
+        new = str(value(int(secret[member]), int(document["q"])))
+        return {**document, "secrets": {**document["secrets"], attribute: {**secret, member: new}}}
+    return damage
+
+
+def _first(member, value):
+    """Set the state's <member>[0] to value(its old value, q)."""
+    return lambda document: {**document, member: [
+        str(value(int(document[member][0]), int(document["q"])))] + document[member][1:]}
+
+
 @pytest.mark.parametrize("name, damage, argv", [
     pytest.param("ciphertext", lambda d: [], decrypt_argv, id="ciphertext-list"),
     pytest.param("ciphertext", lambda d: "{", decrypt_argv, id="ciphertext-not-json"),
@@ -866,13 +861,46 @@ def _drop(field):
                  decrypt_argv, id="updates-index-leading-zero"),
     pytest.param("updates", lambda d: {**d, "rows": {i: e.upper() for i, e in d["rows"].items()}},
                  decrypt_argv, id="updates-element-uppercase"),
+    # a secret or state entry outside the range it is drawn from would give one
+    # key or one state many spellings
+    pytest.param("kdc", _secret("beta", "alpha", lambda x, q: -1), issue_argv,
+                 id="kdc-alpha-negative"),
+    pytest.param("kdc", _secret("beta", "alpha", lambda x, q: -1), encrypt_argv,
+                 id="kdc-alpha-negative-encrypt"),
+    pytest.param("kdc", _secret("beta", "alpha", lambda x, q: 0), encrypt_argv,
+                 id="kdc-alpha-zero"),
+    pytest.param("kdc", _secret("beta", "y", lambda x, q: q + 5), issue_argv, id="kdc-y-over-q"),
+    pytest.param("kdc", _secret("beta", "y", lambda x, q: q + 5), encrypt_argv,
+                 id="kdc-y-over-q-encrypt"),
+    pytest.param("kdc", _secret("beta", "y", lambda x, q: x + q), issue_argv,
+                 id="kdc-y-raised-by-q"),
+    pytest.param("state", _first("v", lambda x, q: -1), revoke_argv, id="state-v-negative"),
+    pytest.param("state", _first("v", lambda x, q: q), revoke_argv, id="state-v-q"),
+    pytest.param("state", _first("rho", lambda x, q: x + q), revoke_argv,
+                 id="state-rho-raised-by-q"),
+    pytest.param("state", _first("rho", lambda x, q: 0), revoke_argv, id="state-rho-zero"),
 ])
 def test_malformed_files_exit_2_naming_the_file(record, tmp_path, capsys, name, damage, argv):
     damaged = damage(json.loads(record[name].read_text()))
     record[name].write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     code, _, err = run_cli(capsys, *argv(record, tmp_path))
     assert code == 2
     assert str(record[name]) in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("name, damage, argv, member", [
+    ("kdc", _secret("beta", "alpha", lambda x, q: -1), encrypt_argv,
+     "secrets.beta.alpha must lie in [1, q), found -1"),
+    ("state", _first("v", lambda x, q: -1), revoke_argv, "v[0] must lie in [0, q), found -1"),
+], ids=["kdc-alpha", "state-v"])
+def test_an_out_of_range_scalar_exits_2_naming_its_member(record, tmp_path, capsys,
+                                                          name, damage, argv, member):
+    record[name].write_text(json.dumps(damage(json.loads(record[name].read_text()))))
+    code, out, err = run_cli(capsys, *argv(record, tmp_path))
+    assert (code, out) == (2, "")
+    assert str(record[name]) in err and member in err
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -12,7 +12,6 @@ from gridseal.paillier import (
     MAX_KEY_BITS,
     MalformedCiphertextError,
     PaillierCiphertext,
-    PaillierPublicKey,
     PaillierSecretKey,
     paillier_add,
     paillier_decrypt,
@@ -41,7 +40,6 @@ def keys_512():
 def test_injected_primes_give_handcomputed_parameters(desk_keys):
     pk, sk = desk_keys
     assert pk.modulus == 35
-    assert pk.generator == 36
     assert oracle_lam(sk) == 12  # lcm(4, 6)
     assert (sk.h1, sk.h2, sk.q2_inverse) == (2, 4, 3)  # (-7)^-1 mod 5, (-5)^-1 mod 7, 7^-1 mod 5
 
@@ -49,10 +47,10 @@ def test_injected_primes_give_handcomputed_parameters(desk_keys):
 def test_generator_order_is_multiple_of_modulus(desk_keys):
     # brute force over the group: ord(36) mod 1225 must be a multiple of 35
     pk, _ = desk_keys
-    n_sq = pk.modulus_squared
-    x, order = pk.generator % n_sq, 1
+    g, n_sq = pk.modulus + 1, pk.modulus_squared
+    x, order = g % n_sq, 1
     while x != 1:
-        x = x * pk.generator % n_sq
+        x = x * g % n_sq
         order += 1
     assert order % pk.modulus == 0
 
@@ -63,7 +61,7 @@ def test_mu_closed_form_matches_the_l_function():
     for q1, q2 in [(5, 7), (11, 13), (17, 23), (101, 103), (1009, 2003), (65521, 65537)]:
         pk, sk = paillier_keygen(q1=q1, q2=q2)
         n, n_sq = pk.modulus, pk.modulus_squared
-        assert oracle_mu(sk) == pow((pow(pk.generator, oracle_lam(sk), n_sq) - 1) // n, -1, n)
+        assert oracle_mu(sk) == pow((pow(pk.modulus + 1, oracle_lam(sk), n_sq) - 1) // n, -1, n)
 
 
 def test_crt_constants_match_the_l_function(keys_512):
@@ -72,7 +70,7 @@ def test_crt_constants_match_the_l_function(keys_512):
     cases = [paillier_keygen(q1=q1, q2=q2)
              for q1, q2 in [(5, 7), (7, 5), (11, 13), (17, 23), (1009, 2003), (65521, 65537)]]
     for pk, sk in cases + [keys_512]:
-        g = pk.generator
+        g = pk.modulus + 1
         for p, q, h in [(sk.q1, sk.q2, sk.h1), (sk.q2, sk.q1, sk.h2)]:
             assert h == pow((pow(g, p - 1, p * p) - 1) // p, -1, p)
         assert sk.q2 * sk.q2_inverse % sk.q1 == 1
@@ -99,7 +97,7 @@ def test_crt_decryption_matches_the_oracle_on_every_desk_unit(desk_keys):
 
 def test_crt_decryption_matches_the_oracle_at_512_bits(keys_512):
     pk, sk = keys_512
-    decoded = PaillierSecretKey.from_bytes(sk.to_bytes())
+    decoded = PaillierSecretKey(sk.q1, sk.q2)
     rng = random.Random(5120)
     units = _random_units(pk, rng, 40)
     sums = [paillier_add(pk, a, b) for a, b in zip(units, units[1:])]
@@ -136,7 +134,12 @@ def test_another_keys_secret_key_is_refused(keys_512):
             paillier_decrypt(other_sk, pk, ct)
 
 
-# SHA-256 of paillier_keygen(512, rng=Random(s))[1].to_bytes() for s = 0..9,
+def _key_digest(sk):
+    """SHA-256 of the secret key's primes, each a length-prefixed big-endian magnitude."""
+    return hashlib.sha256(encode_uint(sk.q1) + encode_uint(sk.q2)).hexdigest()
+
+
+# _key_digest of paillier_keygen(512, rng=Random(s))[1] for s = 0..9,
 # computed when every random candidate still ran 48 Miller-Rabin rounds
 _SEEDED_SECRET_KEY_DIGESTS = [
     "d23cfb87f3bdd37a9bd521e4b72c9370c872d58ea4d8cb8bb99fb14f07df0c9c",
@@ -155,12 +158,11 @@ _SEEDED_SECRET_KEY_DIGESTS = [
 def test_seeded_secret_keys_are_pinned():
     # the average-case Miller-Rabin rounds shorten the witness stream but
     # accept the same candidates, so a seed draws the same key as before
-    digests = [hashlib.sha256(paillier_keygen(512, rng=random.Random(s))[1].to_bytes()).hexdigest()
-               for s in range(10)]
+    digests = [_key_digest(paillier_keygen(512, rng=random.Random(s))[1]) for s in range(10)]
     assert digests == _SEEDED_SECRET_KEY_DIGESTS
 
 
-# SHA-256 of paillier_keygen(2048, rng=Random(s))[1].to_bytes() for s = 1, 2, 3,
+# _key_digest of paillier_keygen(2048, rng=Random(s))[1] for s = 1, 2, 3,
 # computed before candidates of 512 bits or more took the gcd sieve
 _SEEDED_2048_BIT_SECRET_KEY_DIGESTS = {
     1: "8c09cde7f3b1c4a2bf28243fb5d0cbf7e5dd78d90aedafc77953c2932b582387",
@@ -173,7 +175,7 @@ def test_seeded_2048_bit_secret_keys_are_pinned():
     # the sieve refuses only composites and draws nothing, so a seed keeps its key
     for seed, digest in _SEEDED_2048_BIT_SECRET_KEY_DIGESTS.items():
         sk = paillier_keygen(2048, rng=random.Random(seed))[1]
-        assert hashlib.sha256(sk.to_bytes()).hexdigest() == digest, seed
+        assert _key_digest(sk) == digest, seed
 
 
 def test_keygen_size_and_primality():
@@ -362,40 +364,6 @@ def test_a_ciphertext_is_refused_exactly_when_it_is_no_unit_modulo_n_squared():
                 assert math.gcd(value, n * n) != 1, (n, value)
             else:
                 assert math.gcd(value, n * n) == 1, (n, value)
-
-
-def test_serialization_round_trip(small_keys):
-    pk, sk = small_keys
-    assert PaillierPublicKey.from_bytes(pk.to_bytes()) == pk
-    restored = PaillierSecretKey.from_bytes(sk.to_bytes())
-    assert (restored.q1, restored.q2) == (sk.q1, sk.q2)
-    assert (oracle_lam(restored), oracle_mu(restored)) == (oracle_lam(sk), oracle_mu(sk))
-    ct = paillier_encrypt(pk, 12345, rng=random.Random(0))
-    assert PaillierCiphertext.from_bytes(ct.to_bytes(), pk) == ct
-    assert paillier_decrypt(restored, pk, ct) == 12345
-
-
-def test_wire_layout_is_length_prefixed_big_endian(desk_keys):
-    pk, sk = desk_keys
-    assert pk.to_bytes() == b"\x00\x00\x00\x01\x23"
-    assert sk.to_bytes() == b"\x00\x00\x00\x01\x05" + b"\x00\x00\x00\x01\x07"
-
-
-@pytest.mark.parametrize("blob, message", [
-    pytest.param(encode_uint(5) + encode_uint(9), "prime", id="composite-factor"),
-    pytest.param(encode_uint(1) + encode_uint(7), "prime", id="unit-factor"),
-    pytest.param(encode_uint(7) + encode_uint(7), "distinct", id="equal-factors"),
-    pytest.param(encode_uint(5) + encode_uint(7) + b"\x00", "trailing", id="trailing-bytes"),
-    pytest.param(encode_uint(12) + encode_uint(3), "prime", id="lambda-mu-layout"),
-])
-def test_secret_key_decoder_rejects(blob, message):
-    with pytest.raises(ValueError, match=message):
-        PaillierSecretKey.from_bytes(blob)
-
-
-def test_public_key_decoder_rejects_the_generator_layout():
-    with pytest.raises(ValueError, match="trailing"):
-        PaillierPublicKey.from_bytes(encode_uint(35) + encode_uint(36))
 
 
 @given(m1=st.integers(min_value=0, max_value=34), m2=st.integers(min_value=0, max_value=34))
