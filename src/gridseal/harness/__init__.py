@@ -1,7 +1,6 @@
-"""Scenario orchestration: repository, cost model, scenario plans and runner, CLI."""
+"""Scenario orchestration: cost model, scenario plans and runner, CLI."""
 
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
-from .registry import Repository
 from .scenario import (
     SCHEMA_ID,
     Scenario,
@@ -14,7 +13,6 @@ from .scenario import (
 
 __all__ = [
     "CostModel",
-    "Repository",
     "SCHEMA_ID",
     "Scenario",
     "ScenarioError",

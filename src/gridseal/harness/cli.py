@@ -403,7 +403,10 @@ def _cmd_revoke(args) -> int:
     shares = _shares(args.kdc, (ctx, header))[2]
     revoked = [_load(path, _KEYRING_KIND, _keyring, (ctx, header))[2]
                for path in args.revoked]
-    new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
+    try:
+        new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
+    except ValueError as exc:  # either file may be the wrong one
+        raise ValueError(f"{args.ciphertext} with {args.state}: {exc}") from None
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
     _save(args.out_updates, _UPDATES_KIND, header,
           {"record": new_ct.binding_digest(),

@@ -11,8 +11,9 @@ alone catches a phase's exception, names that phase in the report's `error`
 and stops. The report's canonical rendering is byte-stable for a fixed seed:
 sorted keys, fixed separators, no wall-clock fields.
 
-There is intentionally no scenario syntax for repository-side decryption;
-the store only ever handles ciphertexts and row updates.
+There is intentionally no scenario syntax for repository-side decryption:
+the run state's `records` and `deliveries`, which model the paper's data
+repository, hold only ciphertexts and row updates.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from ..aggregation import (
 )
 from ..lsss import LsssProgram, compile_lsss, parse_policy, tree_attributes
 from ..paillier import MAX_KEY_BITS, MIN_KEY_BITS, paillier_keygen
-from ..pairing import PairingContext, ctx_new
-from .registry import Repository
+from ..pairing import GroupElementGT, PairingContext, ctx_new
 
 SCHEMA_ID = "gridseal-scenario/1"
 REPORT_SCHEMA_ID = "gridseal-report/1"
@@ -280,7 +280,8 @@ class _Run:
     authorities: dict[str, abe.KdcKeyring] = field(default_factory=dict)
     shares: dict[str, abe.PublicShare] = field(default_factory=dict)
     users: dict[str, abe.UserKeyring] = field(default_factory=dict)
-    repository: Repository = field(default_factory=Repository)
+    records: dict[str, abe.AbeCiphertext] = field(default_factory=dict)
+    deliveries: dict[tuple[str, str], dict[int, GroupElementGT]] = field(default_factory=dict)
     states: dict[str, abe.EncryptionState] = field(default_factory=dict)
 
     def aggregate(self) -> None:
@@ -328,7 +329,7 @@ class _Run:
             with self.ctx.measure() as window:
                 ciphertext, state = abe.abe_encrypt(
                     self.ctx, self.shares, program, payload, self.rng)
-            self.repository.store(record_id, ciphertext)
+            self.records[record_id] = ciphertext
             self.states[record_id] = state
             self.report["records"].append({
                 "id": record_id,
@@ -341,12 +342,12 @@ class _Run:
     def attempts(self, into: str = "attempts") -> None:
         """Every attempt, in order; a failed decryption is its outcome, not the phase's."""
         for user_id, record_id in self.scenario.attempts:
-            updates = self.repository.updates_for(record_id, user_id)
+            updates = self.deliveries.get((record_id, user_id), {})
             outcome: dict[str, Any] = {"user": user_id, "record": record_id, "payload": None}
             with self.ctx.measure() as window:
                 try:
                     payload = abe.abe_decrypt(
-                        self.ctx, self.users[user_id], self.repository.get(record_id), updates)
+                        self.ctx, self.users[user_id], self.records[record_id], updates)
                     outcome["outcome"] = "ok"
                     outcome["payload"] = payload.decode("utf-8")
                 except abe.AccessDenied:
@@ -365,13 +366,12 @@ class _Run:
             revoked_so_far.update(revoked)
             recipients = [u for u in self.users if u not in revoked_so_far]
             revocation_report = {"revoked": list(revoked), "records": []}
-            for record_id in self.repository.record_ids():
-                new_ct, updates, self.states[record_id] = abe.revoke(
-                    self.ctx, self.shares, self.repository.get(record_id),
-                    self.states[record_id], revoked_keyrings, self.rng)
-                self.repository.apply_revocation(record_id, new_ct)
+            for record_id, ciphertext in self.records.items():
+                self.records[record_id], updates, self.states[record_id] = abe.revoke(
+                    self.ctx, self.shares, ciphertext, self.states[record_id],
+                    revoked_keyrings, self.rng)
                 for user_id in recipients:
-                    self.repository.deliver_updates(record_id, user_id, updates)
+                    self.deliveries.setdefault((record_id, user_id), {}).update(updates)
                 revocation_report["records"].append({
                     "id": record_id,
                     "updated_rows": sorted(updates),

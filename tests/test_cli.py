@@ -749,7 +749,8 @@ def test_revoke_refuses_the_state_of_another_record(record, keyfiles, tmp_path, 
         files = {**record, "state": tmp_path / f"{name}_state.json"}
         code, _, err = run_cli(capsys, *revoke_argv(files, tmp_path))
         assert code == 2
-        assert "another record" in err
+        assert (f"error: {files['ciphertext']} with {files['state']}: "
+                "the sealed state belongs to another record") in err
     assert record["ciphertext"].read_bytes() == before
 
 

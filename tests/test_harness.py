@@ -1,13 +1,9 @@
 import hashlib
-import inspect
-import random
 
 import pytest
 
-from gridseal.abe import abe_encrypt, kdc_setup
 from gridseal.harness import (
     CostModel,
-    Repository,
     ScenarioError,
     counters_cost,
     estimate_comm_overhead,
@@ -18,47 +14,13 @@ from gridseal.harness import (
     summarize_report,
 )
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
-from gridseal.lsss import compile_lsss, parse_policy
-from gridseal.pairing import ctx_new
 
-Q = 2**61 - 1
 SCHEMA = "gridseal-scenario/1"
 
 
 def report_has_denial(report):
     outcomes = list(report.get("attempts", [])) + list(report.get("reattempts", []))
     return any(entry.get("outcome") == "denied" for entry in outcomes)
-
-
-# --- repository ------------------------------------------------------------------
-
-def test_repository_is_append_only_and_keyless():
-    repository = Repository()
-    for name, method in inspect.getmembers(repository, inspect.ismethod):
-        if name.startswith("_"):
-            continue
-        for parameter in inspect.signature(method).parameters:
-            assert "secret" not in parameter and parameter != "sk"
-
-    ctx = ctx_new(q=Q)
-    rng = random.Random(1)
-    authority = kdc_setup(ctx, "A", ["a"], rng)
-    ciphertext, _ = abe_encrypt(ctx, authority.shares,
-                                compile_lsss(parse_policy("a")), b"x", rng)
-    repository.store("r1", ciphertext)
-    with pytest.raises(ValueError):
-        repository.store("r1", ciphertext)
-    with pytest.raises(KeyError):
-        repository.apply_revocation("ghost", ciphertext)
-    assert repository.record_ids() == ["r1"]
-
-
-def test_repository_delivery_map():
-    repository = Repository()
-    repository.deliver_updates("r1", "u1", {0: "sentinel"})
-    repository.deliver_updates("r1", "u1", {2: "other"})
-    assert repository.updates_for("r1", "u1") == {0: "sentinel", 2: "other"}
-    assert repository.updates_for("r1", "u2") == {}
 
 
 # --- cost model -------------------------------------------------------------------
@@ -156,6 +118,13 @@ def test_validation_paths_point_at_fields():
     pytest.param({"paillier": 5}, "paillier", id="paillier-not-an-object"),
     pytest.param({"paillier": {"q1": 5, "q2": 7}}, "paillier.q1", id="injected-primes"),
     pytest.param({"paillier": {}}, "paillier.bits", id="no-bits"),
+    pytest.param({"records": [{"id": "r", "policy": "a", "payload": "x"},
+                              {"id": "r", "policy": "a", "payload": "y"}]},
+                 "records[1].id", id="duplicate-record"),
+    pytest.param({"users": [{"id": "u", "attributes": ["a"]}, {"id": "u", "attributes": []}]},
+                 "users[1].id", id="duplicate-user"),
+    pytest.param({"kdcs": [{"id": "A", "attributes": ["a"]}, {"id": "A", "attributes": ["b"]}]},
+                 "kdcs[1].id", id="duplicate-authority"),
     pytest.param({"paillier": {"bits": 16},
                   "topology": {"nodes": [{"id": "nan", "role": "NAN"},
                                          {"id": "b", "role": "BAN", "parent": "nan"},
@@ -381,6 +350,28 @@ def test_revocation_scenario_reattempts():
     revocation = report["revocations"][0]
     assert revocation["records"][0]["updated_rows"] == [0]
     assert revocation["records"][0]["recipients"] == ["in"]
+
+
+def test_row_updates_merge_across_revocations():
+    # the first revocation updates rows 0, 1 and 2 and the second only rows 0 and 2,
+    # so s decrypts the reattempt only if it still holds row 1's first update
+    document = {
+        "schema": SCHEMA,
+        "kdcs": [{"id": "A", "attributes": ["a", "b", "c"]}],
+        "users": [
+            {"id": "s", "attributes": ["a", "c"]},
+            {"id": "x", "attributes": ["c"]},
+            {"id": "y", "attributes": ["b"]},
+        ],
+        "records": [{"id": "r", "policy": "(a & c) | b", "payload": "merged"}],
+        "attempts": [{"user": "s", "record": "r"}],
+        "revocations": [{"revoke": ["x"]}, {"revoke": ["y"]}],
+    }
+    report = run_scenario(load_scenario(document), seed=5)
+    assert report["error"] is None
+    assert [r["records"][0]["updated_rows"] for r in report["revocations"]] == [[0, 1, 2], [0, 2]]
+    assert [r["records"][0]["recipients"] for r in report["revocations"]] == [["s", "y"], ["s"]]
+    assert [(a["outcome"], a["payload"]) for a in report["reattempts"]] == [("ok", "merged")]
 
 
 def test_scenario_determinism_under_seed():

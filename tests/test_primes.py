@@ -183,11 +183,15 @@ def test_powmod_is_libcrypto_wherever_the_library_resolves():
     assert primes._load_powmod() is not pow
 
 
-def test_importing_gridseal_starts_no_child_process():
-    # ctypes.util.find_library runs ldconfig in a child process, through subprocess
+@pytest.mark.parametrize("module", [
+    "gridseal.primes", "gridseal.paillier", "gridseal.aggregation", "gridseal.lsss",
+    "gridseal.pairing", "gridseal.abe", "gridseal.harness", "gridseal.harness.cli"])
+def test_importing_gridseal_starts_no_child_process(module):
+    # ctypes.util.find_library runs ldconfig in a child process, through subprocess;
+    # each module runs in a fresh interpreter, so none leans on another's earlier import
     env = dict(os.environ, PYTHONPATH=str(Path(gridseal.__file__).parents[1]))
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, gridseal\n"
+        [sys.executable, "-c", f"import sys, {module}\n"
          "print(sorted({'ctypes.util', 'subprocess'} & sys.modules.keys()))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert loaded.stdout == "[]\n"
