@@ -358,10 +358,14 @@ def _seal(ctx: PairingContext, gt: GroupElementGT, blind: GroupElementGT, payloa
     return ctx.backend.gt_mul(seed, blind), nonce, body
 
 
+class MissingShareError(ValueError):
+    """An attribute to encrypt under has no share among the published ones given."""
+
+
 def _require_shares(shares: Mapping[str, PublicShare], attributes: Iterable[str]) -> None:
     for attribute in attributes:
         if attribute not in shares:
-            raise ValueError(f"no published share for attribute {attribute!r}")
+            raise MissingShareError(f"no published share for attribute {attribute!r}")
 
 
 def abe_encrypt(
@@ -388,6 +392,7 @@ def abe_encrypt(
     row components only.
 
     Returns the ciphertext together with the sealed state revocation needs.
+    Raises MissingShareError when `shares` lacks the share of a row.
     """
     if not isinstance(payload, (bytes, bytearray)):
         raise ValueError("the payload must be bytes")
@@ -487,8 +492,8 @@ def revoke(
     same secret) and no row updates are emitted.
 
     Returns (stored record, out-of-band row updates, new sealed state).
-    Raises ValueError when `state` was sealed for another record, or when
-    `shares` lacks the share of a row to refresh.
+    Raises ValueError when `state` was sealed for another record, and its
+    subclass MissingShareError when `shares` lacks the share of a row to refresh.
     """
     revoked = list(revoked)
     if not revoked:

@@ -2,8 +2,6 @@
 
 from .cost import CostModel, counters_cost, estimate_comm_overhead, predict_cost
 from .scenario import (
-    SCHEMA_ID,
-    Scenario,
     ScenarioError,
     load_scenario,
     render_report,
@@ -13,8 +11,6 @@ from .scenario import (
 
 __all__ = [
     "CostModel",
-    "SCHEMA_ID",
-    "Scenario",
     "ScenarioError",
     "counters_cost",
     "estimate_comm_overhead",

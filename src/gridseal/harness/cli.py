@@ -64,12 +64,10 @@ def _add_group_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="reference",
                         help="pairing backend (default: reference)")
     parser.add_argument("--q", type=int, default=None, help="explicit prime group order")
-    parser.add_argument("--q-bits", type=int, default=None, dest="q_bits",
-                        help="generate a prime group order of this size")
 
 
 def _ctx_from_args(args, rng: random.Random) -> PairingContext:
-    ctx = ctx_new(backend=args.backend, q=args.q, q_bits=args.q_bits, rng=rng)
+    ctx = ctx_new(backend=args.backend, q=args.q, rng=rng)
     _warn_backend(args.backend)
     return ctx
 
@@ -220,9 +218,8 @@ def _cmd_run(args) -> int:
     if args.command == "aggregate":
         scenario = Scenario(scenario.paillier, scenario.topology, scenario.readings)
     if scenario.kdcs:  # the scenario runs in a pairing group
-        _warn_backend(args.backend)
-    report = run_scenario(scenario, seed=args.seed,
-                          backend=args.backend, q=args.q, q_bits=args.q_bits)
+        _warn_backend("reference")
+    report = run_scenario(scenario, seed=args.seed)
     rendered = render_report(report)
     if args.out:  # the report holds every granted payload
         _owner_only(args.out).write_text(rendered, encoding="utf-8")
@@ -358,14 +355,22 @@ def _shares(paths: list[str], first: tuple[PairingContext, dict[str, str]] | Non
     return first[0], first[1], shares
 
 
+def _unpublished(exc: abe.MissingShareError, paths: list[str]) -> ValueError:
+    """A missing share, reported with the --kdc files that do not publish it."""
+    return ValueError(f"{exc} in {', '.join(f'--kdc {path}' for path in paths)}")
+
+
 def _cmd_encrypt(args) -> int:
     _refuse_overwrites([("--out", args.out), ("--state", args.state)],
                        [("--kdc", path) for path in args.kdc])
     rng = _make_rng(args.seed)
     ctx, header, shares = _shares(args.kdc)
     program = compile_lsss(parse_policy(args.policy))
-    ciphertext, state = abe.abe_encrypt(
-        ctx, shares, program, args.payload.encode("utf-8"), rng)
+    try:
+        ciphertext, state = abe.abe_encrypt(
+            ctx, shares, program, args.payload.encode("utf-8"), rng)
+    except abe.MissingShareError as exc:
+        raise _unpublished(exc, args.kdc) from None
     _save_record(args.out, args.state, ctx, header, ciphertext, state)
     _emit({"rows": program.n, "columns": program.h, "out": args.out,
            "state": args.state})
@@ -405,6 +410,8 @@ def _cmd_revoke(args) -> int:
                for path in args.revoked]
     try:
         new_ct, updates, new_state = abe.revoke(ctx, shares, ciphertext, state, revoked, rng)
+    except abe.MissingShareError as exc:
+        raise _unpublished(exc, args.kdc) from None
     except ValueError as exc:  # either file may be the wrong one
         raise ValueError(f"{args.ciphertext} with {args.state}: {exc}") from None
     _save_record(args.ciphertext, args.state, ctx, header, new_ct, new_state)
@@ -468,13 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="path or bundled scenario name")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _add_group_args(run)
     run.set_defaults(func=_cmd_run)
 
     aggregate = commands.add_parser("aggregate", help="run only the aggregation phase")
     aggregate.add_argument("scenario")
     aggregate.add_argument("--seed", type=int, default=None)
-    aggregate.set_defaults(func=_cmd_run, out=None, backend="reference", q=None, q_bits=None)
+    aggregate.set_defaults(func=_cmd_run, out=None)
 
     kdc = commands.add_parser("kdc-setup", help="create an authority keyring file")
     kdc.add_argument("--kdc-id", required=True, dest="kdc_id")

@@ -274,7 +274,6 @@ class _Run:
 
     scenario: Scenario
     rng: random.Random
-    group: dict[str, Any]
     report: dict[str, Any]
     ctx: PairingContext | None = None
     authorities: dict[str, abe.KdcKeyring] = field(default_factory=dict)
@@ -307,7 +306,7 @@ class _Run:
 
     def kdc_setup(self) -> None:
         if self.scenario.kdcs:  # every record's attributes are owned, so records imply KDCs
-            self.ctx = ctx_new(**self.group, rng=self.rng)
+            self.ctx = ctx_new(rng=self.rng)
         for kdc_id, attributes in self.scenario.kdcs:
             keyring = abe.kdc_setup(self.ctx, kdc_id, attributes, self.rng)
             self.authorities[kdc_id] = keyring
@@ -395,13 +394,7 @@ _PHASES = (
 )
 
 
-def run_scenario(
-    scenario: Scenario,
-    seed: int | None = None,
-    backend: str = "reference",
-    q: int | None = None,
-    q_bits: int | None = None,
-) -> dict[str, Any]:
+def run_scenario(scenario: Scenario, seed: int | None = None) -> dict[str, Any]:
     """Execute a scenario from `load_scenario` and return the report dictionary."""
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA_ID,
@@ -416,7 +409,7 @@ def run_scenario(
         "totals": {"pairings": 0, "scalar_muls": 0},
         "error": None,
     }
-    run = _Run(scenario, _make_rng(seed), {"backend": backend, "q": q, "q_bits": q_bits}, report)
+    run = _Run(scenario, _make_rng(seed), report)
     for name, step in _PHASES:
         try:
             step(run)

@@ -29,11 +29,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .primes import generate_prime, is_probable_prime
+from .primes import is_probable_prime
 
 # 160-bit default order, matching the curve size the cost-model defaults assume.
 DEFAULT_Q_160 = 1096126227998177188652763624537212264741949407257
-MAX_Q_BITS = 1024  # the largest order ctx_new draws; a draw costs ~ the 4th power of its size
+MAX_Q_BITS = 1024  # the largest order ctx_new accepts; its proof costs ~ the 3rd power of its size
 
 
 class BackendMismatchError(ValueError):
@@ -243,7 +243,7 @@ class ReferenceBackend(PairingBackend):
         return value.to_bytes(self.g_bytes, "big")
 
     def _exponent(self, body: bytes) -> int:
-        """The one accepted encoding: exactly ceil(q_bits / 8) bytes, value below q."""
+        """The one accepted encoding: exactly q's byte length, value below q."""
         if len(body) != self.g_bytes:
             raise ValueError("element body has the wrong length")
         value = int.from_bytes(body, "big")
@@ -376,35 +376,26 @@ def _self_test(backend: PairingBackend, rng: random.Random) -> None:
 def ctx_new(
     backend: str = "reference",
     q: int | None = None,
-    q_bits: int | None = None,
     rng: random.Random | None = None,
 ) -> PairingContext:
-    """Build a pairing context.
+    """Build a pairing context over the prime order `q`, or the pinned 160-bit default.
 
-    Exactly one of `q` (explicit prime order) or `q_bits` (order size up to
-    MAX_Q_BITS, prime drawn from `rng`) may be given; else the pinned 160-bit
-    default. Composite orders and unknown backends are rejected.
-
-    An order is proven once, where it enters the program. A supplied `q`
-    (a CLI `--q`, a file header) is tested at the adversarial bound of
-    `is_probable_prime`, unless it is the pinned default: that constant is
-    proven by the test suite, not on every call. A drawn order has already
-    passed `generate_prime`'s test for random candidates and is not tested
-    again. Every context then passes `_self_test`, off the meters, on draws
+    Unknown backends, orders over MAX_Q_BITS and composite orders are rejected.
+    An order is proven once, where it enters the program: a supplied `q` (a CLI
+    `--q`, a file header) is tested at the adversarial bound of
+    `is_probable_prime`, unless it is the pinned default, which the test suite
+    proves. Every context then passes `_self_test`, off the meters, on draws
     from `rng` (a fixed-seed generator when none is given).
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if q is not None and q_bits is not None:
-        raise ValueError("give q or q_bits, not both")
-    if q_bits is not None and q_bits > MAX_Q_BITS:
-        raise ValueError(f"q_bits must be at most {MAX_Q_BITS}")
-    rng = rng if rng is not None else random.Random(0x5EED)
     if q is None:
-        q = DEFAULT_Q_160 if q_bits is None else generate_prime(q_bits, rng)
+        q = DEFAULT_Q_160
+    elif q.bit_length() > MAX_Q_BITS:
+        raise ValueError(f"group order must be at most {MAX_Q_BITS} bits")
     elif q != DEFAULT_Q_160 and not is_probable_prime(q):
         raise ValueError("group order must be prime")
     _, factory = _BACKENDS[backend]
     instance = factory(q)
-    _self_test(instance, rng)
+    _self_test(instance, rng if rng is not None else random.Random(0x5EED))
     return PairingContext(instance)

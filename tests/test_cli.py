@@ -143,22 +143,24 @@ def test_malformed_scenario_shape_exits_2_with_its_path(tmp_path, capsys, patch,
 
 @pytest.fixture()
 def no_keygen(monkeypatch):
-    """Fail the test if any prime is drawn, for Paillier or for a group order."""
+    """Fail the test if any Paillier prime is drawn."""
     def drawn(bits, rng):
         raise AssertionError(f"a {bits}-bit prime was drawn")
-    for module in (paillier, pairing):
-        monkeypatch.setattr(module, "generate_prime", drawn)
+    monkeypatch.setattr(paillier, "generate_prime", drawn)
 
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["kdc-setup", "--kdc-id", "A", "--attrs", "a", "--out", "kdc.json",
-                  "--q-bits", "1025"], "at most 1024", id="argv1-at most 1024"),
-    # with --q-bits a missing --m check would draw the group order first
-    pytest.param(["bench", "--m", "1025", "--q-bits", "64"], "--m must be at most 1024",
-                 id="argv2---m must be at most 1024"),
+                  "--q", str(2**1279 - 1)], "at most 1024", id="argv1-at most 1024"),
+    # with --q a missing --m check would prove the group order first
+    pytest.param(["bench", "--m", "1025", "--q", "18446744073709551557"],
+                 "--m must be at most 1024", id="argv2---m must be at most 1024"),
 ])
 def test_oversized_requests_exit_2_before_any_keygen(no_keygen, tmp_path, monkeypatch, capsys,
                                                      argv, message):
+    def proven(n):
+        raise AssertionError(f"a {n.bit_length()}-bit order was proven")
+    monkeypatch.setattr(pairing, "is_probable_prime", proven)
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -166,11 +168,23 @@ def test_oversized_requests_exit_2_before_any_keygen(no_keygen, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_run_over_the_order_limit_fails_before_any_keygen(no_keygen, capsys):
-    # as for an order below the lower bound, the run's report names the error
-    code, out, _ = run_cli(capsys, "run", "sec51_access", "--q-bits", "1025", "--seed", "1")
-    assert code == 1
-    assert "at most 1024" in json.loads(out)["error"]["message"]
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "sec51_access", "--out", "r.json", "--q", "18446744073709551557"],
+                 id="run-q"),
+    pytest.param(["run", "sec51_access", "--out", "r.json", "--q-bits", "64"], id="run-q-bits"),
+    pytest.param(["run", "sec51_access", "--out", "r.json", "--backend", "reference"],
+                 id="run-backend"),
+    pytest.param(["kdc-setup", "--kdc-id", "A", "--attrs", "a", "--out", "kdc.json",
+                  "--q-bits", "64"], id="kdc-setup-q-bits"),
+    pytest.param(["bench", "--m", "2", "--q-bits", "64"], id="bench-q-bits"),
+])
+def test_removed_group_options_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    # a scenario run always works in the pinned group; an order is only ever supplied
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_oversized_scenario_key_exits_2_before_any_keygen(no_keygen, tmp_path, capsys):
@@ -411,8 +425,8 @@ def test_successive_updates_of_one_record_carry_its_digest(tmp_path, capsys):
     assert len(bytes.fromhex(first["record"])) == 32
 
 
-@pytest.mark.parametrize("group, proofs", [([], 0), (["--q-bits", "64"], 1)],
-                         ids=["pinned-order", "drawn-order"])
+@pytest.mark.parametrize("group, proofs", [([], 0), (["--q", "18446744073709551557"], 1)],
+                         ids=["pinned-order", "supplied-order"])
 def test_a_command_builds_its_group_once(tmp_path, capsys, monkeypatch, group, proofs):
     decrypt_argv = revoked_twice(tmp_path, *group)
     capsys.readouterr()
@@ -503,7 +517,7 @@ def test_issue_key_takes_group_header_from_authority(tmp_path, capsys, monkeypat
     kdc = tmp_path / "kdc.json"
     keyring = tmp_path / "keyring.json"
     assert main(["kdc-setup", "--kdc-id", "A", "--attrs", "alpha", "--backend", "alt",
-                 "--q-bits", "64", "--out", str(kdc), "--seed", "1"]) == 0
+                 "--q", "18446744073709551557", "--out", str(kdc), "--seed", "1"]) == 0
     assert main(["issue-key", "--kdc", str(kdc), "--user", "u",
                  "--attrs", "alpha", "--keyring", str(keyring)]) == 0
     authority = json.loads(kdc.read_text())
@@ -703,8 +717,8 @@ def other_group(tmp_path, capsys):
     files = {"kdc": tmp_path / "o_kdc.json", "keyring": tmp_path / "o_full.json",
              "survivor": tmp_path / "o_survivor.json", "ciphertext": tmp_path / "o_record.json",
              "state": tmp_path / "o_state.json", "updates": tmp_path / "o_updates.json"}
-    assert main(["kdc-setup", "--kdc-id", "O", "--attrs", "alpha,beta", "--q-bits", "64",
-                 "--out", str(files["kdc"]), "--seed", "9"]) == 0
+    assert main(["kdc-setup", "--kdc-id", "O", "--attrs", "alpha,beta",
+                 "--q", "18446744073709551557", "--out", str(files["kdc"]), "--seed", "9"]) == 0
     for user, attrs in (("keyring", "alpha,beta"), ("survivor", "beta")):
         assert main(["issue-key", "--kdc", str(files["kdc"]), "--user", user, "--attrs", attrs,
                      "--keyring", str(files[user])]) == 0
@@ -766,8 +780,21 @@ def test_revoke_names_an_attribute_no_authority_file_covers(keyfiles, tmp_path, 
                            "--kdc", str(kdc_a), "--revoked", str(user_full),
                            "--out-updates", str(tmp_path / "updates.json"))
     assert code == 2
-    assert "no published share for attribute 'gamma'" in err
+    # the record and state are not at fault: the --kdc file is
+    assert err.endswith(f"\nerror: no published share for attribute 'gamma' in --kdc {kdc_a}\n")
     assert (ct.read_bytes(), state.read_bytes()) == before
+
+
+def test_encrypt_names_an_attribute_no_authority_file_covers(keyfiles, tmp_path, capsys):
+    kdc_a, kdc_b, _, _ = keyfiles
+    ct, state = tmp_path / "record.json", tmp_path / "state.json"
+    code, out, err = run_cli(capsys, "encrypt", "--policy", "alpha & delta", "--payload", "x",
+                             "--kdc", str(kdc_a), "--kdc", str(kdc_b),
+                             "--out", str(ct), "--state", str(state), "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.endswith("\nerror: no published share for attribute 'delta' "
+                        f"in --kdc {kdc_a}, --kdc {kdc_b}\n")
+    assert not ct.exists() and not state.exists()
 
 
 def test_secret_files_are_owner_only(record, tmp_path, capsys):
@@ -929,15 +956,6 @@ def test_an_unknown_member_of_a_kdc_entry_exits_2_naming_it(record, tmp_path, ca
     del document[section][attribute]["extra"], document[section][attribute][member]
     record["kdc"].write_text(json.dumps(document))
     assert run_cli(capsys, *argv(record, tmp_path))[0] == 2  # and a missing one
-
-
-def test_a_composite_run_order_is_blamed_on_kdc_setup(capsys):
-    # sec51_access has no aggregation section; the group is built at authority set-up
-    code, out, err = run_cli(capsys, "run", "sec51_access", "--seed", "1", "--q", "15")
-    assert code == 1
-    assert json.loads(out)["error"] == {"phase": "kdc-setup",
-                                        "message": "group order must be prime"}
-    assert "error in kdc-setup: group order must be prime" in err
 
 
 @pytest.mark.parametrize("name", ["fig2_aggregation", "full_demo"])

@@ -462,19 +462,6 @@ PHASE_SECTIONS = [("aggregate", "aggregation"), ("kdc-setup", "kdcs"), ("issue-k
                   ("reattempts", "reattempts")]
 
 
-@pytest.mark.parametrize("name", ["sec51_access", "full_demo"])
-@pytest.mark.parametrize("group", [{"q": 15}, {"backend": "nope"}], ids=["composite-q", "backend"])
-def test_a_group_failure_is_blamed_on_kdc_setup(name, group):
-    scenario = _resolve_scenario(name)
-    report = run_scenario(scenario, seed=1, **group)
-    assert report["error"]["phase"] == "kdc-setup"
-    # the aggregation section, where the scenario has one, ran in full before the group
-    passed = run_scenario(scenario, seed=1)
-    assert report["aggregation"] == passed["aggregation"]
-    assert (report["aggregation"] is None) == (scenario.paillier is None)
-    assert report["kdcs"] == [] and report["totals"] == {"pairings": 0, "scalar_muls": 0}
-
-
 @pytest.mark.parametrize("target, phase", [
     ("paillier_keygen", "aggregate"),
     ("abe.kdc_setup", "kdc-setup"),

@@ -51,8 +51,6 @@ def test_only_a_supplied_order_is_tested(monkeypatch):
                         lambda n: calls.append(n) or is_probable_prime(n))
     ctx_new()
     ctx_new(q=DEFAULT_Q_160)
-    # a drawn order has passed generate_prime's own test
-    assert ctx_new(q_bits=64, rng=random.Random(3)).q.bit_length() == 64
     assert calls == []
     ctx_new(q=MERSENNE_61)
     assert calls == [MERSENNE_61]
@@ -63,23 +61,19 @@ def test_unknown_backend_rejected():
         ctx_new(backend="imaginary-curve")
 
 
-def test_q_bits_generation():
-    generated = ctx_new(q_bits=64, rng=random.Random(3))
-    assert generated.q.bit_length() == 64
-
-
-class _PrimeDrawn(Exception):
+class _OrderProven(Exception):
     pass
 
 
-def test_q_bits_over_the_limit_are_refused_before_drawing_a_prime(monkeypatch):
-    def drawn(bits, rng):
-        raise _PrimeDrawn(bits)
-    monkeypatch.setattr(pairing, "generate_prime", drawn)
-    with pytest.raises(ValueError, match="at most 1024"):
-        ctx_new(q_bits=MAX_Q_BITS + 1)
-    with pytest.raises(_PrimeDrawn):  # the limit itself is a valid size
-        ctx_new(q_bits=MAX_Q_BITS)
+def test_an_order_over_the_limit_is_refused_before_it_is_proven(monkeypatch):
+    def proven(n):
+        raise _OrderProven(n)
+    monkeypatch.setattr(pairing, "is_probable_prime", proven)
+    for q in (2**1279 - 1, 2**MAX_Q_BITS + 1):  # a Mersenne prime, and one bit over
+        with pytest.raises(ValueError, match="at most 1024"):
+            ctx_new(q=q)
+    with pytest.raises(_OrderProven):  # the limit itself is a valid size
+        ctx_new(q=2**MAX_Q_BITS - 1)
 
 
 def test_counters_start_zeroed(ctx):
