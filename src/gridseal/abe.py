@@ -392,10 +392,12 @@ def abe_encrypt(
     row components only.
 
     Returns the ciphertext together with the sealed state revocation needs.
-    Raises MissingShareError when `shares` lacks the share of a row.
+    Raises MissingShareError when `shares` lacks the share of a row, and
+    ValueError for a program LsssProgram.check_walkable refuses.
     """
     if not isinstance(payload, (bytes, bytearray)):
         raise ValueError("the payload must be bytes")
+    program.check_walkable()
     _require_shares(shares, program.attributes)
     h = program.h
     v = tuple(rng.randrange(ctx.q) for _ in range(h))
@@ -436,11 +438,11 @@ def abe_decrypt(
 
     Usable rows are those whose attribute the keyring holds and whose C1 is
     available (stored, or supplied out-of-band in `row_updates` after a
-    revocation). The reconstruction coefficients come from the policy matrix;
-    each used row costs exactly two pairings, and coefficients of one skip
-    their G_T exponentiation. When the usable rows cannot reconstruct and
-    some held row is unusable, a second solve over every held row tells
-    `rows-revoked` from `policy-unsatisfied`; no other denial pays for it.
+    revocation). solve_for_rows picks rows that reconstruct with coefficient
+    1 each, so each used row costs exactly two pairings and no G_T
+    exponentiation. When the usable rows cannot reconstruct and some held
+    row is unusable, a second solve over every held row tells `rows-revoked`
+    from `policy-unsatisfied`; no other denial pays for it.
     """
     updates = dict(row_updates or {})
     program = ciphertext.program
@@ -448,22 +450,20 @@ def abe_decrypt(
     keys = keyring.keys
     held = [x for x, attribute in enumerate(program.attributes) if attribute in keys]
     usable = [x for x in held if stored[x] or x in updates]
-    coefficients = solve_for_rows(program, usable, ctx.q)
-    if coefficients is None:
+    picked = solve_for_rows(program, usable, ctx.q)
+    if picked is None:
         if len(usable) < len(held) and solve_for_rows(program, held, ctx.q) is not None:
             raise AccessDenied("rows-revoked")
         raise AccessDenied("policy-unsatisfied")
     backend = ctx.backend
     h_u = backend.hash_to_g(keyring.user_id.encode("utf-8"))
     blind = backend.identity_gt()
-    for x, k in coefficients.items():
+    for x in picked:
         row = ciphertext.rows[x]
         c1 = updates.get(x, row.c1)
         dec = backend.gt_mul(c1, ctx.pair(h_u, row.c3))
         dec = backend.gt_mul(dec, backend.gt_inv(
             ctx.pair(keys[program.attributes[x]], row.c2)))
-        if k != 1:
-            dec = ctx.gt_exp(dec, k)
         blind = backend.gt_mul(blind, dec)
     seed = backend.gt_mul(ciphertext.c0, backend.gt_inv(blind))
     try:

@@ -79,14 +79,12 @@ class AggregationTopology:
             if node.parent not in by_id:
                 raise ValueError(f"node {node.node_id!r}: unknown parent {node.parent!r}")
             children[node.parent].append(node.node_id)
-        # Reach the whole tree from the root; anything left over is a cycle or
-        # an orphaned component.
+        # Reach the whole tree from the root; each node sits in one parent's child
+        # list, so none is met twice. Anything left over hangs in a cycle.
         seen: set[str] = set()
         stack = [root.node_id]
         while stack:
             current = stack.pop()
-            if current in seen:
-                raise ValueError("topology contains a cycle")
             seen.add(current)
             stack.extend(children[current])
         if seen != set(by_id):

@@ -1,4 +1,4 @@
-"""Boolean access policies: parsing, matrix compilation, reconstruction solving.
+"""Boolean access policies: parsing, matrix compilation, reconstruction.
 
 A policy is a monotone formula over attribute identifiers (AND binds tighter
 than OR, both left-associative, no negation). An identifier starts with an
@@ -9,12 +9,14 @@ depth or policy length, and every PolicySyntaxError carries a character
 offset into the text. Compilation turns the policy's binary tree into a
 share-generating matrix whose rows map to leaf attributes through pi; a set
 of rows is authorized exactly when (1, 0, ..., 0) lies in their span over
-Z_q. Every AND gate claims a new column, the standard construction: the
-matrix has 1 + #AND columns, and row-span membership of (1, 0, ..., 0)
-coincides exactly with boolean satisfaction.
+Z_q. Every AND gate claims a new column, the formula-to-LSSS conversion of
+Lewko and Waters: the matrix has 1 + #AND columns, and row-span membership
+of (1, 0, ..., 0) coincides exactly with boolean satisfaction.
 
-Matrix entries stay in {-1, 0, 1}; arithmetic maps -1 to q - 1 when a field
-is chosen. Everything in this module is pure.
+Under that conversion a minimal satisfying row set sums to (1, 0, ..., 0)
+with every coefficient 1, so solve_for_rows finds one by walking the columns,
+with no field arithmetic; the decoder refuses programs the walk cannot decide.
+Matrix entries stay in {-1, 0, 1}. Everything in this module is pure.
 """
 
 from __future__ import annotations
@@ -175,7 +177,8 @@ class LsssProgram:
     `LsssProgram(rows, attributes)` takes a literal dense matrix. It is never
     empty and every column carries a nonzero entry in some row (compile_lsss
     always emits such matrices; an unused column adds nothing to the span and
-    would let a short encoding claim a huge matrix).
+    would let a short encoding claim a huge matrix). Unlike from_bytes and
+    abe_encrypt, it takes programs outside the class check_walkable accepts.
     """
 
     h: int
@@ -225,6 +228,24 @@ class LsssProgram:
             dense.append(tuple(row))
         return tuple(dense)
 
+    def check_walkable(self) -> None:
+        """Raise ValueError unless solve_for_rows decides this program: each row
+        starts with +1 at column 0 or -1 at a later column and holds only +1 after
+        that, and the rows holding a column j after their start agree on the
+        columns before j (read as the column just before j and whether it starts
+        the row). Every compile_lsss output passes, in any row order."""
+        before: dict[int, int] = {}  # later column -> the column before it, ~it if it starts
+        for cols, signs in zip(self.support, self.signs):
+            if not cols or signs[0] != (-1 if cols[0] else 1) or signs.count(-1) != (cols[0] > 0):
+                raise ValueError("each row must start with +1 in the first column or -1 "
+                                 "in a later one, then hold only +1")
+            key = ~cols[0]
+            for c in cols[1:]:
+                if before.setdefault(c, key) != key:
+                    raise ValueError(f"the rows holding column {c + 1} after their first "
+                                     "entry differ in the columns before it")
+                key = c
+
     def share(self, vector: Sequence[int], x: int, q: int) -> int:
         """Row x's share of a sharing vector: the dot product R_x . vector in Z_q."""
         return sum(sign * vector[c] for c, sign in zip(self.support[x], self.signs[x])) % q
@@ -252,8 +273,8 @@ class LsssProgram:
         the start of data and returns (program, the offset after it).
 
         Rejects with ValueError: n or h of zero, truncation, a row whose
-        columns are not strictly increasing, a column outside 1..h, and a
-        column no row uses.
+        columns are not strictly increasing, a column outside 1..h, a column
+        no row uses, and a program outside the class check_walkable accepts.
         """
         if len(data) < 8:
             raise ValueError("truncated program dimensions")
@@ -284,8 +305,10 @@ class LsssProgram:
             attr, offset = decode_short_str(data, offset)
             attrs.append(attr)
         spans = list(pairwise(bounds))
-        return cls._sparse(h, tuple(tuple(columns[a:b]) for a, b in spans),
-                           tuple(tuple(signs[a:b]) for a, b in spans), tuple(attrs)), offset
+        program = cls._sparse(h, tuple(tuple(columns[a:b]) for a, b in spans),
+                              tuple(tuple(signs[a:b]) for a, b in spans), tuple(attrs))
+        program.check_walkable()
+        return program, offset
 
 
 def compile_lsss(tree: AccessTree) -> LsssProgram:
@@ -319,81 +342,27 @@ def solve_for_rows(
     row_indices: Sequence[int],
     q: int,
 ) -> Optional[dict[int, int]]:
-    """Coefficients k over the given rows with sum(k_x * R_x) = (1, 0, ..., 0) in Z_q.
-
-    Returns only nonzero coefficients, in the caller's row order, or None
-    when the rows do not span the target (absence, not an error); a row index
-    outside 0..n-1 raises ValueError. The transposed system is solved sparse:
-    each equation (a matrix column) is a {unknown: value} dict built from the
-    row supports, and an index from each unknown to the equations not yet
-    pivoted that hold it drives elimination. Forward elimination takes the
-    unknowns in the caller's order; unknown j pivots on the equation holding
-    it with the fewest entries (Markowitz's rule, which keeps fill-in low on
-    the two-entries-a-row matrices compile_lsss emits) and is eliminated
-    only from the other equations not yet pivoted. Back substitution then
-    runs over the pivots in reverse, with free unknowns pinned to zero.
-
-    The pivot rule cannot change the result. Unknown j finds a pivot exactly
-    when its row lies outside the span of the rows before it, whichever
-    equation it pivots on, so the pivots are the greedy basis in the caller's
-    order and the coefficients are the unique expression of (1, 0, ..., 0)
-    in that basis: the same as dense Gauss-Jordan elimination gives.
-    """
-    indices = list(row_indices)
-    if not indices:
-        return None
-    if min(indices) < 0 or max(indices) >= program.n:
+    """{row: 1} for given rows that sum to (1, 0, ..., 0) in every Z_q, in the
+    caller's order, or None when they do not satisfy the policy; an index
+    outside the program raises ValueError, and a repeated one counts once.
+    Walking the columns from the last to the first, column j is satisfied by
+    the first given row starting there whose later columns are all satisfied.
+    The pick is column 0's row and, recursively, the rows satisfying its later
+    columns. It is exact on the programs LsssProgram.check_walkable accepts."""
+    indices = list(dict.fromkeys(row_indices))
+    if indices and (min(indices) < 0 or max(indices) >= program.n):
         raise ValueError("row index outside the program")
-    equations: dict[int, dict[int, int]] = {}
-    holders: list[set[int]] = []  # holders[j]: the unpivoted equations where unknown j is nonzero
-    for j, x in enumerate(indices):
-        cols = program.support[x]
-        for c, sign in zip(cols, program.signs[x]):
-            equations.setdefault(c, {})[j] = sign % q
-        holders.append(set(cols))
-    rhs = {0: 1 % q}  # right-hand sides of the unpivoted equations
-    pivots = []  # (unknown, its equation, the inverse of its entry there, right-hand side)
-
-    def entries(e: int) -> int:
-        return len(equations[e])
-
-    for j, held in enumerate(holders):
-        if not held:
-            continue  # free: no unpivoted equation holds j
-        if len(held) == 1:
-            (e,) = held
-        else:
-            e = min(held, key=entries)
-        pivot = equations[e]
-        for k in pivot:
-            holders[k].discard(e)
-        entry = pivot[j]
-        inv = entry if entry == 1 or entry == q - 1 else pow(entry, -1, q)
-        target = rhs.pop(e, 0)
-        for r in held:
-            equation = equations[r]
-            factor = equation.pop(j) * inv % q
-            for k, value in pivot.items():
-                if k == j:
-                    continue
-                value = (equation.get(k, 0) - factor * value) % q
-                if value:
-                    equation[k] = value
-                    holders[k].add(r)
-                else:
-                    equation.pop(k, None)
-                    holders[k].discard(r)
-            if target:
-                rhs[r] = (rhs.get(r, 0) - factor * target) % q
-        pivots.append((j, pivot, inv, target))
-    if any(rhs.values()):
-        return None  # inconsistent: target outside the span
-    found: dict[int, int] = {}  # unknown -> nonzero value, in decreasing unknown
-    for j, pivot, inv, target in reversed(pivots):
-        for k, value in pivot.items():
-            if k in found:  # found holds only unknowns after j, so j's entry is skipped
-                target -= value * found[k]
-        target = target * inv % q
-        if target:
-            found[j] = target
-    return {indices[j]: found[j] for j in reversed(found)} or None
+    support = program.support
+    satisfied: dict[int, int] = {}  # column -> the row that satisfies it
+    for x in sorted(indices, key=lambda x: -support[x][0]):  # stable: caller order per column
+        start, later = support[x][0], support[x][1:]
+        if start not in satisfied and all(c in satisfied for c in later):
+            satisfied[start] = x
+    if 0 not in satisfied:
+        return None
+    picked, columns = set(), [0]
+    while columns:
+        x = satisfied[columns.pop()]
+        picked.add(x)
+        columns += support[x][1:]
+    return {x: 1 for x in indices if x in picked}

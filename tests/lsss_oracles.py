@@ -1,10 +1,12 @@
-"""Test-side oracles for policy programs: boolean satisfaction, solving over
-held attributes, re-substitution of reconstruction coefficients, and the
-compact shared-column layout."""
+"""Test-side oracles for policy programs: boolean satisfaction, span membership
+over held attributes by linear algebra, re-substitution of reconstruction
+coefficients, membership in the class the reconstruction walk decides, and
+the compact shared-column layout."""
 
 from typing import Iterable, Mapping, Optional
 
-from gridseal.lsss import AccessTree, Leaf, LsssProgram, solve_for_rows
+from gridseal.lsss import AccessTree, Leaf, LsssProgram
+from dense_solver import dense_solve_for_rows
 
 
 def evaluate_tree(tree: AccessTree, attributes: Iterable[str]) -> bool:
@@ -23,9 +25,10 @@ def evaluate_tree(tree: AccessTree, attributes: Iterable[str]) -> bool:
 
 def solve_reconstruction(program: LsssProgram, attributes: Iterable[str],
                          q: int) -> Optional[dict[int, int]]:
-    """solve_for_rows over the rows whose attribute is held."""
+    """Dense elimination over the rows whose attribute is held."""
     held = set(attributes)
-    return solve_for_rows(program, [x for x, a in enumerate(program.attributes) if a in held], q)
+    return dense_solve_for_rows(program, [x for x, a in enumerate(program.attributes)
+                                          if a in held], q)
 
 
 def verify_reconstruction(program: LsssProgram, coefficients: Mapping[int, int], q: int) -> bool:
@@ -35,6 +38,22 @@ def verify_reconstruction(program: LsssProgram, coefficients: Mapping[int, int],
         for c, sign in zip(program.support[index], program.signs[index]):
             total[c] = (total.get(c, 0) + k * sign) % q
     return total.get(0, 0) == 1 % q and not any(v for c, v in total.items() if c)
+
+
+def in_walk_class(program: LsssProgram) -> bool:
+    """The class LsssProgram.check_walkable accepts, as it is defined: each row's
+    first entry is +1 at column 0 or -1 at a later column, every later entry
+    is +1, and all rows holding a column j as a later entry hold the same
+    columns before j."""
+    before: dict[int, tuple[int, ...]] = {}
+    for row in program.rows:
+        cols = [c for c, entry in enumerate(row) if entry]
+        if not cols or row[cols[0]] != (1 if cols[0] == 0 else -1):
+            return False
+        for i, c in enumerate(cols[1:], start=1):
+            if row[c] != 1 or before.setdefault(c, tuple(cols[:i])) != tuple(cols[:i]):
+                return False
+    return True
 
 
 def compile_shared_lsss(tree: AccessTree) -> LsssProgram:

@@ -208,22 +208,42 @@ def test_topology_rejects_non_nan_root():
 
 
 def test_topology_rejects_cycles_and_orphans():
-    with pytest.raises(ValueError):
+    # a loop hangs from no root, so the walk from the root never reaches it
+    with pytest.raises(ValueError, match="^topology is not a single tree$"):
         AggregationTopology([
             node("nan", "NAN"), node("b1", "BAN", "b2"), node("b2", "BAN", "b1")])
+    with pytest.raises(ValueError, match="^topology is not a single tree$"):
+        AggregationTopology([node("nan", "NAN"), node("b", "BAN", "b")])
+
+
+def test_topology_rejects_duplicate_ids_and_unknown_parents():
+    with pytest.raises(ValueError, match="^duplicate node id 'b'$"):
+        AggregationTopology([
+            node("nan", "NAN"), node("b", "BAN", "nan"), node("b", "HAN", "nan")])
+    with pytest.raises(ValueError, match="^node 'h': unknown parent 'b2'$"):
+        AggregationTopology([
+            node("nan", "NAN"), node("b", "BAN", "nan"), node("h", "HAN", "b2")])
 
 
 def test_topology_role_ordering():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 'h': HAN must report to a BAN$"):
         AggregationTopology([
             node("nan", "NAN"), node("h", "HAN", "nan")])  # HAN under NAN
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 'h': HAN gateways are leaves$"):
         AggregationTopology([
             node("nan", "NAN"), node("b", "BAN", "nan"),
-            node("h", "HAN", "b"), node("b2", "BAN", "h")])  # BAN under HAN
-    with pytest.raises(ValueError):
+            node("h", "HAN", "b"), node("b2", "BAN", "h")])  # BAN under HAN, HAN first
+    with pytest.raises(ValueError, match="^node 'b2': BAN cannot report to a HAN$"):
+        AggregationTopology([
+            node("nan", "NAN"), node("b", "BAN", "nan"),
+            node("b2", "BAN", "h"), node("h", "HAN", "b")])  # BAN under HAN, BAN first
+    with pytest.raises(ValueError, match="^node 'b': BAN without children$"):
         AggregationTopology([
             node("nan", "NAN"), node("b", "BAN", "nan")])  # childless BAN
+    with pytest.raises(ValueError, match="^node 'n2': NAN must be the root$"):
+        AggregationTopology([
+            node("nan", "NAN"), node("b", "BAN", "nan"), node("h", "HAN", "b"),
+            node("n2", "NAN", "b")])  # NAN with a parent
 
 
 def test_multi_tier_ban_chain_allowed(keys):

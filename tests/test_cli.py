@@ -11,7 +11,7 @@ from gridseal.harness import cli
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios, main
 from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.harness.scenario import Scenario, load_scenario, render_report, run_scenario
-from gridseal.lsss import compile_lsss, parse_policy
+from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
 from gridseal.pairing import ReferenceBackend
 from gridseal.primes import is_probable_prime
 
@@ -766,6 +766,38 @@ def test_revoke_refuses_the_state_of_another_record(record, keyfiles, tmp_path, 
         assert (f"error: {files['ciphertext']} with {files['state']}: "
                 "the sealed state belongs to another record") in err
     assert record["ciphertext"].read_bytes() == before
+
+
+def test_a_program_the_walk_cannot_decide_is_refused(keyfiles, tmp_path, capsys):
+    # (1, 1), (0, 1) spans (1, 0) only as row 0 minus row 1; it is "alpha & beta"
+    # compiled, (1, 1), (0, -1), with one sign flipped, and encodes to as many bytes
+    kdc_a, _, user_full, _ = keyfiles
+    ct, state, updates = (tmp_path / f"{name}.json" for name in ("record", "state", "updates"))
+    assert main(["encrypt", "--policy", "alpha & beta", "--payload", "x", "--kdc", str(kdc_a),
+                 "--out", str(ct), "--state", str(state), "--seed", "3"]) == 0
+    capsys.readouterr()
+    compiled = compile_lsss(parse_policy("alpha & beta")).to_bytes().hex()
+    walkless = LsssProgram(((1, 1), (0, 1)), ("alpha", "beta"))
+    record = json.loads(ct.read_text())
+    ctx = pairing.ctx_new(q=int(record["q"]))
+    assert record["data"].startswith(compiled)
+    data = bytes.fromhex(walkless.to_bytes().hex() + record["data"][len(compiled):])
+    with pytest.raises(ValueError, match="start with"):
+        abe.AbeCiphertext.from_bytes(data, ctx)
+    shares = abe.kdc_setup(ctx, "A", ["alpha", "beta"], random.Random(1)).shares
+    with pytest.raises(ValueError, match="start with"):
+        abe.abe_encrypt(ctx, shares, walkless, b"x", random.Random(2))
+    document = json.loads(state.read_text())
+    assert document["program"] == compiled
+    state.write_text(json.dumps({**document, "program": walkless.to_bytes().hex()}))
+    before = ct.read_bytes(), state.read_bytes()
+    code, out, err = run_cli(capsys, "revoke", "--ciphertext", str(ct), "--state", str(state),
+                             "--kdc", str(kdc_a), "--revoked", str(user_full),
+                             "--out-updates", str(updates))
+    assert (code, out) == (2, "")
+    assert f"error: {state}: malformed gridseal-rtu-state-v6 file (ValueError: " in err
+    assert "start with" in err
+    assert (ct.read_bytes(), state.read_bytes()) == before and not updates.exists()
 
 
 def test_revoke_names_an_attribute_no_authority_file_covers(keyfiles, tmp_path, capsys):

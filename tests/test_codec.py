@@ -1,6 +1,7 @@
 """Wire codecs of LsssProgram, AbeCiphertext, MeterPacket and PaillierCiphertext.
 
-Properties, over random policies in both column layouts, random payloads,
+Properties, over compiled policies and random programs of the class the
+reconstruction walk decides (the decoder refuses any other), random payloads,
 records with rows stripped by a revocation, and random tags and ciphertext
 values: decode(encode(x)) == x; decoding is canonical (whatever decodes
 re-encodes to exactly its input); truncated or single-byte-mutated input
@@ -34,15 +35,14 @@ from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
 from gridseal.paillier import PaillierCiphertext, paillier_keygen
 from gridseal.pairing import ctx_new
 from gridseal.wire import encode_short_str
-from lsss_oracles import compile_shared_lsss
 from record_oracle import oracle_from_bytes, oracle_to_bytes
-from treegen import policy_trees
+from treegen import policy_trees, walkable_programs
 
 Q = 2**61 - 1
 ATTRS = [f"a{i}" for i in range(5)]
 CTX = ctx_new(q=Q)
 AUTHORITY = kdc_setup(CTX, "A", ATTRS, random.Random(1))
-LAYOUTS = st.sampled_from((compile_lsss, compile_shared_lsss))
+PROGRAMS = st.one_of(policy_trees().map(compile_lsss), walkable_programs(ATTRS))
 
 
 # The 160-bit default order, 2^61 - 1 and a one-byte order, each with its authority
@@ -55,7 +55,7 @@ def group_records(draw, groups=st.sampled_from(GROUPS)):
     """(context, record) in a drawn group, after a revocation when the drawn
     revoked set is nonempty."""
     ctx, authority = draw(groups)
-    program = draw(LAYOUTS)(draw(policy_trees()))
+    program = draw(PROGRAMS)
     revoked = draw(st.sets(st.sampled_from(ATTRS)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     payload = rng.randbytes(draw(st.integers(min_value=0, max_value=40)))
@@ -97,18 +97,16 @@ def _program_from_bytes(blob: bytes) -> LsssProgram:
 
 # --- LsssProgram ---------------------------------------------------------------------
 
-@given(tree=policy_trees(), layout=LAYOUTS)
+@given(program=PROGRAMS)
 @settings(deadline=None, max_examples=80)
-def test_program_round_trip(tree, layout):
-    program = layout(tree)
+def test_program_round_trip(program):
     blob = program.to_bytes()
     assert LsssProgram.from_bytes(blob) == (program, len(blob))
 
 
-@given(tree=policy_trees(), layout=LAYOUTS, seed=st.integers(min_value=0))
+@given(program=PROGRAMS, seed=st.integers(min_value=0))
 @settings(deadline=None, max_examples=80)
-def test_support_and_share_match_the_dense_rows(tree, layout, seed):
-    program = layout(tree)
+def test_support_and_share_match_the_dense_rows(program, seed):
     rng = random.Random(seed)
     vector = [rng.randrange(Q) for _ in range(program.h)]
     for x, row in enumerate(program.rows):
@@ -117,10 +115,10 @@ def test_support_and_share_match_the_dense_rows(tree, layout, seed):
                                                   for c in range(program.h)) % Q
 
 
-@given(tree=policy_trees(), layout=LAYOUTS, data=st.data())
+@given(program=PROGRAMS, data=st.data())
 @settings(deadline=None, max_examples=150)
-def test_damaged_program_bytes_fail_or_decode_canonically(tree, layout, data):
-    blob = layout(tree).to_bytes()
+def test_damaged_program_bytes_fail_or_decode_canonically(program, data):
+    blob = program.to_bytes()
     _decodes_canonically_or_fails(_program_from_bytes, LsssProgram.to_bytes,
                                   _damaged(data, blob))
 
@@ -142,6 +140,12 @@ def _program_bytes(n, h, counts, entries, attrs=None):
     pytest.param(_program_bytes(1, 1, [2], [1], []), "truncated", id="short-entries"),
     pytest.param(_program_bytes(1, 1, [1], [1])[:-1], "truncated", id="short-attribute"),
     pytest.param(struct.pack(">III", 2**30, 1, 1), "truncated", id="huge-n"),
+    pytest.param(_program_bytes(2, 2, [2, 1], [1, 2, 2]), "start with", id="positive-later-start"),
+    pytest.param(_program_bytes(2, 2, [2, 1], [1, -2, -2]), "start with",
+                 id="negative-later-entry"),
+    pytest.param(_program_bytes(2, 1, [1, 0], [1]), "start with", id="empty-row"),
+    pytest.param(_program_bytes(3, 3, [2, 2, 1], [1, 3, -2, 3, -3]), "columns before",
+                 id="later-column-after-two-prefixes"),
 ])
 def test_program_decoder_rejects(blob, message):
     with pytest.raises(ValueError, match=message):
@@ -149,9 +153,10 @@ def test_program_decoder_rejects(blob, message):
 
 
 def test_program_decoder_accepts_hand_built_layout():
-    blob = _program_bytes(2, 2, [2, 1], [1, -2, -2], ["x", "y"])
-    assert LsssProgram.from_bytes(blob) == (LsssProgram(((1, -1), (0, -1)), ("x", "y")),
-                                            len(blob))
+    # the compact conformance program, which shares one column between two ANDs
+    rows = ((1, 1), (0, -1), (1, 1), (0, -1), (1, 0), (1, 0))
+    blob = _program_bytes(6, 2, [2, 1, 2, 1, 1, 1], [1, 2, -2, 1, 2, -2, 1, 1], list("uvwxyz"))
+    assert LsssProgram.from_bytes(blob) == (LsssProgram(rows, tuple("uvwxyz")), len(blob))
 
 
 # --- AbeCiphertext -------------------------------------------------------------------

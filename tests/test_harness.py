@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from gridseal.harness import (
     summarize_report,
 )
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
+from scenariogen import check_report, generate_scenario
 
 SCHEMA = "gridseal-scenario/1"
 
@@ -131,6 +133,12 @@ def test_validation_paths_point_at_fields():
                                          {"id": "h", "role": "HAN", "parent": "b"}],
                                "readings": [{"node": "h", "tag": ["x"], "value": True}]}},
                  "topology.readings[0].value", id="reading-a-boolean"),
+    pytest.param({"paillier": {"bits": 16},
+                  "topology": {"nodes": [{"id": "nan", "role": "NAN"},
+                                         {"id": "h", "role": "HAN", "parent": "nan"}]}},
+                 "topology.nodes", id="topology-refused-by-the-tree"),
+    pytest.param({"records": [{"id": "r", "policy": "a & (b", "payload": "x"}]},
+                 "records[0].policy", id="policy-syntax-error"),
 ])
 def test_validation_rejects_malformed_shapes_with_a_path(patch, path):
     document = {"schema": SCHEMA, "kdcs": [{"id": "A", "attributes": ["a"]}],
@@ -434,6 +442,18 @@ def test_seeded_reports_are_pinned():
             report = render_report(run_scenario(scenario, seed=seed))
             digests[name, seed] = hashlib.sha256(report.encode("utf-8")).hexdigest()
     assert digests == GOLDEN_REPORTS
+
+
+def test_generated_scenarios_agree_with_plain_policy_evaluation():
+    # 1,000 seeded random scenarios, about half with a gateway tree: every
+    # aggregate, outcome, cost and revocation against the oracle's evaluation
+    faults = {}
+    for seed in range(1000):
+        document, formulas = generate_scenario(random.Random(seed))
+        found = check_report(document, formulas, run_scenario(load_scenario(document), seed))
+        if found:
+            faults[seed] = found
+    assert faults == {}
 
 
 def test_attempt_level_failure_recorded_as_error(monkeypatch):

@@ -21,10 +21,11 @@ from dense_solver import dense_solve_for_rows
 from lsss_oracles import (
     compile_shared_lsss,
     evaluate_tree,
+    in_walk_class,
     solve_reconstruction,
     verify_reconstruction,
 )
-from treegen import policy_trees, random_tree
+from treegen import policy_trees, random_tree, walkable_programs
 
 Q = 2**61 - 1
 
@@ -257,21 +258,6 @@ def test_solve_for_rows_subset():
     assert solve_for_rows(program, [0, 3], Q) == {0: 1, 3: 1}
 
 
-@given(tree=policy_trees(), layout=st.sampled_from((compile_lsss, compile_shared_lsss)),
-       data=st.data())
-@settings(deadline=None, max_examples=200)
-def test_sparse_solver_matches_the_dense_oracle(tree, layout, data):
-    # shuffled row subsets, with and without repeated indices: the same
-    # coefficient dict as dense elimination, or None from both
-    program = layout(tree)
-    rows = data.draw(st.permutations(range(program.n)))
-    rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
-    rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1), max_size=3))
-    rows = data.draw(st.permutations(rows))
-    for q in (Q, 3):
-        assert solve_for_rows(program, rows, q) == dense_solve_for_rows(program, rows, q)
-
-
 @st.composite
 def literal_programs(draw):
     """An arbitrary {-1, 0, 1} matrix of up to 8 rows and 5 columns, every column used."""
@@ -285,21 +271,36 @@ def literal_programs(draw):
     return LsssProgram(rows, ["a"] * n)
 
 
-def assert_matches_the_dense_oracle(program, rows, q):
-    result = solve_for_rows(program, rows, q)
-    oracle = dense_solve_for_rows(program, rows, q)
-    assert result == oracle
-    assert result is None or list(result) == list(oracle)
+def shuffled_rows(data, program, repeats):
+    """A shuffled row subset of `program`, with up to `repeats` repeated indices."""
+    rows = data.draw(st.permutations(range(program.n)))
+    rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
+    rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1),
+                               max_size=repeats))
+    return data.draw(st.permutations(rows))
 
 
-@given(program=literal_programs(), data=st.data())
-@settings(deadline=None, max_examples=300)
-def test_sparse_solver_matches_the_dense_oracle_on_literal_matrices(program, data):
-    # any row sequence, repeated indices included; the coefficient dict in the same order
-    rows = data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1),
-                              max_size=program.n + 3))
-    for q in (2, 3, Q):
-        assert_matches_the_dense_oracle(program, rows, q)
+def assert_agrees_with_the_dense_oracle(program, rows, compiled):
+    # the walk picks rows exactly when the dense oracle finds (1, 0, ..., 0)
+    # in their span, and its pick sums to it with coefficients 1
+    assert LsssProgram.from_bytes(program.to_bytes()) == (program, len(program.to_bytes()))
+    in_order = sorted(set(rows))
+    for q in (3, Q):
+        picked = solve_for_rows(program, rows, q)
+        assert (picked is None) == (dense_solve_for_rows(program, rows, q) is None)
+        if picked is not None:
+            assert list(picked) == [x for x in dict.fromkeys(rows) if x in picked]
+            assert set(picked.values()) == {1} and verify_reconstruction(program, picked, q)
+        if compiled:  # in the order decryption passes rows: the oracle's rows exactly
+            assert solve_for_rows(program, in_order, q) == dense_solve_for_rows(
+                program, in_order, q)
+
+
+@given(tree=policy_trees(), data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_sparse_solver_matches_the_dense_oracle(tree, data):
+    program = compile_lsss(tree)
+    assert_agrees_with_the_dense_oracle(program, shuffled_rows(data, program, 3), True)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -307,11 +308,26 @@ def test_sparse_solver_matches_the_dense_oracle_on_literal_matrices(program, dat
 @settings(deadline=None, max_examples=60)
 def test_sparse_solver_matches_the_dense_oracle_on_wide_policies(seed, leaves, data):
     program = compile_lsss(random_tree(random.Random(seed), [f"a{i}" for i in range(12)], leaves))
-    rows = data.draw(st.permutations(range(program.n)))
-    rows = rows[:data.draw(st.integers(min_value=0, max_value=program.n))]
-    rows += data.draw(st.lists(st.integers(min_value=0, max_value=program.n - 1), max_size=4))
-    for q in (Q, 3):
-        assert_matches_the_dense_oracle(program, data.draw(st.permutations(rows)), q)
+    assert_agrees_with_the_dense_oracle(program, shuffled_rows(data, program, 4), True)
+
+
+@given(program=walkable_programs(), data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_the_walk_agrees_with_linear_algebra_on_its_class(program, data):
+    # programs the decoder accepts that compile_lsss does not write
+    assert_agrees_with_the_dense_oracle(program, shuffled_rows(data, program, 3), False)
+
+
+@given(program=st.one_of(literal_programs(), policy_trees().map(compile_shared_lsss),
+                         walkable_programs()))
+@settings(deadline=None, max_examples=300)
+def test_the_decoder_accepts_exactly_the_walks_class(program):
+    blob = program.to_bytes()
+    if in_walk_class(program):
+        assert LsssProgram.from_bytes(blob) == (program, len(blob))
+    else:
+        with pytest.raises(ValueError, match="start with|columns before"):
+            LsssProgram.from_bytes(blob)
 
 
 def test_solve_for_rows_refuses_indices_outside_the_program():
@@ -351,10 +367,12 @@ def test_program_serialization_round_trip():
 
 
 def test_wide_program_decodes_in_linear_memory():
-    # n = h = 2000, one entry per row, empty attribute names: 20,008 bytes
-    # that a dense decoder would expand to a 2000 x 2000 matrix (32.6 MB)
+    # n = h = 2000, one entry per row (+1 in the first column, -1 in each
+    # later one), empty attribute names: 20,008 bytes that a dense decoder
+    # would expand to a 2000 x 2000 matrix (32.6 MB)
     n = 2000
-    blob = struct.pack(f">II{n}I{n}i", n, n, *[1] * n, *range(1, n + 1)) + b"\x00\x00" * n
+    entries = [1, *range(-2, -n - 1, -1)]
+    blob = struct.pack(f">II{n}I{n}i", n, n, *[1] * n, *entries) + b"\x00\x00" * n
     assert len(blob) == 20_008
     tracemalloc.start()
     try:
