@@ -12,6 +12,7 @@ from gridseal.paillier import (
     MAX_KEY_BITS,
     MalformedCiphertextError,
     PaillierCiphertext,
+    PaillierPublicKey,
     PaillierSecretKey,
     paillier_add,
     paillier_decrypt,
@@ -342,6 +343,19 @@ def test_malformed_ciphertext_detected(small_keys):
     ct = paillier_encrypt(pk, 3, rng=random.Random(2))
     with pytest.raises(MalformedCiphertextError):
         paillier_decrypt(wrong_sk, pk, ct)
+
+
+def test_a_ciphertext_outside_the_l_function_domain_is_refused():
+    # the primes multiply to N, but 9 is no prime: 2023^8 mod 81 is not 1 mod 9
+    sk, pk = PaillierSecretKey(9, 5), PaillierPublicKey(45)
+    with pytest.raises(MalformedCiphertextError, match="escapes the L-function domain"):
+        paillier_decrypt(sk, pk, PaillierCiphertext(2023, 45))
+
+
+@pytest.mark.parametrize("modulus", [1, 0, -35])
+def test_a_public_modulus_below_two_is_refused(modulus):
+    with pytest.raises(ValueError, match="modulus must exceed 1"):
+        PaillierPublicKey(modulus)
 
 
 def test_ciphertext_invariants(desk_keys):

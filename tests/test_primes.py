@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,6 +49,31 @@ def test_the_sieve_product_holds_the_primes_above_trial_division_and_below_2_16(
     assert primes._sieve_product() == math.prod(sympy.primerange(2001, 2 ** 16))
 
 
+def test_primality_below_2_16_agrees_with_sympy():
+    assert [n for n in range(2, 2 ** 16) if primes.is_probable_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1])
+def test_a_number_below_two_is_no_prime(n):
+    assert not primes.is_probable_prime(n)
+
+
+def test_generate_prime_refuses_a_size_below_two_bits():
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        primes.generate_prime(1, random.Random(0))
+
+
+class _Zeros(random.Random):
+    def getrandbits(self, k):
+        return 0
+
+
+def test_generate_prime_gives_up_after_its_retry_budget():
+    # every candidate is 2^3 + 1 = 9
+    with pytest.raises(RuntimeError, match="retry budget"):
+        primes.generate_prime(4, _Zeros())
+
+
 @pytest.fixture()
 def rounds(monkeypatch):
     """Counts every Miller-Rabin round run while the test runs."""
@@ -60,6 +86,20 @@ def rounds(monkeypatch):
 
     monkeypatch.setattr(primes, "_miller_rabin_round", counted)
     return calls
+
+
+@pytest.mark.parametrize("n, prime, reaches_rounds", [
+    (1999, True, False),  # the largest small prime: decided by membership
+    (2003, True, True),
+    (1999 ** 2, False, False),
+    (53 * 59, False, False),  # no factor to 47: only the gcd with every small prime refuses it
+    (1997 * 1999, False, False),
+    (2003 * 2011, False, True),  # no factor below 2,000: passes trial division
+])
+def test_trial_division_refuses_exactly_the_numbers_with_a_small_factor(
+        rounds, n, prime, reaches_rounds):
+    assert primes.is_probable_prime(n) is prime
+    assert (rounds[0] > 0) is reaches_rounds
 
 
 def test_a_large_candidate_with_a_factor_below_2_16_costs_no_round(rounds):
@@ -145,6 +185,33 @@ def test_powmod_refuses_operands_outside_its_domain(base, exponent, modulus):
         primes._powmod(base, exponent, modulus)
 
 
+def test_powmod_agrees_with_pow_when_most_calls_switch_modulus():
+    # each thread keeps the state of its last modulus, so a call that changes
+    # modulus (odd to even, or to another value of the same size) must reload it
+    shuffled = [case for case in _powmod_operands() if case[2].bit_length() <= 4096]
+    shuffled += [(base, exponent, modulus + 2) for base, exponent, modulus in shuffled
+                 if modulus % 2 and (modulus + 2).bit_length() == modulus.bit_length()]
+    random.Random(32).shuffle(shuffled)
+    expected = {case: pow(*case) for case in shuffled}
+    for order in (shuffled, shuffled[::-1]):
+        switches = sum(a[2] != b[2] for a, b in zip(order, order[1:]))
+        assert switches > len(order) / 2
+        assert [primes._powmod(*case) for case in order] == [expected[case] for case in order]
+
+
+def test_a_thread_computes_on_its_own_modulus_while_another_keeps_its_own():
+    rng = random.Random(33)
+    main_modulus, other_modulus = (rng.getrandbits(512) | 1 << 511 | 1 for _ in range(2))
+    base = rng.getrandbits(600)
+    assert primes._powmod(base, 65537, main_modulus) == pow(base, 65537, main_modulus)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        answer = pool.submit(lambda: [primes._powmod(base, 65537, m)
+                                      for m in (other_modulus, main_modulus, other_modulus)])
+        assert answer.result(timeout=60) == [pow(base, 65537, m)
+                                             for m in (other_modulus, main_modulus, other_modulus)]
+    assert primes._powmod(base + 1, 3, main_modulus) == pow(base + 1, 3, main_modulus)
+
+
 def test_powmod_gives_four_threads_the_same_answers():
     cases = [case for case in _powmod_operands() if case[2].bit_length() <= 4096] * 3
     expected = [pow(*case) for case in cases]
@@ -165,6 +232,90 @@ def test_the_loader_falls_back_to_pow_without_the_library_or_a_symbol(monkeypatc
     # a handle that opens but has no BN_mod_exp: _ctypes links no libcrypto
     monkeypatch.setitem(sys.modules, "_hashlib", types.SimpleNamespace(__file__=_ctypes.__file__))
     assert primes._load_powmod() is pow
+
+
+_open_library = ctypes.CDLL  # the real one, while a test replaces ctypes.CDLL
+
+
+class _Library:
+    """libcrypto through `_hashlib`'s handle, with named functions replaced."""
+
+    def __init__(self, path, replaced):
+        self._lib = _open_library(path)
+        self._replaced = replaced
+
+    def __getattr__(self, name):
+        return self._replaced.get(name) or getattr(self._lib, name)
+
+
+def _powmod_on(**replaced):
+    """A `_powmod` loaded from libcrypto with the named functions replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", lambda path: _Library(path, replaced))
+        powmod = primes._load_powmod()
+    assert powmod is not pow
+    return powmod
+
+
+def _libcrypto_function(name, restype, pointers):
+    """A libcrypto function of `pointers` pointer arguments, on a handle of its own."""
+    func = getattr(_open_library(sys.modules["_hashlib"].__file__), name)
+    func.restype, func.argtypes = restype, (ctypes.c_void_p,) * pointers
+    return func
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("name, result, modulus", [
+    ("BN_CTX_new", None, 7), ("BN_MONT_CTX_new", None, 7), ("BN_new", None, 7),
+    ("BN_bin2bn", None, 7), ("BN_MONT_CTX_set", 0, 7), ("BN_mod_exp_mont", 0, 7),
+    ("BN_mod_exp", 0, 8), ("BN_bn2binpad", -1, 7),
+])
+def test_each_libcrypto_failure_raises_runtime_error(name, result, modulus):
+    powmod = _powmod_on(**{name: lambda *args: result})
+    with pytest.raises(RuntimeError, match=f"libcrypto {name} failed"):
+        powmod(3, 5, modulus)
+
+
+@needs_libcrypto
+def test_a_modulus_that_fails_to_load_leaves_no_stale_context():
+    real_set = _libcrypto_function("BN_MONT_CTX_set", ctypes.c_int, 3)
+    set_fails = [False]
+
+    def mont_set(*args):
+        return 0 if set_fails[0] else real_set(*args)
+
+    powmod = _powmod_on(BN_MONT_CTX_set=mont_set)
+    # a cache still naming the first modulus after the second failed to load would
+    # pair the first's context with the second's BIGNUM; the base exceeds both,
+    # so that pairing gives a wrong answer
+    first, second = 2 ** 127 - 1, 2 ** 89 - 1
+    base = 2 ** 200 + 12345
+    assert powmod(base, 65537, first) == pow(base, 65537, first)
+    set_fails[0] = True
+    with pytest.raises(RuntimeError, match="BN_MONT_CTX_set"):
+        powmod(base, 65537, second)
+    set_fails[0] = False
+    assert powmod(base, 65537, first) == pow(base, 65537, first)
+    assert powmod(base, 65537, second) == pow(base, 65537, second)
+
+
+@needs_libcrypto
+def test_a_thread_frees_its_libcrypto_state_when_it_ends():
+    real_free = _libcrypto_function("BN_CTX_free", None, 1)
+    freed = []
+
+    def ctx_free(ctx):
+        freed.append(ctx)
+        real_free(ctx)
+
+    powmod = _powmod_on(BN_CTX_free=ctx_free)
+    assert powmod(3, 5, 7) == 5
+    worker = threading.Thread(target=powmod, args=(3, 5, 8))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(freed) == 1  # the worker's; the main thread keeps its own
+    assert powmod(3, 5, 7) == 5
 
 
 def _hashlib_resolves_bn_mod_exp() -> bool:
