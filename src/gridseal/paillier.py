@@ -18,10 +18,16 @@ and h_p = (-q)^-1 mod p; symmetrically h_q = (-p)^-1 mod q.
 Every exponentiation, the blinding r^N mod N^2 and the two half-size ones of
 decryption, is `primes._powmod`: libcrypto's Montgomery exponentiation where
 the library loads, else the built-in pow. Encryptions under one key on one
-thread share the Montgomery context of N^2; a decryption alternates between
-q1^2 and q2^2, so it sets up both each time. At 2,048 bits the blinding
-takes about 9-13 ms through libcrypto, against 100-150 ms through pow, and
-at 512 bits about 0.15 ms.
+thread share the Montgomery context of N^2. From primes._HELPER_FLOOR_BITS
+(896) bits of q2^2 up, and where the process may use two CPUs, a
+decryption computes its q2^2 half on the primes helper thread while the
+caller computes the q1^2 half, so each thread keeps its own modulus's
+context across decryptions under one key, and a 2,048-bit decryption takes
+about 0.54 of the time of the two halves in turn. Below the floor both
+halves run on the caller, which alternates between q1^2 and q2^2 and so
+sets up both each time. At 2,048 bits the blinding takes about 9-13 ms
+through libcrypto, against 100-150 ms through pow, and at 512 bits about
+0.15 ms.
 
 All values are immutable after construction and every operation takes its
 randomness source explicitly, so keys and ciphertexts can be shared freely
@@ -35,7 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .primes import _powmod, generate_prime, is_probable_prime
+from .primes import _powmod, _powmod_pair, generate_prime, is_probable_prime
 from .wire import decode_uint, encode_uint
 
 MIN_KEY_BITS = 16
@@ -230,8 +236,8 @@ def paillier_decrypt(
     p, q = sk.q1, sk.q2
     if p * q != n:
         raise MalformedCiphertextError("secret key does not belong to the modulus")
-    x_p = _powmod(ciphertext.value, p - 1, sk.q1_squared)
-    x_q = _powmod(ciphertext.value, q - 1, sk.q2_squared)
+    x_p, x_q = _powmod_pair((ciphertext.value, p - 1, sk.q1_squared),
+                            (ciphertext.value, q - 1, sk.q2_squared))
     if x_p % p != 1 or x_q % q != 1:
         raise MalformedCiphertextError("ciphertext escapes the L-function domain")
     m_p = (x_p - 1) // p * sk.h1 % p

@@ -34,12 +34,39 @@ through `_powmod`: libcrypto's BN_mod_exp_mont for an odd modulus and
 BN_mod_exp for an even one, bound through ctypes to the OpenSSL library the
 interpreter's `_hashlib` module already loaded, or the built-in pow where
 that module, the library or one of its symbols cannot be loaded. Each thread
-keeps its own BN_CTX and operand BIGNUMs, and the Montgomery context of the
-last modulus it used where that is odd, so the witness rounds of one
-candidate and the encryptions under one key set that context up once. A 128-bit modexp takes
-about 7 us, most of it the ctypes calls; a 128-bit Miller-Rabin round about
-8-13 us and a 1,024-bit one 0.3-0.4 ms. At 2,048-bit N, r^N mod N^2 takes
-about 9-13 ms through libcrypto against 100-150 ms through pow.
+keeps its own BN_CTX and operand BIGNUMs, the Montgomery context of the
+last modulus it used where that is odd, the last exponent it loaded and an
+output buffer of its modulus's size. So the witness rounds of one candidate
+and the encryptions under one key set the context and the exponent up once.
+A 128-bit modexp takes about 7 us, most of it the ctypes calls; a 128-bit
+Miller-Rabin round about 7-13 us and a 1,024-bit one 0.3-0.4 ms. At
+2,048-bit N, r^N mod N^2 takes about 9-13 ms through libcrypto against
+100-150 ms through pow.
+
+A libcrypto call releases the interpreter lock, so two modexps can run at
+once. One helper thread, started on first use and never by an import, takes
+two kinds of work: the q2^2 half of a Paillier decryption (`_powmod_pair`),
+while the caller computes the q1^2 half, and in `generate_prime` the
+Miller-Rabin test of the earlier of two candidates that survived trial
+division, while the caller draws and tests the later. Candidates are drawn
+and trial-divided on the caller in the same order as one at a time; a prime
+earlier candidate wins, and the rng is rewound to the state just after its
+draw, so a seed draws the same prime and leaves the rng where the search in
+draw order leaves it. A forked child forgets its parent's helper and starts
+its own. Work goes to the helper only where its modulus has at least
+_HELPER_FLOOR_BITS bits and the process may run on two CPUs or more
+(`os.sched_getaffinity`). The floor comes from paired in-process A/Bs,
+helper against caller alone, in 9-15 alternating rounds on a 2-CPU Xeon:
+the two halves of a decryption took 1.38 of the time at 512-bit keys and
+0.56-0.81 from 576 to 1,024 bits (0.54 at 2,048); tested in pairs,
+candidates took 1.23 of the time at 512 bits, 0.78-1.20 from 576 to 768
+bits, winning 1 to 9 of 9 or 15 rounds, 0.85 at 832 bits (13 of 15), and
+0.63-0.78 from 896 to 1,280 bits, winning 8 of 9 or 14 to 15 of 15 (0.75
+and 15 of 15 at 1,024). So the keygen side sets the floor at 896 bits.
+Every decryption under a key of 1,024 bits or more then has its q2^2 half
+on the helper (q2^2 has 1,023 bits or more), keygen pairs start at
+1,792-bit keys, and scenario keys of 256 bits and 512-bit keys stay on the
+caller. The helper gains only while the second CPU is otherwise idle.
 """
 
 from __future__ import annotations
@@ -48,8 +75,11 @@ import ctypes
 import functools
 import hashlib
 import math
+import os
+import queue
 import random
 import threading
+from concurrent.futures import Future, wait
 
 
 def _load_powmod():
@@ -88,10 +118,13 @@ def _load_powmod():
 
     class State:
         """One thread's BN_CTX, operand BIGNUMs and the Montgomery context of
-        `modulus`, the last modulus loaded into `m` (None while none is)."""
+        `modulus`, the last modulus loaded into `m`, and `exponent`, the last
+        exponent loaded into `p` (each None while none is); `out` receives
+        results of the modulus's size."""
 
         def __init__(self):
-            self.ctx = self.mont = self.modulus = None
+            self.ctx = self.mont = self.modulus = self.exponent = None
+            self.out = ctypes.create_string_buffer(0)
             self.bns = []
             self.ctx = ctx_new() or fail("BN_CTX_new")
             self.mont = mont_new() or fail("BN_MONT_CTX_new")
@@ -114,8 +147,8 @@ def _load_powmod():
 
     def powmod(base: int, exponent: int, modulus: int) -> int:
         """base^exponent mod modulus, on the calling thread's own libcrypto state,
-        so threads share nothing; an odd modulus reuses its Montgomery context
-        while the thread's calls keep to it."""
+        so threads share nothing; an odd modulus reuses its Montgomery context,
+        and an exponent its BIGNUM, while the thread's calls keep to it."""
         if base < 0 or exponent < 0 or modulus < 2:
             raise ValueError("powmod takes a base and exponent >= 0 and a modulus >= 2")
         try:
@@ -128,25 +161,103 @@ def _load_powmod():
             load(s.m, modulus)
             if odd and not mont_set(s.mont, s.m, s.ctx):
                 fail("BN_MONT_CTX_set")
+            size = (modulus.bit_length() + 7) // 8
+            if len(s.out) != size:
+                s.out = ctypes.create_string_buffer(size)
             s.modulus = modulus
+        if exponent != s.exponent:
+            s.exponent = None  # until p holds the new one
+            load(s.p, exponent)
+            s.exponent = exponent
         load(s.a, base)
-        load(s.p, exponent)
         if odd:
             if not mod_exp_mont(s.r, s.a, s.p, s.m, s.ctx, s.mont):
                 fail("BN_mod_exp_mont")
         elif not mod_exp(s.r, s.a, s.p, s.m, s.ctx):
             fail("BN_mod_exp")
-        size = (modulus.bit_length() + 7) // 8
-        out = ctypes.create_string_buffer(size)
-        if bn2binpad(s.r, out, size) != size:
+        size = len(s.out)
+        if bn2binpad(s.r, s.out, size) != size:
             fail("BN_bn2binpad")
-        return int.from_bytes(out.raw, "big")
+        return int.from_bytes(s.out.raw, "big")
 
     return powmod
 
 
 # The one modexp of the package: the witness rounds here, every Paillier encryption and decryption
 _powmod = _load_powmod()
+
+# Work whose modexp modulus has at least this many bits may go to the helper thread.
+_HELPER_FLOOR_BITS = 896
+
+
+class _Helper:
+    """One daemon thread running the calls handed to it, in order. Every caller
+    waits for the call it hands over, so the thread is idle whenever the
+    interpreter exits, and, unlike an executor's worker, it takes calls from
+    exit handlers too."""
+
+    def __init__(self):
+        self._calls = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="gridseal-modexp", daemon=True).start()
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        self._calls.put((future, fn, args))
+        return future
+
+    def _serve(self) -> None:
+        while True:
+            future, fn, args = self._calls.get()
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:  # raised again in the caller by future.result()
+                future.set_exception(exc)
+
+
+_helper_thread: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _helper(modulus_bits: int) -> _Helper | None:
+    """The helper thread, started on first use, for work on a modulus of
+    `modulus_bits` bits; None where that work stays on the caller: below the
+    floor, or where the process may run on one CPU only."""
+    global _helper_thread
+    if modulus_bits < _HELPER_FLOOR_BITS:
+        return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    with _helper_lock:
+        if _helper_thread is None:
+            _helper_thread = _Helper()
+        return _helper_thread
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread: start a new one on first use."""
+    global _helper_thread, _helper_lock
+    _helper_thread, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _powmod_pair(first: tuple[int, int, int], second: tuple[int, int, int]) -> tuple[int, int]:
+    """_powmod of two independent (base, exponent, modulus) triples: the second
+    on the helper thread while the caller computes the first, where the second
+    modulus reaches the floor."""
+    helper = _helper(second[2].bit_length())
+    if helper is None:
+        return _powmod(*first), _powmod(*second)
+    partner = helper.submit(_powmod, *second)
+    try:
+        mine = _powmod(*first)
+    finally:
+        wait((partner,))
+    return mine, partner.result()
+
 
 _SMALL_PRIME_LIMIT = 2000
 
@@ -215,11 +326,19 @@ def is_probable_prime(n: int) -> bool:
 def _passes_miller_rabin(n: int, rounds: int) -> bool:
     if n <= _SMALL_PRIMES[-1]:
         return n in _SMALL_PRIME_SET
+    return _has_no_small_factor(n) and _miller_rabin(n, rounds)
+
+
+def _has_no_small_factor(n: int) -> bool:
+    """Trial division of an n above the small primes: no factor below 2,000,
+    nor, from _SIEVE_FLOOR_BITS up, below 2^16."""
     # the product of the primes to 47 refuses most composites in one small gcd
     if math.gcd(n % _PRIMES_TO_47, _PRIMES_TO_47) != 1 or math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
-    if n.bit_length() >= _SIEVE_FLOOR_BITS and math.gcd(n, _sieve_product()) != 1:
-        return False
+    return n.bit_length() < _SIEVE_FLOOR_BITS or math.gcd(n, _sieve_product()) == 1
+
+
+def _miller_rabin(n: int, rounds: int) -> bool:
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -232,13 +351,39 @@ def _passes_miller_rabin(n: int, rounds: int) -> bool:
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:
-    """Draw a random prime with exactly `bits` bits (top bit forced)."""
+    """Draw a random prime with exactly `bits` bits (top bit forced).
+
+    The first prime of the candidates drawn in order; from the helper floor
+    up, survivors of trial division are tested two at a time, and the rng is
+    left where the search in order leaves it.
+    """
     if bits < 2:
         raise ValueError("prime size must be at least 2 bits")
     attempts = 200 * bits
     rounds = next((t for k, t in _AVERAGE_CASE_ROUNDS if bits >= k), _LARGE_ROUNDS)
-    for _ in range(attempts):
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _passes_miller_rabin(candidate, rounds):
-            return candidate
+    candidates = (rng.getrandbits(bits) | (1 << (bits - 1)) | 1 for _ in range(attempts))
+    helper = _helper(bits)
+    if helper is None:
+        for candidate in candidates:
+            if _passes_miller_rabin(candidate, rounds):
+                return candidate
+    else:
+        survivors = filter(_has_no_small_factor, candidates)
+        for earlier in survivors:
+            try:
+                state = rng.getstate()
+            except NotImplementedError:  # a SystemRandom has no state to rewind
+                state = None
+            verdict = helper.submit(_miller_rabin, earlier, rounds)
+            try:
+                later = next(survivors, None)
+                later_prime = later is not None and _miller_rabin(later, rounds)
+            finally:
+                wait((verdict,))
+            if verdict.result():
+                if state is not None:
+                    rng.setstate(state)  # to just after the earlier prime's draw
+                return earlier
+            if later_prime:
+                return later
     raise RuntimeError(f"prime generation exceeded retry budget ({attempts} attempts at {bits} bits)")

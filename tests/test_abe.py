@@ -191,6 +191,15 @@ def test_encrypt_requires_published_shares(ctx):
         abe_encrypt(ctx, authority.shares, program, b"x", rng)
 
 
+@pytest.mark.parametrize("payload", ["text", 5, None], ids=["str", "int", "none"])
+def test_encrypt_refuses_a_payload_that_is_not_bytes(ctx, payload):
+    # bytes(5) would be five zero bytes, sealed without a word
+    authority = kdc_setup(ctx, "A", ["a"], random.Random(16))
+    program = compile_lsss(parse_policy("a"))
+    with pytest.raises(ValueError, match="payload must be bytes"):
+        abe_encrypt(ctx, authority.shares, program, payload, random.Random(17))
+
+
 def test_sec51_conformance_program_access(sec51, ctx):
     rng, authorities = sec51
     shares = merged_shares(authorities)

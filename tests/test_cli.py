@@ -915,6 +915,8 @@ def _first(member, value):
                  revoke_argv, id="state-rho-underscore"),
     pytest.param("state", lambda d: {**d, "program": d["program"].upper()}, revoke_argv,
                  id="state-program-uppercase"),
+    pytest.param("state", lambda d: {**d, "program": d["program"] + "00"}, revoke_argv,
+                 id="state-program-trailing-bytes"),
     pytest.param("state", lambda d: {**d, "payload": d["payload"][:2] + " " + d["payload"][2:]},
                  revoke_argv, id="state-payload-space"),
     pytest.param("updates", lambda d: {**d, "rows": {"0" + i: e for i, e in d["rows"].items()}},

@@ -34,7 +34,7 @@ from gridseal.harness.cost import estimate_comm_overhead
 from gridseal.lsss import LsssProgram, compile_lsss, parse_policy
 from gridseal.paillier import PaillierCiphertext, paillier_keygen
 from gridseal.pairing import ctx_new
-from gridseal.wire import encode_short_str
+from gridseal.wire import encode_short_str, encode_uint
 from record_oracle import oracle_from_bytes, oracle_to_bytes
 from treegen import policy_trees, walkable_programs
 
@@ -320,6 +320,20 @@ def test_packet_decoder_rejects(blob, message):
 def test_paillier_ciphertext_decoder_rejects_a_leading_zero_byte():
     with pytest.raises(ValueError, match="leading zero"):
         PaillierCiphertext.from_bytes(b"\x00\x00\x00\x02\x00\x05", PK)
+
+
+def test_a_negative_wire_integer_is_refused():
+    # to_bytes would raise OverflowError, which callers do not expect
+    with pytest.raises(ValueError, match="non-negative"):
+        encode_uint(-1)
+
+
+def test_a_short_string_over_65535_bytes_is_refused():
+    assert encode_short_str("a" * 0xFFFF)[:2] == b"\xff\xff"
+    # the limit counts UTF-8 bytes: 32,768 two-byte characters are 65,536 bytes
+    for text in ("a" * 0x10000, "\u00e9" * 0x8000):
+        with pytest.raises(ValueError, match="too long"):
+            encode_short_str(text)
 
 
 # --- size gate -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -17,7 +18,8 @@ import gridseal
 from gridseal import primes
 from gridseal.harness import run_scenario
 from gridseal.harness.cli import _resolve_scenario, bundled_scenarios
-from gridseal.paillier import paillier_keygen
+from gridseal.paillier import paillier_decrypt, paillier_encrypt, paillier_keygen
+from prime_oracle import sequential_generate_prime
 
 
 def _log2_dlp_bound(k: int, t: int) -> float:
@@ -76,12 +78,14 @@ def test_generate_prime_gives_up_after_its_retry_budget():
 
 @pytest.fixture()
 def rounds(monkeypatch):
-    """Counts every Miller-Rabin round run while the test runs."""
+    """Counts every Miller-Rabin round run while the test runs, on any thread."""
     calls = [0]
     run_round = primes._miller_rabin_round
+    lock = threading.Lock()
 
     def counted(*args):
-        calls[0] += 1
+        with lock:
+            calls[0] += 1
         return run_round(*args)
 
     monkeypatch.setattr(primes, "_miller_rabin_round", counted)
@@ -111,11 +115,35 @@ def test_a_large_candidate_with_a_factor_below_2_16_costs_no_round(rounds):
     assert rounds[0] == 0
 
 
-def test_the_sieve_cuts_the_rounds_of_a_seeded_4096_bit_keygen(rounds, monkeypatch):
+@pytest.fixture()
+def one_cpu(monkeypatch):
+    """The process may run on one CPU only: every search runs in draw order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_the_sieve_cuts_the_rounds_of_a_seeded_4096_bit_keygen(rounds, one_cpu, monkeypatch):
     # 37 of the 128 composites that pass trial division below 2,000 have a
     # factor in (2,000, 2^16); 4 rounds prove the two kept primes
     paillier_keygen(4096, random.Random(1))
     assert rounds[0] == 95
+    rounds[0] = 0
+    monkeypatch.setattr(primes, "_SIEVE_FLOOR_BITS", 4097)
+    paillier_keygen(4096, random.Random(1))
+    assert rounds[0] == 132
+
+
+def test_pairs_add_one_round_to_a_seeded_4096_bit_keygen(rounds, two_cpus, monkeypatch):
+    # one of the two primes is the earlier survivor of its pair, so the survivor
+    # drawn after it was tested too, failing in one round; with the sieve off,
+    # both primes are the later of their pairs and no round is added
+    paillier_keygen(4096, random.Random(1))
+    assert rounds[0] == 95 + 1
     rounds[0] = 0
     monkeypatch.setattr(primes, "_SIEVE_FLOOR_BITS", 4097)
     paillier_keygen(4096, random.Random(1))
@@ -197,6 +225,19 @@ def test_powmod_agrees_with_pow_when_most_calls_switch_modulus():
         switches = sum(a[2] != b[2] for a, b in zip(order, order[1:]))
         assert switches > len(order) / 2
         assert [primes._powmod(*case) for case in order] == [expected[case] for case in order]
+
+
+def test_powmod_agrees_with_pow_when_calls_switch_exponent():
+    # each thread keeps its last exponent as it keeps its modulus: exponents of
+    # one size and parity alternate under one modulus, and one exponent spans moduli
+    rng = random.Random(149)
+    modulus = rng.getrandbits(1024) | 1 << 1023 | 1
+    exponents = [rng.getrandbits(512) | 1 << 511 | 1 for _ in range(3)] + [0, 1]
+    cases = [(rng.getrandbits(1100), e, modulus) for e in exponents for _ in range(3)]
+    cases += [(base, exponent, modulus + 2) for base, exponent, modulus in cases]
+    rng.shuffle(cases)
+    for order in (cases, sorted(cases, key=lambda case: case[1])):
+        assert [primes._powmod(*case) for case in order] == [pow(*case) for case in order]
 
 
 def test_a_thread_computes_on_its_own_modulus_while_another_keeps_its_own():
@@ -300,6 +341,27 @@ def test_a_modulus_that_fails_to_load_leaves_no_stale_context():
 
 
 @needs_libcrypto
+def test_an_exponent_that_fails_to_load_leaves_no_stale_key():
+    real_load = _libcrypto_function("BN_bin2bn", ctypes.c_void_p, 0)
+    real_load.argtypes = (ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p)
+    first, second = 2 ** 61 - 1, 2 ** 89 - 1
+    failing = second.to_bytes(12, "big")
+
+    def load(data, size, bn):
+        # the second exponent reaches its BIGNUM, and the load still reports failure
+        loaded = real_load(data, size, bn)
+        return None if data == failing else loaded
+
+    powmod = _powmod_on(BN_bin2bn=load)
+    base, modulus = 2 ** 200 + 12345, 2 ** 127 - 1
+    assert powmod(base, first, modulus) == pow(base, first, modulus)
+    with pytest.raises(RuntimeError, match="BN_bin2bn"):
+        powmod(base, second, modulus)
+    # a key still naming the first exponent would skip its reload and raise to the second
+    assert powmod(base, first, modulus) == pow(base, first, modulus)
+
+
+@needs_libcrypto
 def test_a_thread_frees_its_libcrypto_state_when_it_ends():
     real_free = _libcrypto_function("BN_CTX_free", None, 1)
     freed = []
@@ -346,3 +408,246 @@ def test_importing_gridseal_starts_no_child_process(module):
          "print(sorted({'ctypes.util', 'subprocess'} & sys.modules.keys()))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert loaded.stdout == "[]\n"
+
+
+class _RecordingHelper:
+    """The helper thread, keeping every future it hands out."""
+
+    def __init__(self, helper, futures):
+        self._helper, self._futures = helper, futures
+
+    def submit(self, fn, *args):
+        future = self._helper.submit(fn, *args)
+        self._futures.append(future)
+        return future
+
+
+@pytest.fixture()
+def helper_futures(monkeypatch):
+    """Every future the helper thread is given while the test runs."""
+    futures = []
+    helper = primes._helper
+
+    def recording(modulus_bits):
+        thread = helper(modulus_bits)
+        return None if thread is None else _RecordingHelper(thread, futures)
+
+    monkeypatch.setattr(primes, "_helper", recording)
+    return futures
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name.startswith("gridseal-modexp")
+
+
+@pytest.mark.parametrize("bits", [512, 1023, 1024, 1536, 2048])
+def test_generate_prime_draws_what_the_search_in_draw_order_draws(two_cpus, helper_futures, bits):
+    for seed in range(4):
+        paired, ordered = random.Random(seed), random.Random(seed)
+        assert primes.generate_prime(bits, paired) == sequential_generate_prime(bits, ordered)
+        assert paired.getrandbits(64) == ordered.getrandbits(64), seed
+    assert (len(helper_futures) > 0) is (bits >= primes._HELPER_FLOOR_BITS)
+
+
+def test_a_system_random_draws_a_prime_in_pairs(two_cpus, helper_futures):
+    assert primes.is_probable_prime(primes.generate_prime(1024, random.SystemRandom()))
+    assert helper_futures
+
+
+class _Draws(random.Random):
+    """Hands out the given candidates in order, however many bits are asked for."""
+
+    def __init__(self, candidates):
+        super().__init__(0)
+        self._candidates = iter(candidates)
+
+    def getrandbits(self, k):
+        return next(self._candidates)
+
+
+# 2,003 * 4,201 has 24 bits and no factor below 2,000, so it reaches Miller-Rabin
+_COMPOSITE_24 = 2003 * 4201
+_PRIME_24 = 8388617
+
+
+@pytest.mark.parametrize("last, found", [(_COMPOSITE_24, None), (_PRIME_24, _PRIME_24)])
+def test_pairs_keep_the_retry_budget(two_cpus, monkeypatch, last, found):
+    # 200 * 24 candidates, all but the last composite; the first, 2^23 + 1, is a
+    # multiple of 3, so an odd count survive trial division and the last has no partner
+    monkeypatch.setattr(primes, "_HELPER_FLOOR_BITS", 24)
+    rng = _Draws([2 ** 23 + 1] + [_COMPOSITE_24] * (200 * 24 - 2) + [last, _PRIME_24])
+    if found is None:
+        with pytest.raises(RuntimeError, match="retry budget"):
+            primes.generate_prime(24, rng)
+    else:
+        assert primes.generate_prime(24, rng) == found
+
+
+def test_the_earlier_survivor_is_always_awaited(two_cpus, helper_futures, monkeypatch):
+    # the helper is slow, so a search that returned, or raised, without
+    # waiting for it would leave its future running
+    test = primes._miller_rabin
+
+    def slow_on_helper(n, rounds):
+        if _on_helper():
+            time.sleep(0.005)
+        return test(n, rounds)
+
+    monkeypatch.setattr(primes, "_miller_rabin", slow_on_helper)
+    for seed in range(2):
+        primes.generate_prime(1024, random.Random(seed))
+        assert helper_futures and all(future.done() for future in helper_futures)
+
+    def failing_on_caller(n, rounds):
+        if not _on_helper():
+            raise ArithmeticError("the caller's test failed")
+        return slow_on_helper(n, rounds)
+
+    helper_futures.clear()
+    monkeypatch.setattr(primes, "_miller_rabin", failing_on_caller)
+    with pytest.raises(ArithmeticError, match="caller's test"):
+        primes.generate_prime(1024, random.Random(0))
+    assert len(helper_futures) == 1 and helper_futures[0].done()
+
+
+def test_an_error_in_the_helpers_modexp_reaches_the_caller(two_cpus, monkeypatch):
+    pk, sk = paillier_keygen(2048, random.Random(2048))
+    ciphertext = paillier_encrypt(pk, 5, random.Random(1))
+    powmod = primes._powmod
+
+    def failing_on_helper(*operands):
+        if _on_helper():
+            raise RuntimeError("libcrypto BN_mod_exp_mont failed")
+        return powmod(*operands)
+
+    monkeypatch.setattr(primes, "_powmod", failing_on_helper)
+    with pytest.raises(RuntimeError, match="BN_mod_exp_mont"):
+        paillier_decrypt(sk, pk, ciphertext)
+    with pytest.raises(RuntimeError, match="BN_mod_exp_mont"):
+        primes.generate_prime(1024, random.Random(1))
+
+
+def test_one_cpu_keeps_all_work_on_the_caller(one_cpu, helper_futures):
+    assert primes._helper(8192) is None
+    pk, sk = paillier_keygen(2048, random.Random(2048))
+    ciphertext = paillier_encrypt(pk, 5, random.Random(1))
+    assert paillier_decrypt(sk, pk, ciphertext) == 5
+    rng, ordered = random.Random(3), random.Random(3)
+    assert primes.generate_prime(1024, rng) == sequential_generate_prime(1024, ordered)
+    assert helper_futures == []
+
+
+def test_four_threads_decrypt_and_draw_primes_at_once(two_cpus, helper_futures):
+    pk, sk = paillier_keygen(2048, random.Random(2048))
+    rng = random.Random(4)
+    messages = [rng.randrange(pk.modulus) for _ in range(8)]
+    ciphertexts = [paillier_encrypt(pk, m, rng) for m in messages]
+    seeds = range(4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial_primes = [primes.generate_prime(1024, random.Random(s)) for s in seeds]
+
+    def work(seed):
+        answers = [paillier_decrypt(sk, pk, c) for c in ciphertexts]
+        rng = random.Random(seed)
+        return answers, primes.generate_prime(1024, rng), rng.getrandbits(64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [pool.submit(work, s) for s in seeds]
+            results = [result.result(timeout=120) for result in results]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, (answers, prime, next_draw) in zip(seeds, results):
+        rng = random.Random(seed)
+        assert answers == messages
+        assert prime == serial_primes[seed] == primes.generate_prime(1024, rng)
+        assert next_draw == rng.getrandbits(64)
+    assert helper_futures
+
+
+_FORKED_CHILD = """
+import os, random, signal, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}  # the helper runs on any machine
+from gridseal import paillier, primes
+pk, sk = paillier.paillier_keygen(2048, random.Random(7))
+ciphertext = paillier.paillier_encrypt(pk, 123456789, random.Random(8))
+assert paillier.paillier_decrypt(sk, pk, ciphertext) == 123456789
+prime = primes.generate_prime(1024, random.Random(9))
+assert primes._helper_thread is not None
+pid = os.fork()
+if pid == 0:
+    print("decrypt", paillier.paillier_decrypt(sk, pk, ciphertext) == 123456789)
+    print("prime", primes.generate_prime(1024, random.Random(9)) == prime, flush=True)
+    os._exit(0)
+deadline = time.monotonic() + 30
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print("exit", os.waitstatus_to_exitcode(status))
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        print("hung")
+        break
+    time.sleep(0.02)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_a_helper_of_its_own():
+    # the child inherits the parent's helper but not its thread; work handed
+    # to that helper would never run
+    env = dict(os.environ, PYTHONPATH=str(Path(gridseal.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _FORKED_CHILD], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "decrypt True\nprime True\nexit 0\n"
+
+
+def test_an_exit_handler_decrypts_with_the_helper():
+    # an executor's worker refuses work once the interpreter starts to exit
+    script = (
+        "import atexit, os, random\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from gridseal import paillier\n"
+        "pk, sk = paillier.paillier_keygen(2048, random.Random(7))\n"
+        "ciphertext = paillier.paillier_encrypt(pk, 42, random.Random(8))\n"
+        "atexit.register(lambda: print(paillier.paillier_decrypt(sk, pk, ciphertext)))\n"
+        "print(paillier.paillier_decrypt(sk, pk, ciphertext))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gridseal.__file__).parents[1]))
+    decrypted = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert (decrypted.returncode, decrypted.stdout, decrypted.stderr) == (0, "42\n42\n", "")
+
+
+@pytest.mark.parametrize("module", ["gridseal", "gridseal.primes", "gridseal.paillier",
+                                    "gridseal.harness.cli"])
+def test_importing_gridseal_starts_no_thread(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(gridseal.__file__).parents[1]))
+    started = subprocess.run(
+        [sys.executable, "-c", f"import threading, {module}\nprint(threading.active_count())"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert started.stdout == "1\n"
+
+
+def test_a_decryption_waits_for_its_helper_half_when_its_own_half_fails(
+        two_cpus, helper_futures, monkeypatch):
+    pk, sk = paillier_keygen(2048, random.Random(2048))
+    ciphertext = paillier_encrypt(pk, 5, random.Random(1))
+    powmod = primes._powmod
+
+    def slow_on_helper_failing_on_caller(*operands):
+        if not _on_helper():
+            raise RuntimeError("libcrypto BN_mod_exp_mont failed")
+        time.sleep(0.05)
+        return powmod(*operands)
+
+    helper_futures.clear()
+    monkeypatch.setattr(primes, "_powmod", slow_on_helper_failing_on_caller)
+    with pytest.raises(RuntimeError, match="BN_mod_exp_mont"):
+        paillier_decrypt(sk, pk, ciphertext)
+    assert len(helper_futures) == 1 and helper_futures[0].done()
